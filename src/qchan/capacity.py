@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, apply_channel
+from .channels import AmplitudeDamping, Channel, Depolarizing, _unit_interval, apply_channel
 from .errors import DomainError, SolverError
 from .states import Ensemble, binary_entropy, mix, von_neumann_entropy
 
 _LN2 = math.log(2.0)
 
 ROOT_BISECTION = "root_bisection"
-GOLDEN_SECTION = "golden_section"
 CLOSED_FORM = "closed_form"
 
 # Upper bracket endpoint: chi' -> -inf as a -> 1, so a sign change on
@@ -63,9 +63,25 @@ def _unit_array(name, value):
     return arr
 
 
-def _x_of(gamma, a):
+def _u_x(gamma, a):
+    """u = 4 gamma (1-gamma) (1-a)^2 and x = sqrt(1 - u) of the closed form."""
     u = 4.0 * gamma * (1.0 - gamma) * (1.0 - a) ** 2
-    return np.sqrt(np.maximum(1.0 - u, 0.0))
+    return u, np.sqrt(np.maximum(1.0 - u, 0.0))
+
+
+def interior_terms(gamma, a, gamma_low=0.0):
+    """Validated (g, a, u, x, ratio) for the derivatives of chi_ad_curve, which are
+    singular at a = 1 and g = 1: gamma must lie in (gamma_low, 1) and a in [0, 1).
+    """
+    g = np.asarray(gamma, dtype=float)
+    av = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(g)) or np.any(g <= gamma_low) or np.any(g >= 1.0):
+        raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
+    if not np.all(np.isfinite(av)) or np.any(av < 0.0) or np.any(av >= 1.0):
+        raise DomainError("a must lie in [0, 1)")
+    u, x = _u_x(g, av)
+    ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
+    return g, av, u, x, ratio
 
 
 def _log_ratio_over_x(u, x):
@@ -94,7 +110,7 @@ def chi_ad_curve(gamma, a):
     scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
     g = _unit_array("gamma", gamma)
     av = _unit_array("a", a)
-    x = _x_of(g, av)
+    _, x = _u_x(g, av)
     value = binary_entropy((1.0 - av) * (1.0 - g)) - binary_entropy(0.5 * (1.0 - x))
     return float(value) if scalar else value
 
@@ -107,15 +123,7 @@ def chi_ad_derivative(gamma, a):
     the endpoints separately.
     """
     scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
-    g = np.asarray(gamma, dtype=float)
-    av = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g <= 0.0) or np.any(g >= 1.0):
-        raise DomainError("gamma must lie strictly inside (0, 1)")
-    if not np.all(np.isfinite(av)) or np.any(av < 0.0) or np.any(av >= 1.0):
-        raise DomainError("a must lie in [0, 1)")
-    u = 4.0 * g * (1.0 - g) * (1.0 - av) ** 2
-    x = np.sqrt(np.maximum(1.0 - u, 0.0))
-    ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
+    g, av, u, x, ratio = interior_terms(gamma, a)
     value = (
         -(1.0 - g) * np.log(ratio)
         + 2.0 * g * (1.0 - g) * (1.0 - av) * _log_ratio_over_x(u, x)
@@ -132,9 +140,7 @@ def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResu
     a sign change. ``tol`` bounds the final bracket width; near the optimum
     the capacity is quadratically flat, so its error is O(tol^2).
     """
-    g = float(gamma)
-    if not 0.0 <= g <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {g}")
+    g = _unit_interval("gamma", gamma)
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     if g == 0.0:
@@ -177,9 +183,7 @@ def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResu
 
 def capacity_depolarizing(lam: float) -> CapacityResult:
     """Product-state capacity 1 - H(lam/2), maximized by the orthogonal pair at a = 1/2."""
-    l = float(lam)
-    if not 0.0 <= l <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {l}")
+    l = _unit_interval("lambda", lam)
     return CapacityResult(0.5, 1.0 - binary_entropy(0.5 * l), 0.0, 0, CLOSED_FORM)
 
 
@@ -194,3 +198,48 @@ def chi_dep_curve(lam, a):
     av = _unit_array("a", a)
     value = binary_entropy((1.0 - l) * av + 0.5 * l) - binary_entropy(0.5 * l)
     return float(value) if scalar else value
+
+
+@dataclass(frozen=True)
+class Family:
+    """A channel family: its kind, its channel class, the name of its parameter
+    in reports and on the command line (``param``) and the channel attribute
+    that holds it (``attr``), its mirror-pair chi curve ``curve(p, a)`` and its
+    capacity solver ``capacity(p, tol)``.
+    """
+
+    kind: str
+    channel: type
+    param: str
+    attr: str
+    curve: Callable
+    capacity: Callable
+
+    def parameter(self, channel: Channel) -> float:
+        return getattr(channel, self.attr)
+
+
+# Entries look the curve and solver functions up by module-level name at call
+# time, so code that rebinds those names (as tracing does) sees every call.
+FAMILIES = {
+    "ad": Family("ad", AmplitudeDamping, "gamma", "gamma",
+                 lambda gamma, a: chi_ad_curve(gamma, a),
+                 lambda gamma, tol: capacity_amplitude_damping(gamma, tol)),
+    "dep": Family("dep", Depolarizing, "lambda", "lam",
+                  lambda lam, a: chi_dep_curve(lam, a),
+                  lambda lam, tol: capacity_depolarizing(lam)),
+}
+
+
+def family_of(channel: Channel) -> Family:
+    """The table entry for an amplitude-damping or depolarizing channel."""
+    for family in FAMILIES.values():
+        if isinstance(channel, family.channel):
+            return family
+    raise DomainError(f"{type(channel).__name__} is neither amplitude-damping nor depolarizing")
+
+
+def channel_capacity(channel: Channel, tol: float = 1e-10) -> CapacityResult:
+    """Capacity of an amplitude-damping or depolarizing channel by its family solver."""
+    family = family_of(channel)
+    return family.capacity(family.parameter(channel), tol)

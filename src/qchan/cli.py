@@ -10,32 +10,35 @@ that identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .capacity import (
+    FAMILIES,
     capacity_amplitude_damping,
-    capacity_depolarizing,
+    channel_capacity,
     chi_ad_curve,
     chi_dep_curve,
+    family_of,
 )
-from .channels import AmplitudeDamping, Depolarizing, MixedChannelPair
+from .channels import AmplitudeDamping, Depolarizing, MixedChannelPair, apply_channel
 from .errors import (
     BudgetExceededError,
     CertificationError,
     DomainError,
     SolverError,
 )
-from .mixtures import minimax_capacity
-from .oracle import DEFAULT_BUDGET, OracleConfig, oracle_capacity, oracle_minimax, plan_search_size
-from .states import pure_state
+from .mixtures import crossings, minimax_capacity
+from .oracle import (DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate,
+                     oracle_capacity, oracle_minimax, plan_search_size)
+from .states import QubitState, pure_state
 
 SCHEMA_VERSION = 1
 
@@ -45,8 +48,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_BUDGET = 5
 EXIT_CERTIFY = 6
-
-_DEFAULTS = {"tol": 1e-10, "format": None, "threads": 1, "seed": 0}
 
 
 def _fmt(value: float) -> str:
@@ -101,22 +102,29 @@ def _resolve(args, settings, key, default):
     return default
 
 
+def _resolve_number(args, settings, key, default, convert):
+    """_resolve, then ``convert``; a config or environment value it rejects exits 2."""
+    value = _resolve(args, settings, key, default)
+    try:
+        return convert(value)
+    except ValueError:
+        raise DomainError(f"{key} must be a number, got {value!r}") from None
+
+
+def _resolve_tol(args, settings) -> float:
+    return _resolve_number(args, settings, "tol", 1e-10, float)
+
+
 def _resolve_threads(args, settings) -> int:
-    value = _resolve(args, settings, "threads", None)
-    if value is None:
-        env = os.environ.get("QCHAN_THREADS")
-        value = int(env) if env else 1
-    threads = int(value)
+    """Recorded in reports; sweeps run in one thread whatever the setting."""
+    default = os.environ.get("QCHAN_THREADS") or 1
+    threads = _resolve_number(args, settings, "threads", default, int)
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     return threads
 
 
-def _write_csv(out, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
+def _write(out, text: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -124,13 +132,22 @@ def _write_csv(out, header, rows):
         sys.stdout.write(text)
 
 
+def _write_csv(out, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    _write(out, "\n".join(lines) + "\n")
+
+
 def _emit_json(report: dict, out) -> None:
     if out:
-        trimmed = {k: v for k, v in report.items() if k != "wall_time_s"}
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(json.dumps(trimmed, indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        report = {k: v for k, v in report.items() if k != "wall_time_s"}
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # JSON has no NaN or infinity; an input such as --tol inf cannot be reported.
+        raise DomainError(f"report holds a non-finite number: {exc}") from None
+    _write(out, text)
 
 
 def _emit_rows(args, fmt, header, rows, report_base):
@@ -154,16 +171,13 @@ def _report_base(command: str, inputs: dict, started: float) -> dict:
     }
 
 
-def _parse_channel(kind, gamma, lam):
-    if kind == "ad":
-        if gamma is None:
-            raise DomainError("--channel ad requires --gamma")
-        return AmplitudeDamping(gamma)
-    if kind == "dep":
-        if lam is None:
-            raise DomainError("--channel dep requires --lambda")
-        return Depolarizing(lam)
-    raise DomainError(f"unknown channel kind {kind!r}")
+def _parse_channel(args):
+    """Channel from --channel and its parameter flag, whose dest is ``Family.attr``."""
+    family = FAMILIES[args.channel]
+    param = getattr(args, family.attr)
+    if param is None:
+        raise DomainError(f"--channel {family.kind} requires --{family.param}")
+    return family.channel(param)
 
 
 def _parse_channel_spec(text: str):
@@ -175,17 +189,14 @@ def _parse_channel_spec(text: str):
         param = float(value)
     except ValueError as exc:
         raise DomainError(f"bad channel parameter in {text!r}") from exc
-    if kind == "ad":
-        return AmplitudeDamping(param)
-    if kind == "dep":
-        return Depolarizing(param)
-    raise DomainError(f"unknown channel kind {kind!r} in {text!r}")
+    if kind not in FAMILIES:
+        raise DomainError(f"unknown channel kind {kind!r} in {text!r}")
+    return FAMILIES[kind].channel(param)
 
 
 def _channel_inputs(channel) -> dict:
-    if isinstance(channel, AmplitudeDamping):
-        return {"channel": "ad", "gamma": channel.gamma}
-    return {"channel": "dep", "lambda": channel.lam}
+    family = family_of(channel)
+    return {"channel": family.kind, family.param: family.parameter(channel)}
 
 
 def _grid(start: float, end: float, step: float):
@@ -200,13 +211,10 @@ def _grid(start: float, end: float, step: float):
     return [start + (end - start) * i / count for i in range(count + 1)]
 
 
-def _solve_capacity(channel, tol):
-    if isinstance(channel, AmplitudeDamping):
-        return capacity_amplitude_damping(channel.gamma, tol)
-    return capacity_depolarizing(channel.lam)
-
-
 def _oracle_config(args) -> OracleConfig:
+    # The report records the budget, and JSON has no NaN or infinity.
+    if not math.isfinite(args.budget):
+        raise DomainError(f"--budget must be finite, got {args.budget}")
     return OracleConfig(
         n_states=args.n_states,
         a_grid=args.a_grid,
@@ -218,26 +226,23 @@ def _oracle_config(args) -> OracleConfig:
 
 def cmd_capacity(args, settings) -> int:
     started = time.perf_counter()
-    tol = float(_resolve(args, settings, "tol", _DEFAULTS["tol"]))
-    channel = _parse_channel(args.channel, args.gamma, args.lam)
-    result = _solve_capacity(channel, tol)
-    fmt = _resolve(args, settings, "format", None)
-    if fmt == "csv":
-        header = ["capacity_bits", "a_max", "residual", "iterations", "method"]
-        rows = [(result.capacity_bits, result.a_max, result.residual,
-                 str(result.iterations), result.method)]
-        _write_csv(args.out, header, rows)
-        return EXIT_OK
-    inputs = _channel_inputs(channel)
-    inputs.update({"tol": tol, "seed": args.seed, "threads": _resolve_threads(args, settings)})
-    report = _report_base("capacity", inputs, started)
-    report["outputs"] = {
+    tol = _resolve_tol(args, settings)
+    channel = _parse_channel(args)
+    result = channel_capacity(channel, tol)
+    outputs = {
         "capacity_bits": result.capacity_bits,
         "a_max": result.a_max,
         "residual": result.residual,
         "iterations": result.iterations,
         "method": result.method,
     }
+    if _resolve(args, settings, "format", None) == "csv":
+        _write_csv(args.out, list(outputs), [tuple(outputs.values())])
+        return EXIT_OK
+    inputs = _channel_inputs(channel)
+    inputs.update({"tol": tol, "seed": args.seed, "threads": _resolve_threads(args, settings)})
+    report = _report_base("capacity", inputs, started)
+    report["outputs"] = outputs
     report["tolerances"] = {"tol": tol}
     _emit_json(report, args.out)
     return EXIT_OK
@@ -245,24 +250,14 @@ def cmd_capacity(args, settings) -> int:
 
 def cmd_curve(args, settings) -> int:
     started = time.perf_counter()
-    tol = float(_resolve(args, settings, "tol", _DEFAULTS["tol"]))
+    tol = _resolve_tol(args, settings)
     threads = _resolve_threads(args, settings)
     params = _grid(args.start, args.end, args.step)
-    if args.family == "ad":
-        def solve(p):
-            r = capacity_amplitude_damping(p, tol)
-            return (p, r.capacity_bits, r.a_max)
-    elif args.family == "dep":
-        def solve(p):
-            r = capacity_depolarizing(p)
-            return (p, r.capacity_bits, r.a_max)
-    else:
-        raise DomainError(f"unknown family {args.family!r}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve, params))
-    else:
-        rows = [solve(p) for p in params]
+    family = FAMILIES[args.family]
+    rows = []
+    for param in params:
+        result = family.capacity(param, tol)
+        rows.append((param, result.capacity_bits, result.a_max))
     base = _report_base("curve", {
         "family": args.family, "start": args.start, "end": args.end,
         "step": args.step, "tol": tol, "seed": args.seed, "threads": threads,
@@ -270,19 +265,6 @@ def cmd_curve(args, settings) -> int:
     _emit_rows(args, _resolve(args, settings, "format", None),
                ["param", "capacity_bits", "a_max"], rows, base)
     return EXIT_OK
-
-
-def _bisect_crossing(diff, lo, hi, f_lo, tol=1e-12):
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = diff(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def cmd_chi_curves(args, settings) -> int:
@@ -305,12 +287,10 @@ def cmd_chi_curves(args, settings) -> int:
         for i in range(len(grid))
     ]
     d = ad_vals - dep_vals
-    for i in range(1, len(grid) - 2):
+    for i, a_c in crossings(diff, grid, d, 1e-12):
         if d[i] == 0.0:
             rows[i] = rows[i][:4] + ("1",)
-            continue
-        if d[i] * d[i + 1] < 0.0:
-            a_c = _bisect_crossing(diff, grid[i], grid[i + 1], d[i])
+        else:
             chi_a = chi_ad_curve(gamma, a_c)
             chi_d = chi_dep_curve(lam, a_c)
             rows.append((a_c, chi_a, chi_d, min(chi_a, chi_d), "1"))
@@ -330,21 +310,20 @@ def cmd_ellipse(args, settings) -> int:
         raise DomainError("ellipse requires --gamma")
     if args.n_points < 3:
         raise DomainError(f"--n-points must be >= 3, got {args.n_points}")
-    tol = float(_resolve(args, settings, "tol", _DEFAULTS["tol"]))
+    tol = _resolve_tol(args, settings)
     channel = AmplitudeDamping(gamma)
-    root = math.sqrt(1.0 - gamma)
+
+    def row(state, optimal):
+        image = apply_channel(channel, state)
+        return (state.a, state.b.real, image.a, image.b.real, optimal)
+
     rows = []
     for k in range(args.n_points):
         theta = 2.0 * math.pi * k / args.n_points
-        a_in = 0.5 * (1.0 + math.cos(theta))
-        b_in = 0.5 * math.sin(theta)
-        a_out = a_in + (1.0 - a_in) * gamma
-        rows.append((a_in, b_in, a_out, b_in * root, "0"))
+        rows.append(row(QubitState(0.5 * (1.0 + math.cos(theta)), 0.5 * math.sin(theta)), "0"))
     best = capacity_amplitude_damping(gamma, tol)
     for sign in (1.0, -1.0):
-        state = pure_state(best.a_max, sign)
-        b_in = state.b.real
-        rows.append((state.a, b_in, state.a + (1.0 - state.a) * gamma, b_in * root, "1"))
+        rows.append(row(pure_state(best.a_max, sign), "1"))
     base = _report_base("ellipse", {
         "gamma": gamma, "n_points": args.n_points, "tol": tol, "seed": args.seed,
     }, started)
@@ -367,23 +346,20 @@ def _minimax_pair(args) -> MixedChannelPair:
     )
 
 
-def _pair_inputs(pair: MixedChannelPair) -> dict:
-    return {
-        "channel1": _channel_inputs(pair.ch1),
-        "channel2": _channel_inputs(pair.ch2),
-        "weight1": pair.weight1,
-    }
-
-
 def cmd_minimax(args, settings) -> int:
     started = time.perf_counter()
     pair = _minimax_pair(args)
     result = minimax_capacity(pair, resolution=args.resolution)
-    cap1 = _solve_capacity(pair.ch1, _DEFAULTS["tol"])
-    cap2 = _solve_capacity(pair.ch2, _DEFAULTS["tol"])
+    cap1 = channel_capacity(pair.ch1)
+    cap2 = channel_capacity(pair.ch2)
     min_cap = min(cap1.capacity_bits, cap2.capacity_bits)
-    inputs = _pair_inputs(pair)
-    inputs.update({"resolution": args.resolution, "seed": args.seed})
+    inputs = {
+        "channel1": _channel_inputs(pair.ch1),
+        "channel2": _channel_inputs(pair.ch2),
+        "weight1": pair.weight1,
+        "resolution": args.resolution,
+        "seed": args.seed,
+    }
     report = _report_base("minimax", inputs, started)
     outputs = {
         "capacity_bits": result.capacity_bits,
@@ -396,12 +372,9 @@ def cmd_minimax(args, settings) -> int:
         "separation_gap": min_cap - result.capacity_bits,
     }
     if args.certify:
+        check_bound(args.bound)
         config = _oracle_config(args)
-        inputs["oracle"] = {
-            "n_states": config.n_states, "a_grid": config.a_grid,
-            "phase_grid": config.phase_grid, "prob_grid": config.prob_grid,
-            "restrict_real_b": config.restrict_real_b, "budget": args.budget,
-        }
+        inputs["oracle"] = {**dataclasses.asdict(config), "budget": args.budget}
         oracle_value, _ = oracle_minimax(pair, config, args.budget)
         difference = result.capacity_bits - oracle_value
         outputs["certification"] = {
@@ -410,10 +383,7 @@ def cmd_minimax(args, settings) -> int:
             "bound": args.bound,
             "search_size": plan_search_size(config, args.budget),
         }
-        if abs(difference) > args.bound:
-            raise CertificationError(
-                f"minimax oracle difference {difference} exceeds bound {args.bound}"
-            )
+        check_certificate(difference, args.bound)
     report["outputs"] = outputs
     report["tolerances"] = {"resolution": args.resolution}
     _emit_json(report, args.out)
@@ -422,20 +392,17 @@ def cmd_minimax(args, settings) -> int:
 
 def cmd_certify(args, settings) -> int:
     started = time.perf_counter()
-    tol = float(_resolve(args, settings, "tol", _DEFAULTS["tol"]))
-    channel = _parse_channel(args.channel, args.gamma, args.lam)
+    tol = _resolve_tol(args, settings)
+    channel = _parse_channel(args)
     config = _oracle_config(args)
-    solver = _solve_capacity(channel, tol)
+    check_bound(args.bound)
+    solver = channel_capacity(channel, tol)
     oracle_value, ensemble = oracle_capacity(channel, config, args.budget)
     difference = solver.capacity_bits - oracle_value
     inputs = _channel_inputs(channel)
     inputs.update({
         "tol": tol, "seed": args.seed,
-        "oracle": {
-            "n_states": config.n_states, "a_grid": config.a_grid,
-            "phase_grid": config.phase_grid, "prob_grid": config.prob_grid,
-            "restrict_real_b": config.restrict_real_b, "budget": args.budget,
-        },
+        "oracle": {**dataclasses.asdict(config), "budget": args.budget},
     })
     report = _report_base("certify", inputs, started)
     report["outputs"] = {
@@ -451,10 +418,7 @@ def cmd_certify(args, settings) -> int:
     }
     report["tolerances"] = {"bound": args.bound}
     _emit_json(report, args.out)
-    if abs(difference) > args.bound:
-        raise CertificationError(
-            f"oracle difference {difference} exceeds the declared bound {args.bound}"
-        )
+    check_certificate(difference, args.bound)
     return EXIT_OK
 
 
@@ -465,7 +429,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None,
                         help="solver tolerance on the bracket width (default 1e-10)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for grid sweeps (env QCHAN_THREADS)")
+                        help="accepted and recorded in reports; sweeps run in one "
+                             "thread (env QCHAN_THREADS)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed recorded in reports for reproducibility")
     parser.add_argument("--config", help="key = value config file (default ./qchan.toml)")
@@ -493,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="capacity of a single channel")
-    p.add_argument("--channel", choices=("ad", "dep"), required=True)
+    p.add_argument("--channel", choices=tuple(FAMILIES), required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--lambda", type=float, dest="lam")
     _add_common(p)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("curve", help="capacity curve over a parameter range (CSV)")
-    p.add_argument("--family", choices=("ad", "dep"), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, default=1.0)
     p.add_argument("--step", type=float, default=0.01)
@@ -533,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minimax)
 
     p = sub.add_parser("certify", help="brute-force certification of a capacity")
-    p.add_argument("--channel", choices=("ad", "dep"), required=True)
+    p.add_argument("--channel", choices=tuple(FAMILIES), required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--lambda", type=float, dest="lam")
     _add_oracle_flags(p, n_states=2)

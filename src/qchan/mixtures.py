@@ -22,11 +22,13 @@ from .capacity import (
     _log_ratio_over_x,
     capacity_amplitude_damping,
     capacity_depolarizing,
-    chi_ad_curve,
-    chi_dep_curve,
+    channel_capacity,
+    family_of,
+    interior_terms,
 )
-from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair
-from .errors import CertificationError, DomainError, SolverError
+from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair, _unit_interval
+from .errors import DomainError, SolverError
+from .oracle import DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate, oracle_minimax
 
 MIN_BRANCH_CH1 = "channel1"
 MIN_BRANCH_CH2 = "channel2"
@@ -58,56 +60,41 @@ class MinimaxResult:
 
 
 def _branch_curve(channel: Channel):
-    if isinstance(channel, AmplitudeDamping):
-        gamma = channel.gamma
-        return lambda a: chi_ad_curve(gamma, a)
-    if isinstance(channel, Depolarizing):
-        lam = channel.lam
-        return lambda a: chi_dep_curve(lam, a)
-    raise DomainError(
-        "minimax capacity supports amplitude-damping and depolarizing channels only"
-    )
+    family = family_of(channel)
+    param = family.parameter(channel)
+    return lambda a: family.curve(param, a)
 
 
-def _branch_capacity(channel: Channel) -> CapacityResult:
-    if isinstance(channel, AmplitudeDamping):
-        return capacity_amplitude_damping(channel.gamma)
-    if isinstance(channel, Depolarizing):
-        return capacity_depolarizing(channel.lam)
-    raise DomainError(
-        "minimax capacity supports amplitude-damping and depolarizing channels only"
-    )
+def crossings(diff, grid, values, resolution: float):
+    """Interior zeros of ``diff`` from its samples ``values`` on the sorted ``grid``.
 
-
-def _crossings(diff, resolution: float):
-    """All interior sign changes of ``diff`` on [0, 1], bisected to ``resolution``."""
-    grid = np.linspace(0.0, 1.0, 2001)
-    values = diff(grid)
+    Returns (i, a) pairs: a = grid[i] where values[i] is exactly zero, else the
+    sign change inside [grid[i], grid[i + 1]] bisected to ``resolution``. The
+    first and last grid cells are skipped.
+    """
     found = []
     for i in range(1, len(grid) - 2):
         lo, hi = float(grid[i]), float(grid[i + 1])
         f_lo, f_hi = float(values[i]), float(values[i + 1])
         if f_lo == 0.0:
-            found.append(lo)
-            continue
-        if f_lo * f_hi >= 0.0:
-            continue
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            f_mid = diff(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        found.append(0.5 * (lo + hi))
+            found.append((i, lo))
+        elif f_lo * f_hi < 0.0:
+            while hi - lo > resolution:
+                mid = 0.5 * (lo + hi)
+                f_mid = diff(mid)
+                if f_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if (f_mid > 0.0) == (f_lo > 0.0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            found.append((i, 0.5 * (lo + hi)))
     return found
 
 
 def _single_branch_result(channel: Channel, branch: str) -> MinimaxResult:
-    cap = _branch_capacity(channel)
+    cap = channel_capacity(channel)
     return MinimaxResult(cap.capacity_bits, cap.a_max, branch)
 
 
@@ -127,6 +114,8 @@ def minimax_capacity(
     """
     if not resolution > 0.0:
         raise DomainError(f"resolution must be positive, got {resolution}")
+    if certify:
+        check_bound(certify_bound)
     if pair.weight1 == 1.0:
         return _single_branch_result(pair.ch1, MIN_BRANCH_CH1)
     if pair.weight1 == 0.0:
@@ -134,8 +123,8 @@ def minimax_capacity(
 
     chi1 = _branch_curve(pair.ch1)
     chi2 = _branch_curve(pair.ch2)
-    cap1 = _branch_capacity(pair.ch1)
-    cap2 = _branch_capacity(pair.ch2)
+    cap1 = channel_capacity(pair.ch1)
+    cap2 = channel_capacity(pair.ch2)
 
     a_cross = None
     # A branch maximizer is feasible when the other curve dominates there; the
@@ -152,64 +141,46 @@ def minimax_capacity(
         if abs(chi1(a_star) - chi2(a_star)) <= 1e-9:
             branch = MIN_BRANCH_TIE
     else:
-        crossings = _crossings(lambda a: chi1(a) - chi2(a), resolution)
-        if not crossings:
+        def diff(a):
+            return chi1(a) - chi2(a)
+
+        grid = np.linspace(0.0, 1.0, 2001)
+        found = [a for _, a in crossings(diff, grid, diff(grid), resolution)]
+        if not found:
             raise SolverError(
                 "no branch crossing found although neither maximizer is feasible"
             )
         value = -math.inf
-        a_star = crossings[0]
-        for c in crossings:
+        a_star = found[0]
+        for c in found:
             g = min(chi1(c), chi2(c))
             if g > value:
                 value, a_star = g, c
         a_cross = a_star
         branch = MIN_BRANCH_TIE
 
-    certified = False
     if certify:
-        from .oracle import DEFAULT_BUDGET, OracleConfig, oracle_minimax
-
         config = oracle_config if oracle_config is not None else OracleConfig()
         oracle_value, _ = oracle_minimax(
             pair, config, budget if budget is not None else DEFAULT_BUDGET
         )
-        if abs(oracle_value - value) > certify_bound:
-            raise CertificationError(
-                f"oracle sup-min {oracle_value} deviates from solver {value} "
-                f"beyond {certify_bound}"
-            )
-        certified = True
+        check_certificate(value - oracle_value, certify_bound)
 
-    return MinimaxResult(value, a_star, branch, certified, a_cross)
+    return MinimaxResult(value, a_star, branch, bool(certify), a_cross)
 
 
 def capacity_two_amplitude_damping(gamma1: float, gamma2: float) -> CapacityResult:
     """Mixture of two damping channels: the worse parameter decides."""
-    g1 = float(gamma1)
-    g2 = float(gamma2)
-    if not (0.0 <= g1 <= 1.0 and 0.0 <= g2 <= 1.0):
-        raise DomainError("gamma parameters must lie in [0, 1]")
+    g1 = _unit_interval("gamma1", gamma1)
+    g2 = _unit_interval("gamma2", gamma2)
     return capacity_amplitude_damping(max(g1, g2))
 
 
 def capacity_two_depolarizing(lambda1: float, lambda2: float) -> CapacityResult:
     """Mixture of two depolarizing channels: 1 - H(max(lambda)/2)."""
-    l1 = float(lambda1)
-    l2 = float(lambda2)
-    if not (0.0 <= l1 <= 1.0 and 0.0 <= l2 <= 1.0):
-        raise DomainError("lambda parameters must lie in [0, 1]")
+    l1 = _unit_interval("lambda1", lambda1)
+    l2 = _unit_interval("lambda2", lambda2)
     return capacity_depolarizing(max(l1, l2))
-
-
-def _interior_args(gamma, a, gamma_low=0.0):
-    g = np.asarray(gamma, dtype=float)
-    av = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g <= gamma_low) or np.any(g >= 1.0):
-        raise DomainError(f"gamma must lie strictly inside ({gamma_low}, 1)")
-    if not np.all(np.isfinite(av)) or np.any(av < 0.0) or np.any(av >= 1.0):
-        raise DomainError("a must lie in [0, 1)")
-    return g, av
 
 
 def dchi_dgamma(gamma, a):
@@ -219,10 +190,7 @@ def dchi_dgamma(gamma, a):
     ln(2) * chi_ad_curve directly.
     """
     scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
-    g, av = _interior_args(gamma, a)
-    u = 4.0 * g * (1.0 - g) * (1.0 - av) ** 2
-    x = np.sqrt(np.maximum(1.0 - u, 0.0))
-    ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
+    g, av, u, x, ratio = interior_terms(gamma, a)
     value = -(1.0 - av) * np.log(ratio) + (2.0 * g - 1.0) * (1.0 - av) ** 2 * _log_ratio_over_x(u, x)
     return float(value) if scalar else value
 
@@ -234,10 +202,7 @@ def monotonicity_f(gamma, a):
     chi curve decreases with gamma also beyond gamma = 1/2.
     """
     scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
-    g, av = _interior_args(gamma, a, gamma_low=0.5)
-    u = 4.0 * g * (1.0 - g) * (1.0 - av) ** 2
-    x = np.sqrt(np.maximum(1.0 - u, 0.0))
-    ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
+    g, av, u, x, ratio = interior_terms(gamma, a, gamma_low=0.5)
     value = np.log(ratio) - (2.0 * g - 1.0) * (1.0 - av) * _log_ratio_over_x(u, x)
     return float(value) if scalar else value
 
@@ -245,9 +210,7 @@ def monotonicity_f(gamma, a):
 def monotonicity_df_da(gamma, a):
     """Derivative of monotonicity_f in a; positive on its domain."""
     scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
-    g, av = _interior_args(gamma, a, gamma_low=0.5)
-    u = 4.0 * g * (1.0 - g) * (1.0 - av) ** 2
-    x = np.sqrt(np.maximum(1.0 - u, 0.0))
+    g, av, u, x, _ = interior_terms(gamma, a, gamma_low=0.5)
     x_sq = np.maximum(x * x, 1e-300)
     value = (
         (1.0 - g) / (av + g * (1.0 - av))

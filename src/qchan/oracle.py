@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, MixedChannelPair, apply_channel
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, CertificationError, DomainError
 from .states import Ensemble, QubitState, binary_entropy, von_neumann_entropy
 
 log = logging.getLogger(__name__)
@@ -198,6 +198,8 @@ def _stride_schedule(config: OracleConfig, n: int, p_count: int, slice_budget: f
 
 def _plan(config: OracleConfig, budget: float):
     """Per-size pass plans and the total planned evaluation count (upper bound)."""
+    if math.isnan(budget):
+        raise DomainError("budget must be a number, got nan")
     slice_budget = budget / 8.0
     plans = []
     total = 0.0
@@ -291,3 +293,15 @@ def oracle_minimax(pair: MixedChannelPair, config: OracleConfig, budget: float =
     if pair.weight1 == 0.0:
         return _search([pair.ch2], config, budget)
     return _search([pair.ch1, pair.ch2], config, budget)
+
+
+def check_bound(bound: float) -> None:
+    """Reject a NaN bound, which passes every difference, and an infinite one."""
+    if not math.isfinite(bound):
+        raise DomainError(f"certification bound must be finite, got {bound}")
+
+
+def check_certificate(difference: float, bound: float) -> None:
+    """Raise CertificationError when the solver-oracle difference exceeds ``bound``."""
+    if abs(difference) > bound:
+        raise CertificationError(f"oracle difference {difference} exceeds the bound {bound}")

@@ -3,7 +3,17 @@ import pathlib
 import subprocess
 import sys
 
-from qchan import binary_entropy, capacity_amplitude_damping, chi_dep_curve
+import pytest
+
+from qchan import (
+    AmplitudeDamping,
+    QubitState,
+    apply_channel,
+    binary_entropy,
+    capacity_amplitude_damping,
+    chi_ad_curve,
+    chi_dep_curve,
+)
 from qchan.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -54,6 +64,16 @@ class TestCapacityCommand:
     def test_missing_parameter_exits_2(self, capsys):
         code, _, _ = run(capsys, "capacity", "--channel", "ad")
         assert code == 2
+        code, _, err = run(capsys, "capacity", "--channel", "dep")
+        assert code == 2
+        assert "--lambda" in err
+
+    def test_non_finite_report_value_exits_2(self, capsys):
+        # JSON has no infinity, so a report holding --tol inf is refused
+        code, out, _ = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
+                           "--tol", "inf")
+        assert code == 2
+        assert out == ""
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "capacity", "--channel", "dep", "--lambda", "0.5",
@@ -170,6 +190,20 @@ class TestChiCurvesCommand:
         for row in rows:
             assert float(row[2]) == chi_dep_curve(0.4, float(row[0]))
 
+    @pytest.mark.parametrize("gamma", ["0.1", "0.5", "0.9"])
+    @pytest.mark.parametrize("lam", ["0.05", "0.24", "0.7"])
+    def test_crossing_rows_are_zeros(self, capsys, tmp_path, gamma, lam):
+        out_path = tmp_path / "chi.csv"
+        run(capsys, "chi-curves", "--gamma", gamma, "--lambda", lam,
+            "--a-step", "0.001", "--out", str(out_path))
+        _, rows = parse_csv(out_path.read_text())
+        for row in rows:
+            if row[4] == "1":
+                a = float(row[0])
+                assert float(row[1]) == chi_ad_curve(float(gamma), a)
+                assert float(row[2]) == chi_dep_curve(float(lam), a)
+                assert abs(float(row[1]) - float(row[2])) <= 1e-12
+
 
 class TestEllipseCommand:
     def test_fixed_point_row(self, capsys, tmp_path):
@@ -200,6 +234,18 @@ class TestEllipseCommand:
         assert float(optimal[0][1]) == -float(optimal[1][1])
         a_max = capacity_amplitude_damping(0.5).a_max
         assert float(optimal[0][0]) == a_max
+
+    def test_rows_are_channel_images(self, capsys, tmp_path):
+        out_path = tmp_path / "ellipse.csv"
+        run(capsys, "ellipse", "--gamma", "0.3", "--n-points", "64",
+            "--out", str(out_path))
+        _, rows = parse_csv(out_path.read_text())
+        assert len(rows) == 66
+        channel = AmplitudeDamping(0.3)
+        for row in rows:
+            image = apply_channel(channel, QubitState(float(row[0]), float(row[1])))
+            assert float(row[2]) == image.a
+            assert float(row[3]) == image.b.real
 
     def test_too_few_points_exits_2(self, capsys):
         code, _, _ = run(capsys, "ellipse", "--gamma", "0.5", "--n-points", "2")
@@ -234,6 +280,29 @@ class TestMinimaxCommand:
     def test_mixed_spec_flags_exit_2(self, capsys):
         code, _, _ = run(capsys, "minimax", "--ch1", "ad:0.5")
         assert code == 2
+        code, _, err = run(capsys, "minimax", "--ch1", "xx:0.1", "--ch2", "ad:0.2")
+        assert code == 2
+        assert "xx" in err
+
+    def test_spec_kinds_recorded(self, capsys):
+        report = run_json(capsys, "minimax", "--ch1", "dep:0.3", "--ch2", "ad:0.2")
+        assert report["inputs"]["channel1"] == {"channel": "dep", "lambda": 0.3}
+        assert report["inputs"]["channel2"] == {"channel": "ad", "gamma": 0.2}
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_certify_non_finite_bound_exits_2(self, capsys, bound):
+        code, out, _ = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
+                           "--certify", "--a-grid", "11", "--prob-grid", "4",
+                           "--bound", bound)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_certify_non_finite_budget_exits_2(self, capsys, budget):
+        code, _, _ = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
+                         "--certify", "--a-grid", "201", "--n-states", "4",
+                         "--budget", budget)
+        assert code == 2
 
 
 class TestCertifyCommand:
@@ -251,6 +320,22 @@ class TestCertifyCommand:
         code, _, _ = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
                          "--a-grid", "201", "--n-states", "4", "--budget", "1000")
         assert code == 5
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_non_finite_bound_exits_2(self, capsys, tmp_path, bound):
+        out_path = tmp_path / "certify.json"
+        code, _, _ = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
+                         "--a-grid", "11", "--prob-grid", "4", "--bound", bound,
+                         "--out", str(out_path))
+        assert code == 2
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exits_2(self, capsys, budget):
+        code, _, err = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
+                           "--a-grid", "201", "--n-states", "4", "--budget", budget)
+        assert code == 2
+        assert "budget" in err
 
     def test_failed_bound_exits_6(self, capsys):
         code, _, _ = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
@@ -278,6 +363,21 @@ class TestConfigPrecedence:
         monkeypatch.setenv("QCHAN_THREADS", "3")
         report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.5")
         assert report["inputs"]["threads"] == 3
+
+    @pytest.mark.parametrize("line", ["tol = abc", "threads = abc", "threads = 2.5x"])
+    def test_non_numeric_config_exits_2(self, capsys, tmp_path, line):
+        cfg = tmp_path / "qchan.toml"
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
+                           "--config", str(cfg))
+        assert code == 2
+        assert line.split()[0] in err
+
+    def test_non_numeric_env_threads_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCHAN_THREADS", "x")
+        code, _, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5")
+        assert code == 2
+        assert "threads" in err
 
     def test_seed_recorded(self, capsys):
         report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",

@@ -113,6 +113,11 @@ class TestMinimax:
             minimax_capacity(separation_pair(), certify=True,
                              oracle_config=config, certify_bound=1e-12)
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_certify_rejects_non_finite_bound(self, bound):
+        with pytest.raises(DomainError):
+            minimax_capacity(separation_pair(), certify=True, certify_bound=bound)
+
     def test_separation_fixture(self):
         result = minimax_capacity(separation_pair())
         cap_ad = capacity_amplitude_damping(SEPARATION_GAMMA)

@@ -87,6 +87,15 @@ class TestOracleCapacity:
         with pytest.raises(BudgetExceededError):
             oracle_capacity(AmplitudeDamping(0.5), config, budget=1e6)
 
+    def test_nan_budget_rejected(self):
+        config = OracleConfig(n_states=4, a_grid=201, prob_grid=20)
+        with pytest.raises(DomainError):
+            plan_search_size(config, float("nan"))
+        with pytest.raises(DomainError):
+            oracle_capacity(AmplitudeDamping(0.5), config, budget=float("nan"))
+        with pytest.raises(DomainError):
+            oracle_minimax(separation_pair(), config, budget=float("nan"))
+
     def test_deterministic(self):
         config = OracleConfig(n_states=2, a_grid=21, prob_grid=6)
         first = oracle_capacity(AmplitudeDamping(0.3), config)
