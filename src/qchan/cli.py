@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mixtures import crossings, minimax_capacity
 from .oracle import (DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate,
-                     oracle_capacity, oracle_minimax, plan_search_size)
+                     oracle_capacity, plan_search_size)
 from .states import QubitState, pure_state
 
 SCHEMA_VERSION = 1
@@ -54,34 +54,25 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _parse_config_value(raw: str):
-    text = raw.strip().strip('"').strip("'")
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def _load_config_file(path: str) -> dict:
-    """Parse simple ``key = value`` lines; '#' starts a comment."""
-    settings = {}
+    """Parse simple ``key = value`` lines; '#' starts a comment.
+
+    Values stay text, unquoted; the setting that reads a value converts it.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line is not 'key = value': {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            settings[key.strip()] = _parse_config_value(value)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"config file {path} is not UTF-8: {exc}") from None
+    settings = {}
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"config line is not 'key = value': {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        settings[key.strip()] = value.strip().strip('"').strip("'")
     return settings
 
 
@@ -349,10 +340,9 @@ def _minimax_pair(args) -> MixedChannelPair:
 def cmd_minimax(args, settings) -> int:
     started = time.perf_counter()
     pair = _minimax_pair(args)
-    result = minimax_capacity(pair, resolution=args.resolution)
-    cap1 = channel_capacity(pair.ch1)
-    cap2 = channel_capacity(pair.ch2)
-    min_cap = min(cap1.capacity_bits, cap2.capacity_bits)
+    config = _oracle_config(args) if args.certify else None
+    result = minimax_capacity(pair, args.resolution, args.certify, config, args.budget, args.bound)
+    min_cap = min(result.branch_capacity_1, result.branch_capacity_2)
     inputs = {
         "channel1": _channel_inputs(pair.ch1),
         "channel2": _channel_inputs(pair.ch2),
@@ -366,24 +356,19 @@ def cmd_minimax(args, settings) -> int:
         "a_star": result.a_star,
         "min_branch": result.min_branch,
         "a_cross": result.a_cross,
-        "branch_capacity_1": cap1.capacity_bits,
-        "branch_capacity_2": cap2.capacity_bits,
+        "branch_capacity_1": result.branch_capacity_1,
+        "branch_capacity_2": result.branch_capacity_2,
         "min_branch_capacity": min_cap,
         "separation_gap": min_cap - result.capacity_bits,
     }
     if args.certify:
-        check_bound(args.bound)
-        config = _oracle_config(args)
         inputs["oracle"] = {**dataclasses.asdict(config), "budget": args.budget}
-        oracle_value, _ = oracle_minimax(pair, config, args.budget)
-        difference = result.capacity_bits - oracle_value
         outputs["certification"] = {
-            "oracle_capacity_bits": oracle_value,
-            "difference": difference,
+            "oracle_capacity_bits": result.oracle_capacity_bits,
+            "difference": result.capacity_bits - result.oracle_capacity_bits,
             "bound": args.bound,
             "search_size": plan_search_size(config, args.budget),
         }
-        check_certificate(difference, args.bound)
     report["outputs"] = outputs
     report["tolerances"] = {"resolution": args.resolution}
     _emit_json(report, args.out)

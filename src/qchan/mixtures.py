@@ -7,11 +7,17 @@ any symmetric ensemble to a single effective a, so the restriction loses
 nothing. The minimum of the two concave branch curves is concave; its maximum
 sits either at an unconstrained branch maximizer (when feasible) or at a
 crossing of the two curves.
+
+When neither maximizer is feasible, chi1 lies above chi2 at a1 = argmax chi1
+and below it at a2 = argmax chi2. Walking from a1 to a2, the concave chi1
+only falls and the concave chi2 only rises, so the curves cross exactly once
+between the two maximizers, and outside that interval both curves lie below
+their values at the nearer maximizer. The sup-min is therefore that single
+crossing, found by bisection on [a1, a2] with no scan of the whole a-range.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +33,7 @@ from .capacity import (
     interior_terms,
 )
 from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair, _unit_interval
-from .errors import DomainError, SolverError
+from .errors import DomainError
 from .oracle import DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate, oracle_minimax
 
 MIN_BRANCH_CH1 = "channel1"
@@ -50,13 +56,21 @@ def separation_pair() -> MixedChannelPair:
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    """Sup-min capacity over the mirror-pair family and where it is attained."""
+    """Sup-min capacity over the mirror-pair family and where it is attained.
+
+    ``branch_capacity_1`` and ``branch_capacity_2`` are the capacities of the
+    two branches on their own; ``oracle_capacity_bits`` is the brute-force
+    sup-min the result was certified against, None without certification.
+    """
 
     capacity_bits: float
     a_star: float
     min_branch: str
+    branch_capacity_1: float
+    branch_capacity_2: float
     certified_by_oracle: bool = False
     a_cross: Optional[float] = None
+    oracle_capacity_bits: Optional[float] = None
 
 
 def _branch_curve(channel: Channel):
@@ -93,11 +107,6 @@ def crossings(diff, grid, values, resolution: float):
     return found
 
 
-def _single_branch_result(channel: Channel, branch: str) -> MinimaxResult:
-    cap = channel_capacity(channel)
-    return MinimaxResult(cap.capacity_bits, cap.a_max, branch)
-
-
 def minimax_capacity(
     pair: MixedChannelPair,
     resolution: float = 1e-6,
@@ -109,56 +118,56 @@ def minimax_capacity(
     """Sup over mirror pairs of the minimum branch Holevo quantity, in bits.
 
     With ``certify`` the result is cross-checked against the brute-force
-    ensemble oracle; disagreement beyond ``certify_bound`` raises. Degenerate
-    branch weights reduce to the live channel's capacity.
+    ensemble oracle at every branch weight; disagreement beyond
+    ``certify_bound`` raises. A degenerate branch weight reduces to the live
+    channel's capacity; both branches are still solved, so each must be
+    amplitude-damping or depolarizing.
     """
     if not resolution > 0.0:
         raise DomainError(f"resolution must be positive, got {resolution}")
     if certify:
         check_bound(certify_bound)
-    if pair.weight1 == 1.0:
-        return _single_branch_result(pair.ch1, MIN_BRANCH_CH1)
-    if pair.weight1 == 0.0:
-        return _single_branch_result(pair.ch2, MIN_BRANCH_CH2)
-
-    chi1 = _branch_curve(pair.ch1)
-    chi2 = _branch_curve(pair.ch2)
     cap1 = channel_capacity(pair.ch1)
     cap2 = channel_capacity(pair.ch2)
 
     a_cross = None
-    # A branch maximizer is feasible when the other curve dominates there; the
-    # sup-min then equals that branch capacity exactly.
-    feasible1 = chi2(cap1.a_max) >= cap1.capacity_bits - 1e-12
-    feasible2 = chi1(cap2.a_max) >= cap2.capacity_bits - 1e-12
-    if feasible1 or feasible2:
-        candidates = []
-        if feasible1:
-            candidates.append((cap1.capacity_bits, cap1.a_max, MIN_BRANCH_CH1))
-        if feasible2:
-            candidates.append((cap2.capacity_bits, cap2.a_max, MIN_BRANCH_CH2))
-        value, a_star, branch = max(candidates, key=lambda c: c[0])
-        if abs(chi1(a_star) - chi2(a_star)) <= 1e-9:
-            branch = MIN_BRANCH_TIE
+    if pair.weight1 == 1.0:
+        value, a_star, branch = cap1.capacity_bits, cap1.a_max, MIN_BRANCH_CH1
+    elif pair.weight1 == 0.0:
+        value, a_star, branch = cap2.capacity_bits, cap2.a_max, MIN_BRANCH_CH2
     else:
-        def diff(a):
-            return chi1(a) - chi2(a)
+        chi1 = _branch_curve(pair.ch1)
+        chi2 = _branch_curve(pair.ch2)
+        # A branch maximizer is feasible when the other curve dominates there; the
+        # sup-min then equals that branch capacity exactly.
+        feasible1 = chi2(cap1.a_max) >= cap1.capacity_bits - 1e-12
+        feasible2 = chi1(cap2.a_max) >= cap2.capacity_bits - 1e-12
+        if feasible1 or feasible2:
+            candidates = []
+            if feasible1:
+                candidates.append((cap1.capacity_bits, cap1.a_max, MIN_BRANCH_CH1))
+            if feasible2:
+                candidates.append((cap2.capacity_bits, cap2.a_max, MIN_BRANCH_CH2))
+            value, a_star, branch = max(candidates, key=lambda c: c[0])
+            if abs(chi1(a_star) - chi2(a_star)) <= 1e-9:
+                branch = MIN_BRANCH_TIE
+        else:
+            # chi1 > chi2 at cap1.a_max and chi1 < chi2 at cap2.a_max, and the
+            # single crossing between them is the sup-min (module docstring).
+            lo, hi = cap1.a_max, cap2.a_max
+            while abs(hi - lo) > resolution:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+                    break
+                if chi1(mid) > chi2(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            a_star = a_cross = 0.5 * (lo + hi)
+            value = min(chi1(a_star), chi2(a_star))
+            branch = MIN_BRANCH_TIE
 
-        grid = np.linspace(0.0, 1.0, 2001)
-        found = [a for _, a in crossings(diff, grid, diff(grid), resolution)]
-        if not found:
-            raise SolverError(
-                "no branch crossing found although neither maximizer is feasible"
-            )
-        value = -math.inf
-        a_star = found[0]
-        for c in found:
-            g = min(chi1(c), chi2(c))
-            if g > value:
-                value, a_star = g, c
-        a_cross = a_star
-        branch = MIN_BRANCH_TIE
-
+    oracle_value = None
     if certify:
         config = oracle_config if oracle_config is not None else OracleConfig()
         oracle_value, _ = oracle_minimax(
@@ -166,7 +175,8 @@ def minimax_capacity(
         )
         check_certificate(value - oracle_value, certify_bound)
 
-    return MinimaxResult(value, a_star, branch, bool(certify), a_cross)
+    return MinimaxResult(value, a_star, branch, cap1.capacity_bits, cap2.capacity_bits,
+                         bool(certify), a_cross, oracle_value)
 
 
 def capacity_two_amplitude_damping(gamma1: float, gamma2: float) -> CapacityResult:

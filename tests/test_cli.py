@@ -5,15 +5,20 @@ import sys
 
 import pytest
 
+import qchan
 from qchan import (
     AmplitudeDamping,
+    Depolarizing,
+    MixedChannelPair,
     QubitState,
     apply_channel,
     binary_entropy,
     capacity_amplitude_damping,
     chi_ad_curve,
     chi_dep_curve,
+    minimax_capacity,
 )
+from qchan.capacity import channel_capacity
 from qchan.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -269,6 +274,25 @@ class TestMinimaxCommand:
             report["outputs"]["branch_capacity_1"], report["outputs"]["branch_capacity_2"]
         )
 
+    def test_reports_library_result_with_one_solve(self, capsys, monkeypatch):
+        pair = MixedChannelPair(AmplitudeDamping(0.5), Depolarizing(0.24))
+        expected = minimax_capacity(pair)
+        solve = qchan.capacity.capacity_amplitude_damping
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qchan.capacity, "capacity_amplitude_damping", counted)
+        report = run_json(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24")
+        assert len(calls) == 1
+        outputs = report["outputs"]
+        assert outputs["capacity_bits"] == expected.capacity_bits
+        assert outputs["a_cross"] == expected.a_cross
+        assert outputs["branch_capacity_1"] == channel_capacity(pair.ch1).capacity_bits
+        assert outputs["branch_capacity_2"] == channel_capacity(pair.ch2).capacity_bits
+
     def test_certify_flag(self, capsys):
         report = run_json(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
                           "--certify", "--a-grid", "101", "--prob-grid", "10",
@@ -364,7 +388,8 @@ class TestConfigPrecedence:
         report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.5")
         assert report["inputs"]["threads"] == 3
 
-    @pytest.mark.parametrize("line", ["tol = abc", "threads = abc", "threads = 2.5x"])
+    @pytest.mark.parametrize("line", ["tol = abc", "threads = abc", "threads = 2.5x",
+                                      "tol = true", "threads = 4.5", "threads = true"])
     def test_non_numeric_config_exits_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "qchan.toml"
         cfg.write_text(line + "\n")
@@ -372,6 +397,14 @@ class TestConfigPrecedence:
                            "--config", str(cfg))
         assert code == 2
         assert line.split()[0] in err
+
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "qchan.toml"
+        cfg.write_bytes(b"tol = \xff\n")
+        code, _, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "UTF-8" in err
 
     def test_non_numeric_env_threads_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("QCHAN_THREADS", "x")

@@ -5,21 +5,25 @@ import pytest
 
 from qchan import (
     AmplitudeDamping,
+    CertificationError,
     Depolarizing,
     DomainError,
     GeneralKraus,
     MixedChannelPair,
+    OracleConfig,
     binary_entropy,
     capacity_amplitude_damping,
     capacity_depolarizing,
     capacity_two_amplitude_damping,
     capacity_two_depolarizing,
     chi_ad_curve,
+    chi_dep_curve,
     dchi_dgamma,
     kraus_amplitude_damping,
     minimax_capacity,
     monotonicity_df_da,
     monotonicity_f,
+    oracle_capacity,
     separation_pair,
 )
 from qchan.mixtures import SEPARATION_GAMMA, SEPARATION_LAMBDA
@@ -102,9 +106,30 @@ class TestMinimax:
         with pytest.raises(DomainError):
             minimax_capacity(MixedChannelPair(channel, Depolarizing(0.5)))
 
-    def test_certify_keyword_runs_oracle(self):
-        from qchan import CertificationError, OracleConfig
+    def test_rejects_general_kraus_dead_branch(self):
+        dead = GeneralKraus(tuple(kraus_amplitude_damping(0.5)))
+        live = Depolarizing(0.5)
+        for pair in (MixedChannelPair(live, dead, 1.0), MixedChannelPair(dead, live, 0.0)):
+            with pytest.raises(DomainError):
+                minimax_capacity(pair)
 
+    @pytest.mark.parametrize("weight1", [0.0, 1.0])
+    def test_certify_runs_oracle_at_degenerate_weights(self, weight1):
+        pair = MixedChannelPair(AmplitudeDamping(0.5), Depolarizing(0.24), weight1=weight1)
+        config = OracleConfig(n_states=2, a_grid=11, prob_grid=4)
+        result = minimax_capacity(pair, certify=True, oracle_config=config)
+        live = pair.ch1 if weight1 == 1.0 else pair.ch2
+        assert result.certified_by_oracle
+        assert result.oracle_capacity_bits == oracle_capacity(live, config)[0]
+
+    def test_certify_gate_holds_at_degenerate_weight(self):
+        # The damping branch sits 2.6e-5 bits above this coarse grid's best ensemble.
+        pair = MixedChannelPair(AmplitudeDamping(0.5), Depolarizing(0.24), weight1=1.0)
+        config = OracleConfig(n_states=2, a_grid=11, prob_grid=4)
+        with pytest.raises(CertificationError):
+            minimax_capacity(pair, certify=True, oracle_config=config, certify_bound=1e-12)
+
+    def test_certify_keyword_runs_oracle(self):
         config = OracleConfig(n_states=2, a_grid=101, prob_grid=10)
         result = minimax_capacity(separation_pair(), certify=True,
                                   oracle_config=config, certify_bound=1e-3)
@@ -129,6 +154,42 @@ class TestMinimax:
         assert gap == pytest.approx(FIXTURE_GAP, abs=1e-6)
         assert gap > 1e-3
         assert 0.5 < result.a_cross < cap_ad.a_max
+
+
+def _band_pairs(rng, count):
+    """Damping + depolarizing pairs around the band where the branch curves cross."""
+    for _ in range(count):
+        gamma = rng.uniform(0.4, 0.6)
+        yield gamma, 0.24 + 0.6 * (gamma - 0.5) + rng.uniform(-0.01, 0.01)
+
+
+class TestCrossingPath:
+    def test_maximizers_bracket_the_crossing(self, rng):
+        on_path = 0
+        for gamma, lam in _band_pairs(rng, 100):
+            result = minimax_capacity(MixedChannelPair(AmplitudeDamping(gamma), Depolarizing(lam)))
+            if result.a_cross is None:
+                continue
+            on_path += 1
+            a1 = capacity_amplitude_damping(gamma).a_max
+            a2 = capacity_depolarizing(lam).a_max
+            assert min(a1, a2) <= result.a_cross <= max(a1, a2)
+        assert on_path > 50
+
+    def test_value_reaches_dense_grid_maximum(self, rng):
+        avals = np.linspace(0.0, 1.0, 200_001)
+        on_path = 0
+        for gamma, lam in _band_pairs(rng, 40):
+            result = minimax_capacity(MixedChannelPair(AmplitudeDamping(gamma), Depolarizing(lam)))
+            on_path += result.a_cross is not None
+            dense = np.max(np.minimum(chi_ad_curve(gamma, avals), chi_dep_curve(lam, avals)))
+            assert result.capacity_bits >= dense - 1e-7
+        assert on_path > 20
+
+    def test_resolution_below_float_spacing_terminates(self):
+        result = minimax_capacity(separation_pair(), resolution=1e-300)
+        assert result.a_cross == pytest.approx(FIXTURE_A_CROSS, abs=1e-12)
+        assert result.capacity_bits == pytest.approx(FIXTURE_SUPMIN, abs=1e-14)
 
 
 class TestGammaMonotonicity:
