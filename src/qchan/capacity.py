@@ -10,6 +10,21 @@ because the averaged mirror-pair output is diagonal and the two branch output
 entropies coincide. Its maximizer solves a transcendental equation and is
 found by bisection on the derivative; the derivative itself is exposed in
 bits per unit a. Curve functions accept scalars or numpy arrays.
+
+When both inputs are scalars (``np.ndim`` 0), ``chi_ad_curve``,
+``chi_ad_derivative`` and ``chi_dep_curve`` compute on Python floats and
+return a float; the bisection solver calls the derivative this way about 35
+times per solve, and numpy's per-call overhead on 0-d arrays would dominate.
+This float kernel is bit-equal to the array kernel, entry by entry:
+
+- ``+ - * /`` and the square root are correctly rounded in both;
+- (1-a)^2 is written ``d * d``, which is what numpy computes when it squares
+  an array (on a 0-d array ``** 2`` calls ``pow``, which can differ in the
+  last bit);
+- every logarithm is numpy's ufunc applied to the float (``np.log``,
+  ``np.log1p``, and ``np.log2`` inside ``binary_entropy``), which runs the
+  same loop as on an array; ``math.log`` differs from it in the last bit on
+  some inputs.
 """
 
 from __future__ import annotations
@@ -56,6 +71,12 @@ def holevo_chi(channel: Channel, ensemble: Ensemble) -> float:
     return mean_term - branch_term
 
 
+def _scalars(p, a):
+    """Whether both inputs are scalars (np.ndim 0), without np.ndim's cost on floats."""
+    return ((isinstance(p, float) or np.ndim(p) == 0)
+            and (isinstance(a, float) or np.ndim(a) == 0))
+
+
 def _unit_array(name, value):
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -63,9 +84,23 @@ def _unit_array(name, value):
     return arr
 
 
+def _unit_float(name, value):
+    """_unit_array for a scalar, as a Python float."""
+    v = float(value)
+    if not 0.0 <= v <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1]")
+    return v
+
+
+def _u(gamma, a):
+    """u = 4 gamma (1-gamma) (1-a)^2 of the closed form, on floats or arrays."""
+    d = 1.0 - a
+    return 4.0 * gamma * (1.0 - gamma) * (d * d)
+
+
 def _u_x(gamma, a):
-    """u = 4 gamma (1-gamma) (1-a)^2 and x = sqrt(1 - u) of the closed form."""
-    u = 4.0 * gamma * (1.0 - gamma) * (1.0 - a) ** 2
+    """u and x = sqrt(1 - u) of the closed form, on arrays."""
+    u = _u(gamma, a)
     return u, np.sqrt(np.maximum(1.0 - u, 0.0))
 
 
@@ -82,6 +117,18 @@ def interior_terms(gamma, a, gamma_low=0.0):
     u, x = _u_x(g, av)
     ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
     return g, av, u, x, ratio
+
+
+def _interior_floats(gamma, a):
+    """interior_terms(gamma, a) for two scalars, as Python floats."""
+    g, av = float(gamma), float(a)
+    if not 0.0 < g < 1.0:
+        raise DomainError("gamma must lie strictly inside (0, 1)")
+    if not 0.0 <= av < 1.0:
+        raise DomainError("a must lie in [0, 1)")
+    u = _u(g, av)
+    ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
+    return g, av, u, math.sqrt(max(1.0 - u, 0.0)), ratio
 
 
 def _log_ratio_over_x(u, x):
@@ -101,18 +148,29 @@ def _log_ratio_over_x(u, x):
     return np.where(x < 1e-4, series, np.where(u < 1e-8, robust, direct))
 
 
+def _log_ratio_over_x_float(u, x):
+    """_log_ratio_over_x on floats, evaluating only the selected regime."""
+    if x < 1e-4:
+        xx = x * x
+        return 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
+    if u < 1e-8:
+        return (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
+    return float(np.log((1.0 + x) / max(1.0 - x, 1e-300))) / x
+
+
 def chi_ad_curve(gamma, a):
     """Holevo quantity of AmplitudeDamping(gamma) on the mirror pair at a, in bits.
 
     Equals H((1-a)(1-gamma)) - H((1-x)/2); agrees with holevo_chi on the
     explicit two-state ensemble to roundoff.
     """
-    scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
-    g = _unit_array("gamma", gamma)
-    av = _unit_array("a", a)
-    _, x = _u_x(g, av)
-    value = binary_entropy((1.0 - av) * (1.0 - g)) - binary_entropy(0.5 * (1.0 - x))
-    return float(value) if scalar else value
+    if _scalars(gamma, a):
+        g, av = _unit_float("gamma", gamma), _unit_float("a", a)
+        x = math.sqrt(max(1.0 - _u(g, av), 0.0))
+    else:
+        g, av = _unit_array("gamma", gamma), _unit_array("a", a)
+        _, x = _u_x(g, av)
+    return binary_entropy((1.0 - av) * (1.0 - g)) - binary_entropy(0.5 * (1.0 - x))
 
 
 def chi_ad_derivative(gamma, a):
@@ -122,13 +180,16 @@ def chi_ad_derivative(gamma, a):
     gamma in {0, 1}; those inputs are rejected, the capacity solver handles
     the endpoints separately.
     """
-    scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
-    g, av, u, x, ratio = interior_terms(gamma, a)
-    value = (
-        -(1.0 - g) * np.log(ratio)
-        + 2.0 * g * (1.0 - g) * (1.0 - av) * _log_ratio_over_x(u, x)
+    if _scalars(gamma, a):
+        g, av, u, x, ratio = _interior_floats(gamma, a)
+        log_ratio, log_ratio_over_x = float(np.log(ratio)), _log_ratio_over_x_float(u, x)
+    else:
+        g, av, u, x, ratio = interior_terms(gamma, a)
+        log_ratio, log_ratio_over_x = np.log(ratio), _log_ratio_over_x(u, x)
+    return (
+        -(1.0 - g) * log_ratio
+        + 2.0 * g * (1.0 - g) * (1.0 - av) * log_ratio_over_x
     ) / _LN2
-    return float(value) if scalar else value
 
 
 def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResult:
@@ -141,8 +202,9 @@ def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResu
     the capacity is quadratically flat, so its error is O(tol^2).
     """
     g = _unit_interval("gamma", gamma)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    # An infinite tol would stop the bisection before its first step.
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if g == 0.0:
         return CapacityResult(0.5, 1.0, 0.0, 0, CLOSED_FORM)
     if g == 1.0:
@@ -193,11 +255,11 @@ def chi_dep_curve(lam, a):
     Pure-state outputs have a-independent spectrum, so the curve reduces to
     H((1-lam) a + lam/2) - H(lam/2), maximized at a = 1/2.
     """
-    scalar = np.ndim(lam) == 0 and np.ndim(a) == 0
-    l = _unit_array("lambda", lam)
-    av = _unit_array("a", a)
-    value = binary_entropy((1.0 - l) * av + 0.5 * l) - binary_entropy(0.5 * l)
-    return float(value) if scalar else value
+    if _scalars(lam, a):
+        l, av = _unit_float("lambda", lam), _unit_float("a", a)
+    else:
+        l, av = _unit_array("lambda", lam), _unit_array("a", a)
+    return binary_entropy((1.0 - l) * av + 0.5 * l) - binary_entropy(0.5 * l)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -48,6 +49,10 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_BUDGET = 5
 EXIT_CERTIFY = 6
+
+# Most grid intervals (curve, chi-curves) or points (ellipse) one command accepts;
+# every row is held in memory before it is written.
+MAX_ROWS = 10**6
 
 
 def _fmt(value: float) -> str:
@@ -103,7 +108,11 @@ def _resolve_number(args, settings, key, default, convert):
 
 
 def _resolve_tol(args, settings) -> float:
-    return _resolve_number(args, settings, "tol", 1e-10, float)
+    tol = _resolve_number(args, settings, "tol", 1e-10, float)
+    # Checked here as well as in the solver, because the depolarizing solver ignores tol.
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, got {tol}")
+    return tol
 
 
 def _resolve_threads(args, settings) -> int:
@@ -196,7 +205,10 @@ def _grid(start: float, end: float, step: float):
         raise DomainError(f"need 0 <= start < end <= 1, got [{start}, {end}]")
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
-    count = int(round((end - start) / step))
+    intervals = (end - start) / step
+    if intervals >= MAX_ROWS + 0.5:  # round(intervals) > MAX_ROWS; also catches inf
+        raise DomainError(f"step {step} makes more than {MAX_ROWS} intervals in [{start}, {end}]")
+    count = int(round(intervals))
     if count < 1:
         raise DomainError(f"step {step} does not fit in [{start}, {end}]")
     return [start + (end - start) * i / count for i in range(count + 1)]
@@ -299,8 +311,8 @@ def cmd_ellipse(args, settings) -> int:
     gamma = args.gamma
     if gamma is None:
         raise DomainError("ellipse requires --gamma")
-    if args.n_points < 3:
-        raise DomainError(f"--n-points must be >= 3, got {args.n_points}")
+    if not 3 <= args.n_points <= MAX_ROWS:
+        raise DomainError(f"--n-points must lie in [3, {MAX_ROWS}], got {args.n_points}")
     tol = _resolve_tol(args, settings)
     channel = AmplitudeDamping(gamma)
 
@@ -434,7 +446,9 @@ def _add_oracle_flags(parser: argparse.ArgumentParser, n_states: int) -> None:
                         help="declared grid-resolution bound for certification")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls in the process."""
     parser = argparse.ArgumentParser(
         prog="qchan",
         description="Product-state capacities of qubit amplitude-damping and "

@@ -164,6 +164,51 @@ class TestCapacityAmplitudeDamping:
         with pytest.raises(DomainError):
             capacity_amplitude_damping(0.5, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        # An infinite tol used to stop the bisection before its first step.
+        with pytest.raises(DomainError, match="tol"):
+            capacity_amplitude_damping(0.5, tol=tol)
+
+
+def _kernel_points():
+    """Seeded (p, a) in (0, 1) x [0, 1): uniform, a near 1, p below 1e-9, and one
+    point where scalar and array chi_ad_curve once disagreed in the last bit."""
+    rng = np.random.default_rng(20261018)
+    p = np.concatenate([rng.random(9800), rng.random(100), 1e-9 * rng.random(100),
+                        [0.6721857253050835, 1e-300, 5e-324, 0.5]])
+    a = np.concatenate([rng.random(9800), 1.0 - 1e-6 * rng.random(100), rng.random(100),
+                        [0.49646555979497975, 1.0 - 2.0**-53, 0.5, 0.0]])
+    return p, a
+
+
+class TestScalarKernel:
+    """Two scalar inputs take the float kernel, arrays the numpy kernel."""
+
+    @pytest.mark.parametrize("curve", [chi_ad_curve, chi_ad_derivative, chi_dep_curve])
+    def test_scalar_calls_equal_array_entries(self, curve):
+        p, a = _kernel_points()
+        expected = curve(p, a).tolist()
+        scalar = [curve(pi, ai) for pi, ai in zip(p.tolist(), a.tolist())]
+        assert all(type(value) is float for value in scalar)
+        mismatches = [(pi, ai, s, e) for pi, ai, s, e in zip(p.tolist(), a.tolist(), scalar, expected)
+                      if s != e]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("curve, p, a", [
+        (chi_ad_curve, math.nan, 0.5), (chi_ad_curve, -0.1, 0.5), (chi_ad_curve, 0.5, 1.2),
+        (chi_dep_curve, 0.5, math.nan), (chi_dep_curve, math.inf, 0.5),
+        (chi_ad_derivative, 0.0, 0.5), (chi_ad_derivative, 1.0, 0.5),
+        (chi_ad_derivative, math.nan, 0.5), (chi_ad_derivative, 0.5, 1.0),
+        (chi_ad_derivative, 0.5, -1e-300),
+    ])
+    def test_scalar_and_array_reject_alike(self, curve, p, a):
+        with pytest.raises(DomainError) as scalar:
+            curve(p, a)
+        with pytest.raises(DomainError) as array:
+            curve(np.array([p]), np.array([a]))
+        assert str(scalar.value) == str(array.value)
+
 
 class TestCapacityDepolarizing:
     def test_endpoints(self):

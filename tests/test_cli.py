@@ -18,6 +18,7 @@ from qchan import (
     chi_dep_curve,
     minimax_capacity,
 )
+from qchan import cli
 from qchan.capacity import channel_capacity
 from qchan.cli import main
 
@@ -416,6 +417,89 @@ class TestConfigPrecedence:
         report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
                           "--seed", "7")
         assert report["inputs"]["seed"] == 7
+
+
+# Each command reads --tol; certify ignores --format.
+TOL_COMMANDS = [
+    ("capacity", "--channel", "ad", "--gamma", "0.5"),
+    ("capacity", "--channel", "dep", "--lambda", "0.5"),
+    ("curve", "--family", "ad", "--start", "0.4", "--end", "0.5", "--step", "0.05"),
+    ("curve", "--family", "dep", "--start", "0.4", "--end", "0.5", "--step", "0.05"),
+    ("ellipse", "--gamma", "0.5", "--n-points", "8"),
+    ("certify", "--channel", "dep", "--lambda", "0.5", "--a-grid", "11", "--prob-grid", "4"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("argv", TOL_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_non_finite_tol_exits_2(capsys, argv, tol, fmt):
+    # curve --family ad --tol inf used to stop every bisection at once and exit 0
+    code, out, err = run(capsys, *argv, "--tol", tol, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
+class TestRowCaps:
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--family", "ad", "--step", "1e-12"),
+        ("curve", "--family", "dep", "--step", "5e-324"),
+        ("chi-curves", "--gamma", "0.5", "--lambda", "0.24", "--a-step", "1e-300"),
+        ("ellipse", "--gamma", "0.5", "--n-points", "1000001"),
+    ])
+    def test_oversized_output_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert str(cli.MAX_ROWS) in err
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ROWS", 10)
+        code, out, _ = run(capsys, "curve", "--family", "dep", "--step", "0.1")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 11
+        code, _, _ = run(capsys, "curve", "--family", "dep", "--step", "0.09")
+        assert code == 2
+        code, out, _ = run(capsys, "ellipse", "--gamma", "0.5", "--n-points", "10")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 12
+        code, _, _ = run(capsys, "ellipse", "--gamma", "0.5", "--n-points", "11")
+        assert code == 2
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_reports_equal_fresh_process(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("QCHAN_THREADS", raising=False)
+    root = pathlib.Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    minimax = ["minimax", "--gamma", "0.5", "--lambda", "0.24"]
+    commands = [
+        minimax[:1] + ["--certify"] + minimax[1:] + ["--a-grid", "21", "--prob-grid", "4",
+                                                     "--bound", "0.05"],
+        minimax,
+        ["capacity", "--channel", "dep", "--lambda", "0.2"],
+    ]
+    reports = []
+    for i, argv in enumerate(commands):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        assert main(argv + ["--out", str(here)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "qchan", *argv, "--out", str(fresh)],
+            capture_output=True, text=True, cwd=str(root),
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+        reports.append(json.loads(here.read_text()))
+    certified, plain, capacity = reports
+    assert "certification" in certified["outputs"] and "oracle" in certified["inputs"]
+    assert "certification" not in plain["outputs"] and "oracle" not in plain["inputs"]
+    assert capacity["command"] == "capacity"
+    assert set(capacity["inputs"]) == {"channel", "lambda", "tol", "seed", "threads"}
 
 
 class TestJsonFileOutput:
