@@ -84,18 +84,15 @@ def _unit_array(name, value):
     return arr
 
 
-def _unit_float(name, value):
-    """_unit_array for a scalar, as a Python float."""
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return v
-
-
 def _u(gamma, a):
     """u = 4 gamma (1-gamma) (1-a)^2 of the closed form, on floats or arrays."""
     d = 1.0 - a
     return 4.0 * gamma * (1.0 - gamma) * (d * d)
+
+
+def _ratio(gamma, a):
+    """(a + gamma (1-a)) / ((1-gamma) (1-a)), the argument of the derivative's log."""
+    return (a + gamma * (1.0 - a)) / ((1.0 - gamma) * (1.0 - a))
 
 
 def _u_x(gamma, a):
@@ -115,8 +112,7 @@ def interior_terms(gamma, a, gamma_low=0.0):
     if not np.all(np.isfinite(av)) or np.any(av < 0.0) or np.any(av >= 1.0):
         raise DomainError("a must lie in [0, 1)")
     u, x = _u_x(g, av)
-    ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
-    return g, av, u, x, ratio
+    return g, av, u, x, _ratio(g, av)
 
 
 def _interior_floats(gamma, a):
@@ -127,8 +123,7 @@ def _interior_floats(gamma, a):
     if not 0.0 <= av < 1.0:
         raise DomainError("a must lie in [0, 1)")
     u = _u(g, av)
-    ratio = (av + g * (1.0 - av)) / ((1.0 - g) * (1.0 - av))
-    return g, av, u, math.sqrt(max(1.0 - u, 0.0)), ratio
+    return g, av, u, math.sqrt(max(1.0 - u, 0.0)), _ratio(g, av)
 
 
 def _log_ratio_over_x(u, x):
@@ -165,7 +160,7 @@ def chi_ad_curve(gamma, a):
     explicit two-state ensemble to roundoff.
     """
     if _scalars(gamma, a):
-        g, av = _unit_float("gamma", gamma), _unit_float("a", a)
+        g, av = _unit_interval("gamma", gamma), _unit_interval("a", a)
         x = math.sqrt(max(1.0 - _u(g, av), 0.0))
     else:
         g, av = _unit_array("gamma", gamma), _unit_array("a", a)
@@ -192,6 +187,18 @@ def chi_ad_derivative(gamma, a):
     ) / _LN2
 
 
+def check_tol(tol):
+    """Raise DomainError unless the solver tolerance is positive and finite.
+
+    An infinite tol would stop the bisection before its first step. The CLI
+    applies the same rule to every command, so a tol that the damping solver
+    refuses is refused for the depolarizing family too, which ignores it.
+    """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResult:
     """Product-state capacity of AmplitudeDamping(gamma) and its maximizer.
 
@@ -202,9 +209,7 @@ def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResu
     the capacity is quadratically flat, so its error is O(tol^2).
     """
     g = _unit_interval("gamma", gamma)
-    # An infinite tol would stop the bisection before its first step.
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    check_tol(tol)
     if g == 0.0:
         return CapacityResult(0.5, 1.0, 0.0, 0, CLOSED_FORM)
     if g == 1.0:
@@ -256,7 +261,7 @@ def chi_dep_curve(lam, a):
     H((1-lam) a + lam/2) - H(lam/2), maximized at a = 1/2.
     """
     if _scalars(lam, a):
-        l, av = _unit_float("lambda", lam), _unit_float("a", a)
+        l, av = _unit_interval("lambda", lam), _unit_interval("a", a)
     else:
         l, av = _unit_array("lambda", lam), _unit_array("a", a)
     return binary_entropy((1.0 - l) * av + 0.5 * l) - binary_entropy(0.5 * l)

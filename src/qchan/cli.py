@@ -25,6 +25,7 @@ from .capacity import (
     FAMILIES,
     capacity_amplitude_damping,
     channel_capacity,
+    check_tol,
     chi_ad_curve,
     chi_dep_curve,
     family_of,
@@ -108,11 +109,7 @@ def _resolve_number(args, settings, key, default, convert):
 
 
 def _resolve_tol(args, settings) -> float:
-    tol = _resolve_number(args, settings, "tol", 1e-10, float)
-    # Checked here as well as in the solver, because the depolarizing solver ignores tol.
-    if not math.isfinite(tol):
-        raise DomainError(f"tol must be finite, got {tol}")
-    return tol
+    return check_tol(_resolve_number(args, settings, "tol", 1e-10, float))
 
 
 def _resolve_threads(args, settings) -> int:

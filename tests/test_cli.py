@@ -431,10 +431,11 @@ TOL_COMMANDS = [
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
 @pytest.mark.parametrize("argv", TOL_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[2]}")
-def test_non_finite_tol_exits_2(capsys, argv, tol, fmt):
-    # curve --family ad --tol inf used to stop every bisection at once and exit 0
+def test_bad_tol_exits_2(capsys, argv, tol, fmt):
+    # curve --family ad --tol inf used to stop every bisection at once and exit 0;
+    # the depolarizing family, which ignores tol, refuses the same values
     code, out, err = run(capsys, *argv, "--tol", tol, "--format", fmt)
     assert code == 2
     assert out == ""
