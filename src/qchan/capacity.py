@@ -8,8 +8,12 @@ form
 
 because the averaged mirror-pair output is diagonal and the two branch output
 entropies coincide. Its maximizer solves a transcendental equation and is
-found by bisection on the derivative; the derivative itself is exposed in
-bits per unit a. Curve functions accept scalars or numpy arrays.
+found by bisecting the derivative, which is exposed in bits per unit a. That
+bisection, ``bisect_sign_change``, is the package's one root finder (it also
+finds where two branch curves cross). It halves the bracket while it is wider
+than ``width`` or |f(mid)| exceeds ``residual``, and stops early once the ends
+are adjacent floats or after 200 halvings. Curve functions accept scalars or
+numpy arrays.
 
 When both inputs are scalars (``np.ndim`` 0), ``chi_ad_curve``,
 ``chi_ad_derivative`` and ``chi_dep_curve`` compute on Python floats and
@@ -29,6 +33,7 @@ This float kernel is bit-equal to the array kernel, entry by entry:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,7 +42,7 @@ import numpy as np
 
 from .channels import AmplitudeDamping, Channel, Depolarizing, _unit_interval, apply_channel
 from .errors import DomainError, SolverError
-from .states import Ensemble, binary_entropy, mix, von_neumann_entropy
+from .states import Ensemble, binary_entropy, is_scalar, mix, von_neumann_entropy
 
 _LN2 = math.log(2.0)
 
@@ -69,12 +74,6 @@ def holevo_chi(channel: Channel, ensemble: Ensemble) -> float:
     mean_term = von_neumann_entropy(mean_state.to_herm2())
     branch_term = math.fsum(p * von_neumann_entropy(s.to_herm2()) for p, s in outputs)
     return mean_term - branch_term
-
-
-def _scalars(p, a):
-    """Whether both inputs are scalars (np.ndim 0), without np.ndim's cost on floats."""
-    return ((isinstance(p, float) or np.ndim(p) == 0)
-            and (isinstance(a, float) or np.ndim(a) == 0))
 
 
 def _unit_array(name, value):
@@ -159,7 +158,7 @@ def chi_ad_curve(gamma, a):
     Equals H((1-a)(1-gamma)) - H((1-x)/2); agrees with holevo_chi on the
     explicit two-state ensemble to roundoff.
     """
-    if _scalars(gamma, a):
+    if is_scalar(gamma) and is_scalar(a):
         g, av = _unit_interval("gamma", gamma), _unit_interval("a", a)
         x = math.sqrt(max(1.0 - _u(g, av), 0.0))
     else:
@@ -175,7 +174,7 @@ def chi_ad_derivative(gamma, a):
     gamma in {0, 1}; those inputs are rejected, the capacity solver handles
     the endpoints separately.
     """
-    if _scalars(gamma, a):
+    if is_scalar(gamma) and is_scalar(a):
         g, av, u, x, ratio = _interior_floats(gamma, a)
         log_ratio, log_ratio_over_x = float(np.log(ratio)), _log_ratio_over_x_float(u, x)
     else:
@@ -187,16 +186,37 @@ def chi_ad_derivative(gamma, a):
     ) / _LN2
 
 
-def check_tol(tol):
-    """Raise DomainError unless the solver tolerance is positive and finite.
+def check_tol(tol, name="tol"):
+    """Raise DomainError unless a bisection tolerance, called ``name``, is positive and finite.
 
     An infinite tol would stop the bisection before its first step. The CLI
     applies the same rule to every command, so a tol that the damping solver
     refuses is refused for the depolarizing family too, which ignores it.
     """
     if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+        raise DomainError(f"{name} must be positive and finite, got {tol}")
     return tol
+
+
+def bisect_sign_change(f, lo, hi, width, residual=math.inf):
+    """Bisect from ``lo``, where f > 0, to ``hi``, where f <= 0 (``lo > hi`` works),
+    by the stop rule in the module docstring. Returns (mid, f(mid), halvings).
+    """
+    halvings = 0
+    mid = 0.5 * (lo + hi)
+    f_mid = f(mid)
+    while halvings < _MAX_BISECT and (abs(hi - lo) > width or abs(f_mid) > residual):
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        new_mid = 0.5 * (lo + hi)
+        if new_mid == lo or new_mid == hi:
+            break
+        mid = new_mid
+        f_mid = f(mid)
+        halvings += 1
+    return mid, f_mid, halvings
 
 
 def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResult:
@@ -205,8 +225,8 @@ def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResu
     gamma = 0 and gamma = 1 short-circuit to closed forms. Otherwise the
     derivative is bisected on [1/2, 1): the maximizer never sits left of 1/2
     and the derivative diverges to -inf at a = 1, so the bracket always holds
-    a sign change. ``tol`` bounds the final bracket width; near the optimum
-    the capacity is quadratically flat, so its error is O(tol^2).
+    a sign change. ``tol`` bounds the final bracket width and the residual
+    |chi'|; near the optimum chi is quadratically flat, so its error is O(tol^2).
     """
     g = _unit_interval("gamma", gamma)
     check_tol(tol)
@@ -214,31 +234,15 @@ def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResu
         return CapacityResult(0.5, 1.0, 0.0, 0, CLOSED_FORM)
     if g == 1.0:
         return CapacityResult(0.5, 0.0, 0.0, 0, CLOSED_FORM)
+    derivative = functools.partial(chi_ad_derivative, g)
     lo, hi = 0.5, 1.0 - _BRACKET_EPS
-    f_lo = chi_ad_derivative(g, lo)
-    f_hi = chi_ad_derivative(g, hi)
+    f_lo, f_hi = derivative(lo), derivative(hi)
     if not (f_lo > 0.0 > f_hi):
         raise SolverError(
             f"chi'(a) does not change sign on [{lo}, {hi}] for gamma={g}: "
             f"({f_lo}, {f_hi}); derivative formula regression"
         )
-    iterations = 0
-    mid = 0.5 * (lo + hi)
-    f_mid = chi_ad_derivative(g, mid)
-    # Shrink until both the bracket and the derivative residual are inside tol
-    # (the residual trails the width by the local curvature, so a few extra
-    # halvings after the width converges bring it down as well).
-    while iterations < _MAX_BISECT and (hi - lo > tol or abs(f_mid) > tol):
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        new_mid = 0.5 * (lo + hi)
-        if not lo < new_mid < hi:
-            break
-        mid = new_mid
-        f_mid = chi_ad_derivative(g, mid)
-        iterations += 1
+    mid, f_mid, iterations = bisect_sign_change(derivative, lo, hi, tol, tol)
     return CapacityResult(
         a_max=mid,
         capacity_bits=chi_ad_curve(g, mid),
@@ -260,7 +264,7 @@ def chi_dep_curve(lam, a):
     Pure-state outputs have a-independent spectrum, so the curve reduces to
     H((1-lam) a + lam/2) - H(lam/2), maximized at a = 1/2.
     """
-    if _scalars(lam, a):
+    if is_scalar(lam) and is_scalar(a):
         l, av = _unit_interval("lambda", lam), _unit_interval("a", a)
     else:
         l, av = _unit_array("lambda", lam), _unit_array("a", a)

@@ -26,15 +26,17 @@ import numpy as np
 from .capacity import (
     CapacityResult,
     _log_ratio_over_x,
+    bisect_sign_change,
     capacity_amplitude_damping,
     capacity_depolarizing,
     channel_capacity,
+    check_tol,
     family_of,
     interior_terms,
 )
 from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair, _unit_interval
-from .errors import DomainError
 from .oracle import DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate, oracle_minimax
+from .states import is_scalar
 
 MIN_BRANCH_CH1 = "channel1"
 MIN_BRANCH_CH2 = "channel2"
@@ -83,27 +85,20 @@ def crossings(diff, grid, values, resolution: float):
     """Interior zeros of ``diff`` from its samples ``values`` on the sorted ``grid``.
 
     Returns (i, a) pairs: a = grid[i] where values[i] is exactly zero, else the
-    sign change inside [grid[i], grid[i + 1]] bisected to ``resolution``. The
-    first and last grid cells are skipped.
+    sign change inside [grid[i], grid[i + 1]] bisected to ``resolution`` (or
+    to adjacent floats, whichever comes first). The first and last grid cells
+    are skipped.
     """
     found = []
     for i in range(1, len(grid) - 2):
-        lo, hi = float(grid[i]), float(grid[i + 1])
         f_lo, f_hi = float(values[i]), float(values[i + 1])
         if f_lo == 0.0:
-            found.append((i, lo))
+            found.append((i, float(grid[i])))
         elif f_lo * f_hi < 0.0:
-            while hi - lo > resolution:
-                mid = 0.5 * (lo + hi)
-                f_mid = diff(mid)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (f_mid > 0.0) == (f_lo > 0.0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            found.append((i, 0.5 * (lo + hi)))
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            if f_lo < 0.0:  # bisect_sign_change starts where diff > 0
+                lo, hi = hi, lo
+            found.append((i, bisect_sign_change(diff, lo, hi, resolution)[0]))
     return found
 
 
@@ -123,8 +118,7 @@ def minimax_capacity(
     channel's capacity; both branches are still solved, so each must be
     amplitude-damping or depolarizing.
     """
-    if not resolution > 0.0:
-        raise DomainError(f"resolution must be positive, got {resolution}")
+    check_tol(resolution, "resolution")
     if certify:
         check_bound(certify_bound)
     cap1 = channel_capacity(pair.ch1)
@@ -154,16 +148,8 @@ def minimax_capacity(
         else:
             # chi1 > chi2 at cap1.a_max and chi1 < chi2 at cap2.a_max, and the
             # single crossing between them is the sup-min (module docstring).
-            lo, hi = cap1.a_max, cap2.a_max
-            while abs(hi - lo) > resolution:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-                    break
-                if chi1(mid) > chi2(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            a_star = a_cross = 0.5 * (lo + hi)
+            a_star = a_cross = bisect_sign_change(
+                lambda a: chi1(a) - chi2(a), cap1.a_max, cap2.a_max, resolution)[0]
             value = min(chi1(a_star), chi2(a_star))
             branch = MIN_BRANCH_TIE
 
@@ -199,9 +185,10 @@ def dchi_dgamma(gamma, a):
     Natural-log units so the expression matches finite differences of
     ln(2) * chi_ad_curve directly.
     """
-    scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
+    scalar = is_scalar(gamma) and is_scalar(a)
     g, av, u, x, ratio = interior_terms(gamma, a)
-    value = -(1.0 - av) * np.log(ratio) + (2.0 * g - 1.0) * (1.0 - av) ** 2 * _log_ratio_over_x(u, x)
+    d = 1.0 - av  # squared as d * d: on 0-d inputs ** 2 calls pow, unlike on arrays
+    value = -d * np.log(ratio) + (2.0 * g - 1.0) * (d * d) * _log_ratio_over_x(u, x)
     return float(value) if scalar else value
 
 
@@ -211,7 +198,7 @@ def monotonicity_f(gamma, a):
     Vanishes at a = 0 and stays nonnegative, which certifies that the damping
     chi curve decreases with gamma also beyond gamma = 1/2.
     """
-    scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
+    scalar = is_scalar(gamma) and is_scalar(a)
     g, av, u, x, ratio = interior_terms(gamma, a, gamma_low=0.5)
     value = np.log(ratio) - (2.0 * g - 1.0) * (1.0 - av) * _log_ratio_over_x(u, x)
     return float(value) if scalar else value
@@ -219,7 +206,7 @@ def monotonicity_f(gamma, a):
 
 def monotonicity_df_da(gamma, a):
     """Derivative of monotonicity_f in a; positive on its domain."""
-    scalar = np.ndim(gamma) == 0 and np.ndim(a) == 0
+    scalar = is_scalar(gamma) and is_scalar(a)
     g, av, u, x, _ = interior_terms(gamma, a, gamma_low=0.5)
     x_sq = np.maximum(x * x, 1e-300)
     value = (

@@ -225,20 +225,20 @@ def plan_search_size(config: OracleConfig, budget: float = DEFAULT_BUDGET) -> in
 
 
 def _search(channels, config: OracleConfig, budget: float):
-    a, b, a_index = _grid_states(config)
-    tables = []
-    for channel in channels:
-        u, v, s = _channel_table(channel, a, b)
-        tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
-
+    # Gate before building the per-state tables, which cost more than the plan.
     plans, total = _plan(config, budget)
     if total > budget:
         raise BudgetExceededError(
             f"planned {total:.3g} evaluations exceed the budget {budget:.3g}"
         )
     log.info(
-        "oracle search: %d grid states, %d planned evaluations", a.shape[0], int(total)
+        "oracle search: %d grid states, %d planned evaluations", _total_states(config), int(total)
     )
+    a, b, a_index = _grid_states(config)
+    tables = []
+    for channel in channels:
+        u, v, s = _channel_table(channel, a, b)
+        tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
 
     all_ids = np.arange(a.shape[0], dtype=np.int64)
     best = (-math.inf, None, None)

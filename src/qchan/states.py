@@ -62,13 +62,18 @@ def eigenvalues_herm2(m: Herm2) -> tuple[float, float]:
     return half_trace + half_gap, half_trace - half_gap
 
 
+def is_scalar(value) -> bool:
+    """Whether ``value`` has np.ndim 0; a float answers without np.ndim's cost."""
+    return isinstance(value, float) or np.ndim(value) == 0
+
+
 def binary_entropy(p):
     """Binary entropy H(p) in bits, with the explicit 0*log(0) = 0 convention.
 
     Accepts a scalar or a numpy array with entries in [0, 1]; values within
     1e-9 outside the interval are clamped, anything further raises.
     """
-    if np.ndim(p) == 0:
+    if is_scalar(p):
         q = float(p)
         if q < -TOL_STATE or q > 1.0 + TOL_STATE:
             raise DomainError(f"binary_entropy argument {q} outside [0, 1]")

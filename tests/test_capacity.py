@@ -15,8 +15,11 @@ from qchan import (
     chi_ad_curve,
     chi_ad_derivative,
     chi_dep_curve,
+    dchi_dgamma,
     holevo_chi,
     mirror_pair,
+    monotonicity_df_da,
+    monotonicity_f,
 )
 from conftest import random_ensemble
 
@@ -185,9 +188,14 @@ def _kernel_points():
 class TestScalarKernel:
     """Two scalar inputs take the float kernel, arrays the numpy kernel."""
 
-    @pytest.mark.parametrize("curve", [chi_ad_curve, chi_ad_derivative, chi_dep_curve])
+    @pytest.mark.parametrize("curve", [chi_ad_curve, chi_ad_derivative, chi_dep_curve,
+                                       dchi_dgamma, monotonicity_f, monotonicity_df_da])
     def test_scalar_calls_equal_array_entries(self, curve):
         p, a = _kernel_points()
+        if curve in (monotonicity_f, monotonicity_df_da):  # gamma must lie in (1/2, 1)
+            p = 0.5 + 0.5 * p
+            inside = (p > 0.5) & (p < 1.0)
+            p, a = p[inside], a[inside]
         expected = curve(p, a).tolist()
         scalar = [curve(pi, ai) for pi, ai in zip(p.tolist(), a.tolist())]
         assert all(type(value) is float for value in scalar)

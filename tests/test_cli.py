@@ -322,6 +322,14 @@ class TestMinimaxCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("resolution", ["inf", "nan", "0", "-1"])
+    def test_bad_resolution_exits_2(self, capsys, resolution):
+        code, out, err = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
+                             "--resolution", resolution)
+        assert code == 2
+        assert out == ""
+        assert "resolution must be positive and finite" in err
+
     @pytest.mark.parametrize("budget", ["nan", "inf"])
     def test_certify_non_finite_budget_exits_2(self, capsys, budget):
         code, _, _ = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",

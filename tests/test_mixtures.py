@@ -26,7 +26,7 @@ from qchan import (
     oracle_capacity,
     separation_pair,
 )
-from qchan.mixtures import SEPARATION_GAMMA, SEPARATION_LAMBDA
+from qchan.mixtures import SEPARATION_GAMMA, SEPARATION_LAMBDA, crossings
 
 LN2 = math.log(2.0)
 
@@ -143,6 +143,12 @@ class TestMinimax:
         with pytest.raises(DomainError):
             minimax_capacity(separation_pair(), certify=True, certify_bound=bound)
 
+    @pytest.mark.parametrize("resolution", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_bad_resolution(self, resolution):
+        # an infinite resolution used to skip the crossing bisection altogether
+        with pytest.raises(DomainError, match="resolution must be positive and finite"):
+            minimax_capacity(separation_pair(), resolution=resolution)
+
     def test_separation_fixture(self):
         result = minimax_capacity(separation_pair())
         cap_ad = capacity_amplitude_damping(SEPARATION_GAMMA)
@@ -190,6 +196,27 @@ class TestCrossingPath:
         result = minimax_capacity(separation_pair(), resolution=1e-300)
         assert result.a_cross == pytest.approx(FIXTURE_A_CROSS, abs=1e-12)
         assert result.capacity_bits == pytest.approx(FIXTURE_SUPMIN, abs=1e-14)
+
+
+class TestCrossings:
+    @pytest.mark.parametrize("gamma", [0.45, 0.48, 0.52, 0.55])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_resolution_below_float_spacing_terminates(self, gamma, sign):
+        # Bisection stops at adjacent floats; the counter turns a hang into a failure.
+        grid = np.linspace(0.0, 1.0, 101)
+        calls = []
+
+        def diff(a):
+            calls.append(a)
+            assert len(calls) < 10_000, "crossing bisection does not terminate"
+            return sign * (chi_ad_curve(gamma, a) - chi_dep_curve(SEPARATION_LAMBDA, a))
+
+        values = sign * (chi_ad_curve(gamma, grid) - chi_dep_curve(SEPARATION_LAMBDA, grid))
+        found = crossings(diff, grid.tolist(), values, 1e-300)
+        assert found
+        for i, a in found:
+            assert grid[i] <= a <= grid[i + 1]
+            assert abs(diff(a)) < 1e-15
 
 
 class TestGammaMonotonicity:

@@ -1,5 +1,6 @@
 import pytest
 
+import qchan.oracle
 from qchan import (
     AmplitudeDamping,
     BudgetExceededError,
@@ -82,10 +83,17 @@ class TestOracleCapacity:
         )
         assert phased <= real + 1e-12
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        # The gate runs first: on a large grid the per-state tables take seconds.
+        def no_tables(*args):
+            raise AssertionError("per-state tables built before the budget gate")
+
+        monkeypatch.setattr(qchan.oracle, "_channel_table", no_tables)
         config = OracleConfig(n_states=4, a_grid=201, prob_grid=20)
         with pytest.raises(BudgetExceededError):
             oracle_capacity(AmplitudeDamping(0.5), config, budget=1e6)
+        with pytest.raises(BudgetExceededError):
+            oracle_minimax(separation_pair(), config, budget=1e6)
 
     def test_nan_budget_rejected(self):
         config = OracleConfig(n_states=4, a_grid=201, prob_grid=20)
