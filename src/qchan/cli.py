@@ -82,43 +82,37 @@ def _load_config_file(path: str) -> dict:
     return settings
 
 
-def _settings(args) -> dict:
-    path = getattr(args, "config", None)
+def _resolve_settings(args) -> None:
+    """Resolve tol, threads and format once for every command: flag > config file >
+    default (``QCHAN_THREADS`` for threads). Each is validated here and stored on
+    ``args``; format stays None where the command's own default applies.
+    """
+    args.started = time.perf_counter()
+    path = args.config
     if path is None and os.path.exists("qchan.toml"):
         path = "qchan.toml"
-    return _load_config_file(path) if path else {}
+    config = _load_config_file(path) if path else {}
+    for key in config:
+        if key not in ("tol", "threads", "format"):
+            raise DomainError(f"unknown config key {key!r}; the keys are tol, threads, format")
 
+    def number(key, default, convert):
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        try:
+            return convert(value)
+        except ValueError:
+            raise DomainError(f"{key} must be a number, got {value!r}") from None
 
-def _resolve(args, settings, key, default):
-    """Precedence: command-line flag > config file > default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in settings:
-        return settings[key]
-    return default
-
-
-def _resolve_number(args, settings, key, default, convert):
-    """_resolve, then ``convert``; a config or environment value it rejects exits 2."""
-    value = _resolve(args, settings, key, default)
-    try:
-        return convert(value)
-    except ValueError:
-        raise DomainError(f"{key} must be a number, got {value!r}") from None
-
-
-def _resolve_tol(args, settings) -> float:
-    return check_tol(_resolve_number(args, settings, "tol", 1e-10, float))
-
-
-def _resolve_threads(args, settings) -> int:
-    """Recorded in reports; sweeps run in one thread whatever the setting."""
-    default = os.environ.get("QCHAN_THREADS") or 1
-    threads = _resolve_number(args, settings, "threads", default, int)
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    return threads
+    args.tol = check_tol(number("tol", 1e-10, float))
+    # Recorded in reports; sweeps run in one thread whatever the setting.
+    args.threads = number("threads", os.environ.get("QCHAN_THREADS") or 1, int)
+    if args.threads < 1:
+        raise DomainError(f"threads must be >= 1, got {args.threads}")
+    args.format = args.format or config.get("format")
+    if args.format not in (None, "csv", "json"):
+        raise DomainError(f"format must be csv or json, got {args.format!r}")
 
 
 def _write(out, text: str) -> None:
@@ -142,29 +136,27 @@ def _emit_json(report: dict, out) -> None:
     try:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        # JSON has no NaN or infinity; an input such as --tol inf cannot be reported.
+        # JSON has no NaN or infinity, so a non-finite result cannot be reported.
         raise DomainError(f"report holds a non-finite number: {exc}") from None
     _write(out, text)
 
 
-def _emit_rows(args, fmt, header, rows, report_base):
+def _emit_rows(args, header, rows, inputs):
     """Write curve-style output as CSV (default) or a JSON report."""
-    if fmt in (None, "csv"):
-        _write_csv(args.out, header, rows)
-    elif fmt == "json":
-        report = dict(report_base)
+    if args.format == "json":
+        report = _report_base(args, inputs)
         report["rows"] = [dict(zip(header, row)) for row in rows]
         _emit_json(report, args.out)
     else:
-        raise DomainError(f"unknown format {fmt!r}")
+        _write_csv(args.out, header, rows)
 
 
-def _report_base(command: str, inputs: dict, started: float) -> dict:
+def _report_base(args, inputs: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
-        "wall_time_s": time.perf_counter() - started,
+        "wall_time_s": time.perf_counter() - args.started,
     }
 
 
@@ -224,11 +216,9 @@ def _oracle_config(args) -> OracleConfig:
     )
 
 
-def cmd_capacity(args, settings) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args, settings)
+def cmd_capacity(args) -> int:
     channel = _parse_channel(args)
-    result = channel_capacity(channel, tol)
+    result = channel_capacity(channel, args.tol)
     outputs = {
         "capacity_bits": result.capacity_bits,
         "a_max": result.a_max,
@@ -236,39 +226,33 @@ def cmd_capacity(args, settings) -> int:
         "iterations": result.iterations,
         "method": result.method,
     }
-    if _resolve(args, settings, "format", None) == "csv":
+    if args.format == "csv":
         _write_csv(args.out, list(outputs), [tuple(outputs.values())])
         return EXIT_OK
     inputs = _channel_inputs(channel)
-    inputs.update({"tol": tol, "seed": args.seed, "threads": _resolve_threads(args, settings)})
-    report = _report_base("capacity", inputs, started)
+    inputs.update({"tol": args.tol, "seed": args.seed, "threads": args.threads})
+    report = _report_base(args, inputs)
     report["outputs"] = outputs
-    report["tolerances"] = {"tol": tol}
+    report["tolerances"] = {"tol": args.tol}
     _emit_json(report, args.out)
     return EXIT_OK
 
 
-def cmd_curve(args, settings) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args, settings)
-    threads = _resolve_threads(args, settings)
+def cmd_curve(args) -> int:
     params = _grid(args.start, args.end, args.step)
     family = FAMILIES[args.family]
     rows = []
     for param in params:
-        result = family.capacity(param, tol)
+        result = family.capacity(param, args.tol)
         rows.append((param, result.capacity_bits, result.a_max))
-    base = _report_base("curve", {
+    _emit_rows(args, ["param", "capacity_bits", "a_max"], rows, {
         "family": args.family, "start": args.start, "end": args.end,
-        "step": args.step, "tol": tol, "seed": args.seed, "threads": threads,
-    }, started)
-    _emit_rows(args, _resolve(args, settings, "format", None),
-               ["param", "capacity_bits", "a_max"], rows, base)
+        "step": args.step, "tol": args.tol, "seed": args.seed, "threads": args.threads,
+    })
     return EXIT_OK
 
 
-def cmd_chi_curves(args, settings) -> int:
-    started = time.perf_counter()
+def cmd_chi_curves(args) -> int:
     gamma = args.gamma
     lam = args.lam
     if gamma is None or lam is None:
@@ -295,22 +279,18 @@ def cmd_chi_curves(args, settings) -> int:
             chi_d = chi_dep_curve(lam, a_c)
             rows.append((a_c, chi_a, chi_d, min(chi_a, chi_d), "1"))
     rows.sort(key=lambda r: r[0])
-    base = _report_base("chi-curves", {
+    _emit_rows(args, ["a", "chi_ad", "chi_dep", "min_chi", "crossing"], rows, {
         "gamma": gamma, "lambda": lam, "a_step": args.a_step, "seed": args.seed,
-    }, started)
-    _emit_rows(args, _resolve(args, settings, "format", None),
-               ["a", "chi_ad", "chi_dep", "min_chi", "crossing"], rows, base)
+    })
     return EXIT_OK
 
 
-def cmd_ellipse(args, settings) -> int:
-    started = time.perf_counter()
+def cmd_ellipse(args) -> int:
     gamma = args.gamma
     if gamma is None:
         raise DomainError("ellipse requires --gamma")
     if not 3 <= args.n_points <= MAX_ROWS:
         raise DomainError(f"--n-points must lie in [3, {MAX_ROWS}], got {args.n_points}")
-    tol = _resolve_tol(args, settings)
     channel = AmplitudeDamping(gamma)
 
     def row(state, optimal):
@@ -321,14 +301,12 @@ def cmd_ellipse(args, settings) -> int:
     for k in range(args.n_points):
         theta = 2.0 * math.pi * k / args.n_points
         rows.append(row(QubitState(0.5 * (1.0 + math.cos(theta)), 0.5 * math.sin(theta)), "0"))
-    best = capacity_amplitude_damping(gamma, tol)
+    best = capacity_amplitude_damping(gamma, args.tol)
     for sign in (1.0, -1.0):
         rows.append(row(pure_state(best.a_max, sign), "1"))
-    base = _report_base("ellipse", {
-        "gamma": gamma, "n_points": args.n_points, "tol": tol, "seed": args.seed,
-    }, started)
-    _emit_rows(args, _resolve(args, settings, "format", None),
-               ["a_in", "b_in", "a_out", "b_out", "optimal"], rows, base)
+    _emit_rows(args, ["a_in", "b_in", "a_out", "b_out", "optimal"], rows, {
+        "gamma": gamma, "n_points": args.n_points, "tol": args.tol, "seed": args.seed,
+    })
     return EXIT_OK
 
 
@@ -346,8 +324,7 @@ def _minimax_pair(args) -> MixedChannelPair:
     )
 
 
-def cmd_minimax(args, settings) -> int:
-    started = time.perf_counter()
+def cmd_minimax(args) -> int:
     pair = _minimax_pair(args)
     config = _oracle_config(args) if args.certify else None
     result = minimax_capacity(pair, args.resolution, args.certify, config, args.budget, args.bound)
@@ -359,7 +336,7 @@ def cmd_minimax(args, settings) -> int:
         "resolution": args.resolution,
         "seed": args.seed,
     }
-    report = _report_base("minimax", inputs, started)
+    report = _report_base(args, inputs)
     outputs = {
         "capacity_bits": result.capacity_bits,
         "a_star": result.a_star,
@@ -384,21 +361,19 @@ def cmd_minimax(args, settings) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args, settings) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args, settings)
+def cmd_certify(args) -> int:
     channel = _parse_channel(args)
     config = _oracle_config(args)
     check_bound(args.bound)
-    solver = channel_capacity(channel, tol)
+    solver = channel_capacity(channel, args.tol)
     oracle_value, ensemble = oracle_capacity(channel, config, args.budget)
     difference = solver.capacity_bits - oracle_value
     inputs = _channel_inputs(channel)
     inputs.update({
-        "tol": tol, "seed": args.seed,
+        "tol": args.tol, "seed": args.seed,
         "oracle": {**dataclasses.asdict(config), "budget": args.budget},
     })
-    report = _report_base("certify", inputs, started)
+    report = _report_base(args, inputs)
     report["outputs"] = {
         "solver_capacity_bits": solver.capacity_bits,
         "solver_a_max": solver.a_max,
@@ -509,7 +484,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _settings(args))
+        _resolve_settings(args)
+        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

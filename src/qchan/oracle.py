@@ -19,6 +19,7 @@ the first ensemble encountered.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -179,25 +180,13 @@ def _states_for_points(config: OracleConfig, points: int) -> int:
     return min(per_point * points, _total_states(config))
 
 
-def _stride_schedule(config: OracleConfig, n: int, p_count: int, slice_budget: float):
-    """Smallest starting stride whose full subgrid pass fits the budget slice,
-    then halving strides down to 1. Empty schedule means a single full pass fits."""
-    if math.comb(_total_states(config), n) * p_count <= slice_budget:
-        return []
-    stride = 1
-    while stride < config.a_grid:
-        stride += 1
-        points = len(_subgrid_indices(config.a_grid, stride))
-        if math.comb(_states_for_points(config, points), n) * p_count <= slice_budget:
-            break
-    schedule = [stride]
-    while schedule[-1] > 1:
-        schedule.append((schedule[-1] + 1) // 2)
-    return schedule
-
-
 def _plan(config: OracleConfig, budget: float):
-    """Per-size pass plans and the total planned evaluation count (upper bound)."""
+    """Per-size stride schedules and the total planned evaluation count (upper bound).
+
+    A size starts at the smallest a-grid stride whose subgrid pass fits the budget
+    slice, stride 1 being the full grid, then halves the stride down to 1. The pass
+    cost only falls as the stride grows, so that stride is found by bisection.
+    """
     if math.isnan(budget):
         raise DomainError("budget must be a number, got nan")
     slice_budget = budget / 8.0
@@ -205,14 +194,19 @@ def _plan(config: OracleConfig, budget: float):
     total = 0.0
     for n in range(1, config.n_states + 1):
         p_count = math.comb(config.prob_grid - 1, n - 1)
-        schedule = _stride_schedule(config, n, p_count, slice_budget)
-        if not schedule:
-            cost = math.comb(_total_states(config), n) * p_count
-        else:
-            first_points = len(_subgrid_indices(config.a_grid, schedule[0]))
-            refine_states = _states_for_points(config, (2 * _REFINE_SPAN + 1) * n)
-            cost = math.comb(_states_for_points(config, first_points), n) * p_count
-            cost += (len(schedule) - 1) * math.comb(refine_states, n) * p_count
+
+        def pass_cost(stride):
+            points = (config.a_grid - 2) // stride + 2  # len(_subgrid_indices(...))
+            return math.comb(_states_for_points(config, points), n) * p_count
+
+        stride = 1 + bisect.bisect_left(
+            range(1, config.a_grid), True, key=lambda s: pass_cost(s) <= slice_budget
+        )
+        schedule = [stride]
+        while schedule[-1] > 1:
+            schedule.append((schedule[-1] + 1) // 2)
+        refine_states = _states_for_points(config, (2 * _REFINE_SPAN + 1) * n)
+        cost = pass_cost(stride) + (len(schedule) - 1) * math.comb(refine_states, n) * p_count
         plans.append((n, schedule))
         total += cost
     return plans, total
@@ -245,9 +239,6 @@ def _search(channels, config: OracleConfig, budget: float):
     for n, schedule in plans:
         comps = _compositions(config.prob_grid, n)
         probs = comps.astype(float) / config.prob_grid
-        if not schedule:
-            best = _search_pass(tables, all_ids, n, probs, comps, best)
-            continue
         incumbent = (-math.inf, None, None)
         for round_no, stride in enumerate(schedule):
             if round_no == 0:
@@ -296,9 +287,10 @@ def oracle_minimax(pair: MixedChannelPair, config: OracleConfig, budget: float =
 
 
 def check_bound(bound: float) -> None:
-    """Reject a NaN bound, which passes every difference, and an infinite one."""
-    if not math.isfinite(bound):
-        raise DomainError(f"certification bound must be finite, got {bound}")
+    """Reject a NaN bound, which passes every difference, an infinite one, and a
+    negative one, which fails every difference."""
+    if not (math.isfinite(bound) and bound >= 0.0):
+        raise DomainError(f"certification bound must be finite and >= 0, got {bound}")
 
 
 def check_certificate(difference: float, bound: float) -> None:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -75,11 +77,26 @@ class TestCapacityCommand:
         assert "--lambda" in err
 
     def test_non_finite_report_value_exits_2(self, capsys):
-        # JSON has no infinity, so a report holding --tol inf is refused
+        # --tol inf is refused by the tol rule before any report exists;
+        # test_nan_result_is_not_written reaches the JSON writer's own refusal
         code, out, _ = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
                            "--tol", "inf")
         assert code == 2
         assert out == ""
+
+    def test_nan_result_is_not_written(self, capsys, monkeypatch, tmp_path):
+        # JSON has no NaN, so the writer refuses a report holding one
+        def nan_capacity(channel, tol):
+            return dataclasses.replace(channel_capacity(channel, tol), capacity_bits=math.nan)
+
+        monkeypatch.setattr(cli, "channel_capacity", nan_capacity)
+        out_path = tmp_path / "capacity.json"
+        code, out, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
+                             "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+        assert not out_path.exists()
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "capacity", "--channel", "dep", "--lambda", "0.5",
@@ -314,7 +331,7 @@ class TestMinimaxCommand:
         assert report["inputs"]["channel1"] == {"channel": "dep", "lambda": 0.3}
         assert report["inputs"]["channel2"] == {"channel": "ad", "gamma": 0.2}
 
-    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
     def test_certify_non_finite_bound_exits_2(self, capsys, bound):
         code, out, _ = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
                            "--certify", "--a-grid", "11", "--prob-grid", "4",
@@ -354,7 +371,7 @@ class TestCertifyCommand:
                          "--a-grid", "201", "--n-states", "4", "--budget", "1000")
         assert code == 5
 
-    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
     def test_non_finite_bound_exits_2(self, capsys, tmp_path, bound):
         out_path = tmp_path / "certify.json"
         code, _, _ = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
@@ -427,20 +444,28 @@ class TestConfigPrecedence:
         assert report["inputs"]["seed"] == 7
 
 
-# Each command reads --tol; certify ignores --format.
-TOL_COMMANDS = [
+# Every command resolves and checks --tol, --threads and --format, including the
+# commands that do not use them (chi-curves and minimax ignore tol, minimax and
+# certify ignore format).
+COMMANDS = [
     ("capacity", "--channel", "ad", "--gamma", "0.5"),
     ("capacity", "--channel", "dep", "--lambda", "0.5"),
     ("curve", "--family", "ad", "--start", "0.4", "--end", "0.5", "--step", "0.05"),
     ("curve", "--family", "dep", "--start", "0.4", "--end", "0.5", "--step", "0.05"),
+    ("chi-curves", "--gamma", "0.5", "--lambda", "0.24", "--a-step", "0.25"),
     ("ellipse", "--gamma", "0.5", "--n-points", "8"),
+    ("minimax", "--gamma", "0.5", "--lambda", "0.24"),
     ("certify", "--channel", "dep", "--lambda", "0.5", "--a-grid", "11", "--prob-grid", "4"),
 ]
 
 
+def command_id(argv):
+    return f"{argv[0]}-{argv[2]}"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
-@pytest.mark.parametrize("argv", TOL_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[2]}")
+@pytest.mark.parametrize("argv", COMMANDS, ids=command_id)
 def test_bad_tol_exits_2(capsys, argv, tol, fmt):
     # curve --family ad --tol inf used to stop every bisection at once and exit 0;
     # the depolarizing family, which ignores tol, refuses the same values
@@ -448,6 +473,30 @@ def test_bad_tol_exits_2(capsys, argv, tol, fmt):
     assert code == 2
     assert out == ""
     assert "tol" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", COMMANDS, ids=command_id)
+def test_zero_threads_exits_2(capsys, argv, fmt):
+    # capacity used to check threads only when it wrote JSON
+    code, out, err = run(capsys, *argv, "--threads", "0", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "threads" in err
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=command_id)
+@pytest.mark.parametrize("line, setting", [("format = xml", "format"),
+                                           ("tolerance = 1e-9", "tolerance")])
+def test_bad_config_setting_exits_2(capsys, tmp_path, argv, line, setting):
+    # capacity used to read an unknown format as JSON, and every command ignored
+    # an unknown key
+    cfg = tmp_path / "qchan.toml"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert setting in err
 
 
 class TestRowCaps:

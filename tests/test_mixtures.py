@@ -138,7 +138,7 @@ class TestMinimax:
             minimax_capacity(separation_pair(), certify=True,
                              oracle_config=config, certify_bound=1e-12)
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
     def test_certify_rejects_non_finite_bound(self, bound):
         with pytest.raises(DomainError):
             minimax_capacity(separation_pair(), certify=True, certify_bound=bound)

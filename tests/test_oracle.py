@@ -32,6 +32,14 @@ class TestConfig:
     def test_plan_size_reported(self):
         assert plan_search_size(OracleConfig(n_states=2, a_grid=11, prob_grid=4)) == 590
 
+    def test_plan_counts_subgrid_points_without_listing_them(self, monkeypatch):
+        # An over-budget plan on a huge grid used to build one index list per stride.
+        def no_lists(*args):
+            raise AssertionError("planner built a subgrid index list")
+
+        monkeypatch.setattr(qchan.oracle, "_subgrid_indices", no_lists)
+        assert plan_search_size(OracleConfig(n_states=4, a_grid=10**7), 1) == 187791646
+
 
 class TestOracleCapacity:
     def test_identity_channel_exact(self):
