@@ -190,8 +190,9 @@ def check_tol(tol, name="tol"):
     """Raise DomainError unless a bisection tolerance, called ``name``, is positive and finite.
 
     An infinite tol would stop the bisection before its first step. The CLI
-    applies the same rule to every command, so a tol that the damping solver
-    refuses is refused for the depolarizing family too, which ignores it.
+    applies the same rule to every command that takes --tol, so a tol that the
+    damping solver refuses is refused for the depolarizing family too, which
+    ignores it.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {tol}")

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 
@@ -65,11 +66,14 @@ def _load_config_file(path: str) -> dict:
 
     Values stay text, unquoted; the setting that reads a value converts it.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"config file {path} is not UTF-8: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {path} is not UTF-8: {exc}") from None
+    except OSError as exc:
+        # Exit 4 is kept for an unwritable --out path; a bad --config is a usage error.
+        raise DomainError(f"config file {path} cannot be read: {exc.strerror}") from None
     settings = {}
     for raw in text.split("\n"):
         line = raw.split("#", 1)[0].strip()
@@ -83,9 +87,9 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_settings(args) -> None:
-    """Resolve tol, threads and format once for every command: flag > config file >
-    default (``QCHAN_THREADS`` for threads). Each is validated here and stored on
-    ``args``; format stays None where the command's own default applies.
+    """Check the whole config file, whatever the command, then resolve each setting
+    the command declares (``args`` has an attribute for exactly those): flag >
+    config file > default. Format stays None where the command's default applies.
     """
     args.started = time.perf_counter()
     path = args.config
@@ -93,26 +97,20 @@ def _resolve_settings(args) -> None:
         path = "qchan.toml"
     config = _load_config_file(path) if path else {}
     for key in config:
-        if key not in ("tol", "threads", "format"):
-            raise DomainError(f"unknown config key {key!r}; the keys are tol, threads, format")
-
-    def number(key, default, convert):
-        value = getattr(args, key)
-        if value is None:
-            value = config.get(key, default)
+        if key not in ("tol", "format"):
+            raise DomainError(f"unknown config key {key!r}; the keys are tol, format")
+    if "tol" in config:
         try:
-            return convert(value)
+            tol = float(config["tol"])
         except ValueError:
-            raise DomainError(f"{key} must be a number, got {value!r}") from None
-
-    args.tol = check_tol(number("tol", 1e-10, float))
-    # Recorded in reports; sweeps run in one thread whatever the setting.
-    args.threads = number("threads", os.environ.get("QCHAN_THREADS") or 1, int)
-    if args.threads < 1:
-        raise DomainError(f"threads must be >= 1, got {args.threads}")
-    args.format = args.format or config.get("format")
-    if args.format not in (None, "csv", "json"):
-        raise DomainError(f"format must be csv or json, got {args.format!r}")
+            raise DomainError(f"tol must be a number, got {config['tol']!r}") from None
+        config["tol"] = check_tol(tol)
+    if config.get("format", "csv") not in ("csv", "json"):
+        raise DomainError(f"format must be csv or json, got {config['format']!r}")
+    if "tol" in vars(args):
+        args.tol = check_tol(config.get("tol", 1e-10) if args.tol is None else args.tol)
+    if "format" in vars(args):
+        args.format = args.format or config.get("format")
 
 
 def _write(out, text: str) -> None:
@@ -163,6 +161,9 @@ def _report_base(args, inputs: dict) -> dict:
 def _parse_channel(args):
     """Channel from --channel and its parameter flag, whose dest is ``Family.attr``."""
     family = FAMILIES[args.channel]
+    for other in FAMILIES.values():
+        if other is not family and getattr(args, other.attr) is not None:
+            raise DomainError(f"--channel {family.kind} does not read --{other.param}")
     param = getattr(args, family.attr)
     if param is None:
         raise DomainError(f"--channel {family.kind} requires --{family.param}")
@@ -229,8 +230,7 @@ def cmd_capacity(args) -> int:
     if args.format == "csv":
         _write_csv(args.out, list(outputs), [tuple(outputs.values())])
         return EXIT_OK
-    inputs = _channel_inputs(channel)
-    inputs.update({"tol": args.tol, "seed": args.seed, "threads": args.threads})
+    inputs = {**_channel_inputs(channel), "tol": args.tol}
     report = _report_base(args, inputs)
     report["outputs"] = outputs
     report["tolerances"] = {"tol": args.tol}
@@ -247,16 +247,13 @@ def cmd_curve(args) -> int:
         rows.append((param, result.capacity_bits, result.a_max))
     _emit_rows(args, ["param", "capacity_bits", "a_max"], rows, {
         "family": args.family, "start": args.start, "end": args.end,
-        "step": args.step, "tol": args.tol, "seed": args.seed, "threads": args.threads,
+        "step": args.step, "tol": args.tol,
     })
     return EXIT_OK
 
 
 def cmd_chi_curves(args) -> int:
-    gamma = args.gamma
-    lam = args.lam
-    if gamma is None or lam is None:
-        raise DomainError("chi-curves requires --gamma and --lambda")
+    gamma, lam = args.gamma, args.lam
     grid = _grid(0.0, 1.0, args.a_step)
     arr = np.array(grid)
     ad_vals = chi_ad_curve(gamma, arr)
@@ -279,16 +276,13 @@ def cmd_chi_curves(args) -> int:
             chi_d = chi_dep_curve(lam, a_c)
             rows.append((a_c, chi_a, chi_d, min(chi_a, chi_d), "1"))
     rows.sort(key=lambda r: r[0])
-    _emit_rows(args, ["a", "chi_ad", "chi_dep", "min_chi", "crossing"], rows, {
-        "gamma": gamma, "lambda": lam, "a_step": args.a_step, "seed": args.seed,
-    })
+    _emit_rows(args, ["a", "chi_ad", "chi_dep", "min_chi", "crossing"], rows,
+               {"gamma": gamma, "lambda": lam, "a_step": args.a_step})
     return EXIT_OK
 
 
 def cmd_ellipse(args) -> int:
     gamma = args.gamma
-    if gamma is None:
-        raise DomainError("ellipse requires --gamma")
     if not 3 <= args.n_points <= MAX_ROWS:
         raise DomainError(f"--n-points must lie in [3, {MAX_ROWS}], got {args.n_points}")
     channel = AmplitudeDamping(gamma)
@@ -304,9 +298,8 @@ def cmd_ellipse(args) -> int:
     best = capacity_amplitude_damping(gamma, args.tol)
     for sign in (1.0, -1.0):
         rows.append(row(pure_state(best.a_max, sign), "1"))
-    _emit_rows(args, ["a_in", "b_in", "a_out", "b_out", "optimal"], rows, {
-        "gamma": gamma, "n_points": args.n_points, "tol": args.tol, "seed": args.seed,
-    })
+    _emit_rows(args, ["a_in", "b_in", "a_out", "b_out", "optimal"], rows,
+               {"gamma": gamma, "n_points": args.n_points, "tol": args.tol})
     return EXIT_OK
 
 
@@ -314,6 +307,9 @@ def _minimax_pair(args) -> MixedChannelPair:
     if args.ch1 is not None or args.ch2 is not None:
         if args.ch1 is None or args.ch2 is None:
             raise DomainError("--ch1 and --ch2 must be given together")
+        for flag, value in (("--gamma", args.gamma), ("--lambda", args.lam)):
+            if value is not None:
+                raise DomainError(f"{flag} is not read with --ch1 and --ch2")
         return MixedChannelPair(
             _parse_channel_spec(args.ch1), _parse_channel_spec(args.ch2), args.weight1
         )
@@ -334,7 +330,6 @@ def cmd_minimax(args) -> int:
         "channel2": _channel_inputs(pair.ch2),
         "weight1": pair.weight1,
         "resolution": args.resolution,
-        "seed": args.seed,
     }
     report = _report_base(args, inputs)
     outputs = {
@@ -368,11 +363,8 @@ def cmd_certify(args) -> int:
     solver = channel_capacity(channel, args.tol)
     oracle_value, ensemble = oracle_capacity(channel, config, args.budget)
     difference = solver.capacity_bits - oracle_value
-    inputs = _channel_inputs(channel)
-    inputs.update({
-        "tol": args.tol, "seed": args.seed,
-        "oracle": {**dataclasses.asdict(config), "budget": args.budget},
-    })
+    inputs = {**_channel_inputs(channel), "tol": args.tol,
+              "oracle": {**dataclasses.asdict(config), "budget": args.budget}}
     report = _report_base(args, inputs)
     report["outputs"] = {
         "solver_capacity_bits": solver.capacity_bits,
@@ -391,18 +383,16 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, tol: bool, fmt: bool) -> None:
+    """--out and --config, plus --tol and --format where the command reads them."""
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default: csv for curves, json for reports)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="solver tolerance on the bracket width (default 1e-10)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and recorded in reports; sweeps run in one "
-                             "thread (env QCHAN_THREADS)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports for reproducibility")
     parser.add_argument("--config", help="key = value config file (default ./qchan.toml)")
+    if tol:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="solver tolerance on the bracket width (default 1e-10)")
+    if fmt:
+        parser.add_argument("--format", choices=("csv", "json"), default=None,
+                            help="output format (default: csv for curves, json for reports)")
 
 
 def _add_oracle_flags(parser: argparse.ArgumentParser, n_states: int) -> None:
@@ -432,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=tuple(FAMILIES), required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--lambda", type=float, dest="lam")
-    _add_common(p)
+    _add_common(p, tol=True, fmt=True)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("curve", help="capacity curve over a parameter range (CSV)")
@@ -440,20 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, default=1.0)
     p.add_argument("--step", type=float, default=0.01)
-    _add_common(p)
+    _add_common(p, tol=True, fmt=True)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("chi-curves", help="branch chi curves versus a (CSV)")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lambda", type=float, dest="lam")
+    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--lambda", type=float, dest="lam", required=True)
     p.add_argument("--a-step", type=float, default=0.01, dest="a_step")
-    _add_common(p)
+    _add_common(p, tol=False, fmt=True)
     p.set_defaults(func=cmd_chi_curves)
 
     p = sub.add_parser("ellipse", help="pure input states and their images (CSV)")
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n-points", type=int, default=64, dest="n_points")
-    _add_common(p)
+    _add_common(p, tol=True, fmt=True)
     p.set_defaults(func=cmd_ellipse)
 
     p = sub.add_parser("minimax", help="sup-min capacity of a channel mixture")
@@ -465,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=float, default=1e-6)
     p.add_argument("--certify", action="store_true")
     _add_oracle_flags(p, n_states=2)
-    _add_common(p)
+    _add_common(p, tol=False, fmt=False)
     p.set_defaults(func=cmd_minimax)
 
     p = sub.add_parser("certify", help="brute-force certification of a capacity")
@@ -473,16 +463,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--lambda", type=float, dest="lam")
     _add_oracle_flags(p, n_states=2)
-    _add_common(p)
+    _add_common(p, tol=True, fmt=False)
     p.set_defaults(func=cmd_certify)
 
+    # argparse's private negative-number pattern misses "-1e-3" and "-inf" and reads them
+    # as options; this one takes them as values, for the flag's own check to judge.
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message (or --help)
+        return exc.code
     try:
         _resolve_settings(args)
         return args.func(args)

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchan import (
     AmplitudeDamping,
@@ -21,6 +24,7 @@ from qchan import (
     monotonicity_df_da,
     monotonicity_f,
 )
+from qchan.capacity import bisect_sign_change
 from conftest import random_ensemble
 
 LN2 = math.log(2.0)
@@ -172,6 +176,30 @@ class TestCapacityAmplitudeDamping:
         # An infinite tol used to stop the bisection before its first step.
         with pytest.raises(DomainError, match="tol"):
             capacity_amplitude_damping(0.5, tol=tol)
+
+
+# Bracket ends up to half the largest float, so that lo + hi stays finite; subnormal
+# ends and widths are drawn too.
+BRACKET_ENDS = st.floats(-sys.float_info.max / 2, sys.float_info.max / 2)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(lo=BRACKET_ENDS, hi=BRACKET_ENDS, share=st.floats(0.0, 1.0),
+       width=st.floats(5e-324, math.inf), residual=st.sampled_from([math.inf, 0.5, 0.0]))
+def test_bisect_sign_change_ends_inside_its_bracket(lo, hi, share, width, residual):
+    # f > 0 on lo's side of a root drawn in the bracket, for either orientation
+    root = lo + share * (hi - lo)
+    sign = 1.0 if lo <= hi else -1.0
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return sign * (root - x)
+
+    mid, f_mid, halvings = bisect_sign_change(f, lo, hi, width, residual)
+    assert halvings <= 200 and len(calls) == halvings + 1
+    assert min(lo, hi) <= mid <= max(lo, hi)
+    assert f_mid == f(mid)
 
 
 def _kernel_points():

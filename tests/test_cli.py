@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -98,6 +99,14 @@ class TestCapacityCommand:
         assert "non-finite" in err
         assert not out_path.exists()
 
+    def test_stray_channel_parameter_exits_2(self, capsys):
+        # the damping channel does not read --lambda, so the flag is refused, not ignored
+        code, out, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
+                             "--lambda", "0.3")
+        assert code == 2
+        assert out == ""
+        assert "--lambda" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "capacity", "--channel", "dep", "--lambda", "0.5",
                            "--format", "csv")
@@ -157,14 +166,6 @@ class TestCurveCommand:
         code, _, _ = run(capsys, "curve", "--family", "ad", "--step", "0.5",
                          "--out", "/nonexistent-dir/out.csv")
         assert code == 4
-
-    def test_threads_give_identical_output(self, capsys, tmp_path):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        run(capsys, "curve", "--family", "ad", "--step", "0.05", "--out", str(serial))
-        run(capsys, "curve", "--family", "ad", "--step", "0.05", "--threads", "4",
-            "--out", str(threaded))
-        assert serial.read_bytes() == threaded.read_bytes()
 
     def test_json_format(self, capsys):
         report = run_json(capsys, "curve", "--family", "dep", "--step", "0.25",
@@ -326,6 +327,14 @@ class TestMinimaxCommand:
         assert code == 2
         assert "xx" in err
 
+    def test_stray_channel_parameter_exits_2(self, capsys):
+        # --ch1 and --ch2 give both branches, so --gamma would set nothing
+        code, out, err = run(capsys, "minimax", "--ch1", "ad:0.1", "--ch2", "ad:0.2",
+                             "--gamma", "0.9")
+        assert code == 2
+        assert out == ""
+        assert "--gamma" in err
+
     def test_spec_kinds_recorded(self, capsys):
         report = run_json(capsys, "minimax", "--ch1", "dep:0.3", "--ch2", "ad:0.2")
         assert report["inputs"]["channel1"] == {"channel": "dep", "lambda": 0.3}
@@ -387,6 +396,13 @@ class TestCertifyCommand:
         assert code == 2
         assert "budget" in err
 
+    def test_stray_channel_parameter_exits_2(self, capsys):
+        code, out, err = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
+                             "--lambda", "0.9", "--a-grid", "11", "--prob-grid", "4")
+        assert code == 2
+        assert out == ""
+        assert "--lambda" in err
+
     def test_failed_bound_exits_6(self, capsys):
         code, _, _ = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
                          "--a-grid", "11", "--prob-grid", "4", "--bound", "1e-12")
@@ -396,11 +412,10 @@ class TestCertifyCommand:
 class TestConfigPrecedence:
     def test_config_file_supplies_tol(self, capsys, tmp_path):
         cfg = tmp_path / "qchan.toml"
-        cfg.write_text("tol = 1e-6  # loose bracket\nthreads = 2\n")
+        cfg.write_text("tol = 1e-6  # loose bracket\n")
         report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
                           "--config", str(cfg))
         assert report["inputs"]["tol"] == 1e-6
-        assert report["inputs"]["threads"] == 2
 
     def test_flag_beats_config(self, capsys, tmp_path):
         cfg = tmp_path / "qchan.toml"
@@ -409,11 +424,7 @@ class TestConfigPrecedence:
                           "--config", str(cfg), "--tol", "1e-9")
         assert report["inputs"]["tol"] == 1e-9
 
-    def test_env_threads_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAN_THREADS", "3")
-        report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.5")
-        assert report["inputs"]["threads"] == 3
-
+    # threads is not a key, so its lines exit 2 as unknown keys
     @pytest.mark.parametrize("line", ["tol = abc", "threads = abc", "threads = 2.5x",
                                       "tol = true", "threads = 4.5", "threads = true"])
     def test_non_numeric_config_exits_2(self, capsys, tmp_path, line):
@@ -432,21 +443,38 @@ class TestConfigPrecedence:
         assert code == 2
         assert "UTF-8" in err
 
-    def test_non_numeric_env_threads_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAN_THREADS", "x")
-        code, _, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5")
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, kind):
+        # exit 4 is for an unwritable --out path only
+        path = tmp_path / "absent.toml" if kind == "missing" else tmp_path
+        code, out, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
+                             "--config", str(path))
         assert code == 2
-        assert "threads" in err
+        assert out == ""
+        assert str(path) in err
 
-    def test_seed_recorded(self, capsys):
-        report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
-                          "--seed", "7")
-        assert report["inputs"]["seed"] == 7
+    def test_bad_config_value_is_refused_under_a_flag(self, capsys, tmp_path):
+        # the whole file is checked, whether or not a flag overrides the setting
+        cfg = tmp_path / "qchan.toml"
+        cfg.write_text("tol = abc\n")
+        code, _, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "0.5",
+                           "--config", str(cfg), "--tol", "1e-9")
+        assert code == 2
+        assert "tol" in err
 
 
-# Every command resolves and checks --tol, --threads and --format, including the
-# commands that do not use them (chi-curves and minimax ignore tol, minimax and
-# certify ignore format).
+# Each command declares the settings it reads and refuses the others as unrecognized
+# arguments: chi-curves bisects at a fixed 1e-12 and minimax at --resolution, so
+# neither takes --tol; minimax and certify always write JSON, so neither takes --format.
+DECLARED = {
+    "capacity": {"--tol", "--format"},
+    "curve": {"--tol", "--format"},
+    "chi-curves": {"--format"},
+    "ellipse": {"--tol", "--format"},
+    "minimax": set(),
+    "certify": {"--tol"},
+}
+
 COMMANDS = [
     ("capacity", "--channel", "ad", "--gamma", "0.5"),
     ("capacity", "--channel", "dep", "--lambda", "0.5"),
@@ -463,13 +491,19 @@ def command_id(argv):
     return f"{argv[0]}-{argv[2]}"
 
 
+def with_format(argv, fmt):
+    """``argv`` with ``--format fmt`` if its command declares --format."""
+    return [*argv, "--format", fmt] if "--format" in DECLARED[argv[0]] else list(argv)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
 @pytest.mark.parametrize("argv", COMMANDS, ids=command_id)
 def test_bad_tol_exits_2(capsys, argv, tol, fmt):
     # curve --family ad --tol inf used to stop every bisection at once and exit 0;
-    # the depolarizing family, which ignores tol, refuses the same values
-    code, out, err = run(capsys, *argv, "--tol", tol, "--format", fmt)
+    # the depolarizing family, which ignores tol, refuses the same values, and
+    # chi-curves and minimax refuse --tol whatever its value
+    code, out, err = run(capsys, *with_format(argv, fmt), "--tol", tol)
     assert code == 2
     assert out == ""
     assert "tol" in err
@@ -478,11 +512,28 @@ def test_bad_tol_exits_2(capsys, argv, tol, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", COMMANDS, ids=command_id)
 def test_zero_threads_exits_2(capsys, argv, fmt):
-    # capacity used to check threads only when it wrote JSON
-    code, out, err = run(capsys, *argv, "--threads", "0", "--format", fmt)
+    # no command reads threads, so every one refuses the flag
+    code, out, err = run(capsys, *with_format(argv, fmt), "--threads", "0")
     assert code == 2
     assert out == ""
     assert "threads" in err
+
+
+# Every pair of a command (one command line each) and a flag it does not declare.
+UNDECLARED = [pytest.param(argv, flag, value, id=f"{argv[0]}{flag}")
+              for argv in {argv[0]: argv for argv in COMMANDS}.values()
+              for flag, value in (("--tol", "1e-9"), ("--format", "json"),
+                                  ("--threads", "1"), ("--seed", "0"))
+              if flag not in DECLARED[argv[0]]]
+
+
+@pytest.mark.parametrize("argv, flag, value", UNDECLARED)
+def test_undeclared_flag_exits_2(capsys, argv, flag, value):
+    # main returns argparse's code instead of raising SystemExit
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=command_id)
@@ -497,6 +548,23 @@ def test_bad_config_setting_exits_2(capsys, tmp_path, argv, line, setting):
     assert code == 2
     assert out == ""
     assert setting in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("minimax", "--gamma", "0.5", "--lambda", "0.24", "--weight1", "-1e-3"),
+     "weight1 must lie in [0, 1], got -0.001"),
+    (("capacity", "--channel", "ad", "--gamma", "-1e-3"), "gamma must lie in [0, 1], got -0.001"),
+    (("curve", "--family", "ad", "--start", "-1E-3"), "need 0 <= start < end <= 1, got [-0.001"),
+    (("curve", "--family", "ad", "--tol", "-.5"), "tol must be positive and finite, got -0.5"),
+    (("capacity", "--channel", "ad", "--gamma", "0.5", "--tol", "-inf"),
+     "tol must be positive and finite, got -inf"),
+], ids=["minimax-weight1", "capacity-gamma", "curve-start", "curve-tol", "capacity-tol"])
+def test_negative_exponent_form_reaches_its_check(capsys, argv, message):
+    # argparse's own pattern takes "-1e-3" and "-inf" for options: "expected one argument"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 class TestRowCaps:
@@ -526,12 +594,21 @@ class TestRowCaps:
         assert code == 2
 
 
+def test_readme_command_lines_parse():
+    # the README's examples may name only flags that the parser declares
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in text.replace("\\\n", " ").splitlines() if line.startswith("qchan ")]
+    assert len(lines) >= 8
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        cli.build_parser().parse_args(argv)
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
 def test_reused_parser_reports_equal_fresh_process(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("QCHAN_THREADS", raising=False)
     root = pathlib.Path(__file__).parent.parent
     monkeypatch.chdir(root)
     minimax = ["minimax", "--gamma", "0.5", "--lambda", "0.24"]
@@ -557,7 +634,7 @@ def test_reused_parser_reports_equal_fresh_process(capsys, monkeypatch, tmp_path
     assert "certification" in certified["outputs"] and "oracle" in certified["inputs"]
     assert "certification" not in plain["outputs"] and "oracle" not in plain["inputs"]
     assert capacity["command"] == "capacity"
-    assert set(capacity["inputs"]) == {"channel", "lambda", "tol", "seed", "threads"}
+    assert set(capacity["inputs"]) == {"channel", "lambda", "tol"}
 
 
 class TestJsonFileOutput:
