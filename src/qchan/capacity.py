@@ -199,19 +199,26 @@ def check_tol(tol, name="tol"):
     return tol
 
 
+def _midpoint(lo, hi):
+    """Midpoint inside [lo, hi] for all finite ends. Where lo + hi overflows, both ends
+    are large and halving each is exact; a halved subnormal end can round out."""
+    mid = 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi if math.isinf(mid) else mid
+
+
 def bisect_sign_change(f, lo, hi, width, residual=math.inf):
     """Bisect from ``lo``, where f > 0, to ``hi``, where f <= 0 (``lo > hi`` works),
     by the stop rule in the module docstring. Returns (mid, f(mid), halvings).
     """
     halvings = 0
-    mid = 0.5 * (lo + hi)
+    mid = _midpoint(lo, hi)
     f_mid = f(mid)
     while halvings < _MAX_BISECT and (abs(hi - lo) > width or abs(f_mid) > residual):
         if f_mid > 0.0:
             lo = mid
         else:
             hi = mid
-        new_mid = 0.5 * (lo + hi)
+        new_mid = _midpoint(lo, hi)
         if new_mid == lo or new_mid == hi:
             break
         mid = new_mid

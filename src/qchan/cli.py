@@ -40,7 +40,7 @@ from .errors import (
 )
 from .mixtures import crossings, minimax_capacity
 from .oracle import (DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate,
-                     oracle_capacity, plan_search_size)
+                     oracle_capacity, oracle_minimax, plan_search_size)
 from .states import QubitState, pure_state
 
 SCHEMA_VERSION = 1
@@ -55,6 +55,10 @@ EXIT_CERTIFY = 6
 # Most grid intervals (curve, chi-curves) or points (ellipse) one command accepts;
 # every row is held in memory before it is written.
 MAX_ROWS = 10**6
+
+# The oracle flags' dests: OracleConfig's grid fields, the budget and the bound.
+ORACLE_GRID_FLAGS = ("n_states", "a_grid", "phase_grid", "prob_grid")
+ORACLE_FLAGS = ORACLE_GRID_FLAGS + ("budget", "bound")
 
 
 def _fmt(value: float) -> str:
@@ -205,16 +209,19 @@ def _grid(start: float, end: float, step: float):
 
 
 def _oracle_config(args) -> OracleConfig:
+    """Check the oracle flags before any solve, resolving --budget and --bound on ``args``.
+    Grid flags left out take OracleConfig's defaults; a phase grid of 2 is the real signs."""
+    for name, default in (("budget", DEFAULT_BUDGET), ("bound", 2e-4)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     # The report records the budget, and JSON has no NaN or infinity.
     if not math.isfinite(args.budget):
         raise DomainError(f"--budget must be finite, got {args.budget}")
-    return OracleConfig(
-        n_states=args.n_states,
-        a_grid=args.a_grid,
-        phase_grid=args.phase_grid,
-        prob_grid=args.prob_grid,
-        restrict_real_b=not args.complex_b,
-    )
+    check_bound(args.bound)
+    grid = {name: getattr(args, name) for name in ORACLE_GRID_FLAGS
+            if getattr(args, name) is not None}
+    return OracleConfig(**grid,
+                        restrict_real_b=grid.get("phase_grid", OracleConfig.phase_grid) == 2)
 
 
 def cmd_capacity(args) -> int:
@@ -322,8 +329,13 @@ def _minimax_pair(args) -> MixedChannelPair:
 
 def cmd_minimax(args) -> int:
     pair = _minimax_pair(args)
-    config = _oracle_config(args) if args.certify else None
-    result = minimax_capacity(pair, args.resolution, args.certify, config, args.budget, args.bound)
+    if args.certify:
+        config = _oracle_config(args)
+    else:
+        for name in ORACLE_FLAGS:
+            if getattr(args, name) is not None:
+                raise DomainError(f"--{name.replace('_', '-')} is read only with --certify")
+    result = minimax_capacity(pair, args.resolution)
     min_cap = min(result.branch_capacity_1, result.branch_capacity_2)
     inputs = {
         "channel1": _channel_inputs(pair.ch1),
@@ -343,23 +355,26 @@ def cmd_minimax(args) -> int:
         "separation_gap": min_cap - result.capacity_bits,
     }
     if args.certify:
+        oracle_value, _ = oracle_minimax(pair, config, args.budget)
+        difference = result.capacity_bits - oracle_value
         inputs["oracle"] = {**dataclasses.asdict(config), "budget": args.budget}
         outputs["certification"] = {
-            "oracle_capacity_bits": result.oracle_capacity_bits,
-            "difference": result.capacity_bits - result.oracle_capacity_bits,
+            "oracle_capacity_bits": oracle_value,
+            "difference": difference,
             "bound": args.bound,
             "search_size": plan_search_size(config, args.budget),
         }
     report["outputs"] = outputs
     report["tolerances"] = {"resolution": args.resolution}
     _emit_json(report, args.out)
+    if args.certify:
+        check_certificate(difference, args.bound)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     channel = _parse_channel(args)
     config = _oracle_config(args)
-    check_bound(args.bound)
     solver = channel_capacity(channel, args.tol)
     oracle_value, ensemble = oracle_capacity(channel, config, args.budget)
     difference = solver.capacity_bits - oracle_value
@@ -395,16 +410,15 @@ def _add_common(parser: argparse.ArgumentParser, tol: bool, fmt: bool) -> None:
                             help="output format (default: csv for curves, json for reports)")
 
 
-def _add_oracle_flags(parser: argparse.ArgumentParser, n_states: int) -> None:
-    parser.add_argument("--n-states", type=int, default=n_states, dest="n_states")
-    parser.add_argument("--a-grid", type=int, default=51, dest="a_grid")
-    parser.add_argument("--phase-grid", type=int, default=2, dest="phase_grid")
-    parser.add_argument("--prob-grid", type=int, default=10, dest="prob_grid")
-    parser.add_argument("--complex-b", action="store_true", dest="complex_b",
-                        help="search complex coherence phases instead of real signs")
-    parser.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
-                        help="maximum planned oracle evaluations")
-    parser.add_argument("--bound", type=float, default=2e-4,
+def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
+    # None marks a flag left out; _oracle_config fills in the defaults.
+    parser.add_argument("--n-states", type=int, dest="n_states")
+    parser.add_argument("--a-grid", type=int, dest="a_grid")
+    parser.add_argument("--phase-grid", type=int, dest="phase_grid",
+                        help="coherence phases per a; 2 (default) searches the real signs")
+    parser.add_argument("--prob-grid", type=int, dest="prob_grid")
+    parser.add_argument("--budget", type=float, help="maximum planned oracle evaluations")
+    parser.add_argument("--bound", type=float,
                         help="declared grid-resolution bound for certification")
 
 
@@ -453,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ch2", help="general branch spec, e.g. ad:0.5 or dep:0.3")
     p.add_argument("--weight1", type=float, default=0.5)
     p.add_argument("--resolution", type=float, default=1e-6)
-    p.add_argument("--certify", action="store_true")
-    _add_oracle_flags(p, n_states=2)
+    p.add_argument("--certify", action="store_true", help="check the result against the oracle")
+    _add_oracle_flags(p)
     _add_common(p, tol=False, fmt=False)
     p.set_defaults(func=cmd_minimax)
 
@@ -462,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=tuple(FAMILIES), required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--lambda", type=float, dest="lam")
-    _add_oracle_flags(p, n_states=2)
+    _add_oracle_flags(p)
     _add_common(p, tol=True, fmt=False)
     p.set_defaults(func=cmd_certify)
 

@@ -35,7 +35,6 @@ from .capacity import (
     interior_terms,
 )
 from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair, _unit_interval
-from .oracle import DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate, oracle_minimax
 from .states import is_scalar
 
 MIN_BRANCH_CH1 = "channel1"
@@ -61,8 +60,8 @@ class MinimaxResult:
     """Sup-min capacity over the mirror-pair family and where it is attained.
 
     ``branch_capacity_1`` and ``branch_capacity_2`` are the capacities of the
-    two branches on their own; ``oracle_capacity_bits`` is the brute-force
-    sup-min the result was certified against, None without certification.
+    two branches on their own; ``a_cross`` is the bisected crossing of the two
+    branch curves, None when the sup-min is a branch maximizer.
     """
 
     capacity_bits: float
@@ -70,9 +69,7 @@ class MinimaxResult:
     min_branch: str
     branch_capacity_1: float
     branch_capacity_2: float
-    certified_by_oracle: bool = False
     a_cross: Optional[float] = None
-    oracle_capacity_bits: Optional[float] = None
 
 
 def _branch_curve(channel: Channel):
@@ -102,25 +99,14 @@ def crossings(diff, grid, values, resolution: float):
     return found
 
 
-def minimax_capacity(
-    pair: MixedChannelPair,
-    resolution: float = 1e-6,
-    certify: bool = False,
-    oracle_config=None,
-    budget=None,
-    certify_bound: float = 1e-3,
-) -> MinimaxResult:
+def minimax_capacity(pair: MixedChannelPair, resolution: float = 1e-6) -> MinimaxResult:
     """Sup over mirror pairs of the minimum branch Holevo quantity, in bits.
 
-    With ``certify`` the result is cross-checked against the brute-force
-    ensemble oracle at every branch weight; disagreement beyond
-    ``certify_bound`` raises. A degenerate branch weight reduces to the live
-    channel's capacity; both branches are still solved, so each must be
-    amplitude-damping or depolarizing.
+    A degenerate branch weight reduces to the live channel's capacity; both
+    branches are still solved, so each must be amplitude-damping or
+    depolarizing. ``oracle.oracle_minimax`` is the independent check.
     """
     check_tol(resolution, "resolution")
-    if certify:
-        check_bound(certify_bound)
     cap1 = channel_capacity(pair.ch1)
     cap2 = channel_capacity(pair.ch2)
 
@@ -153,16 +139,7 @@ def minimax_capacity(
             value = min(chi1(a_star), chi2(a_star))
             branch = MIN_BRANCH_TIE
 
-    oracle_value = None
-    if certify:
-        config = oracle_config if oracle_config is not None else OracleConfig()
-        oracle_value, _ = oracle_minimax(
-            pair, config, budget if budget is not None else DEFAULT_BUDGET
-        )
-        check_certificate(value - oracle_value, certify_bound)
-
-    return MinimaxResult(value, a_star, branch, cap1.capacity_bits, cap2.capacity_bits,
-                         bool(certify), a_cross, oracle_value)
+    return MinimaxResult(value, a_star, branch, cap1.capacity_bits, cap2.capacity_bits, a_cross)
 
 
 def capacity_two_amplitude_damping(gamma1: float, gamma2: float) -> CapacityResult:

@@ -1,7 +1,8 @@
 """Brute-force certification of optimized capacities by ensemble exhaustion.
 
 The search space is the product of a pure-state grid (an a-grid paired with a
-coherence sign, or a complex phase grid when ``restrict_real_b`` is off) and a
+coherence sign when ``restrict_real_b`` is on, which takes exactly the
+``phase_grid`` of 2 signs +-1, or with a complex phase grid when it is off) and a
 probability simplex discretized in steps of 1/prob_grid, for every ensemble
 size up to ``n_states``. Per-state channel outputs and output entropies are
 precomputed once, so each candidate ensemble costs a handful of vectorized
@@ -45,7 +46,8 @@ _REFINE_SPAN = 2
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search-space discretization; n_states is the Caratheodory cap."""
+    """Search-space discretization; n_states is the Caratheodory cap.
+    ``restrict_real_b`` searches the 2 real signs, so it requires phase_grid == 2."""
 
     n_states: int = 2
     a_grid: int = 51
@@ -62,6 +64,8 @@ class OracleConfig:
             object.__setattr__(self, name, value)
             if value < 2:
                 raise DomainError(f"{name} must be >= 2, got {value}")
+        if self.restrict_real_b and self.phase_grid != 2:
+            raise DomainError(f"restrict_real_b needs phase_grid 2, got {self.phase_grid}")
 
 
 def _grid_states(config: OracleConfig):
@@ -169,15 +173,12 @@ def _subgrid_indices(a_grid: int, stride: int):
 
 def _total_states(config: OracleConfig) -> int:
     # The endpoints a = 0 and a = 1 carry a single state each.
-    if config.restrict_real_b:
-        return 2 * config.a_grid - 2
     return config.phase_grid * (config.a_grid - 2) + 2
 
 
 def _states_for_points(config: OracleConfig, points: int) -> int:
     """Upper bound on grid states covering ``points`` a-grid points."""
-    per_point = 2 if config.restrict_real_b else config.phase_grid
-    return min(per_point * points, _total_states(config))
+    return min(config.phase_grid * points, _total_states(config))
 
 
 def _plan(config: OracleConfig, budget: float):

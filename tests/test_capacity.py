@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchan import (
@@ -178,17 +178,22 @@ class TestCapacityAmplitudeDamping:
             capacity_amplitude_damping(0.5, tol=tol)
 
 
-# Bracket ends up to half the largest float, so that lo + hi stays finite; subnormal
-# ends and widths are drawn too.
-BRACKET_ENDS = st.floats(-sys.float_info.max / 2, sys.float_info.max / 2)
+# Bracket ends over the whole finite range, where lo + hi can overflow; subnormal ends
+# and widths are drawn too.
+BRACKET_ENDS = st.floats(-sys.float_info.max, sys.float_info.max)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
 @given(lo=BRACKET_ENDS, hi=BRACKET_ENDS, share=st.floats(0.0, 1.0),
        width=st.floats(5e-324, math.inf), residual=st.sampled_from([math.inf, 0.5, 0.0]))
+# 0.5 * (lo + hi) is inf on the first bracket; halving first rounds 0.5 * 5e-324 to 0
+@example(lo=1.6e308, hi=1.79e308, share=0.5, width=1.0, residual=math.inf)
+@example(lo=5e-324, hi=5e-324, share=0.0, width=5e-324, residual=0.0)
+@example(lo=-1.5e-323, hi=-1.5e-323, share=0.0, width=5e-324, residual=0.0)
 def test_bisect_sign_change_ends_inside_its_bracket(lo, hi, share, width, residual):
-    # f > 0 on lo's side of a root drawn in the bracket, for either orientation
-    root = lo + share * (hi - lo)
+    # f > 0 on lo's side of a root drawn in the bracket, for either orientation; the
+    # weighted form cannot overflow, unlike lo + share * (hi - lo)
+    root = (1.0 - share) * lo + share * hi
     sign = 1.0 if lo <= hi else -1.0
     calls = []
 

@@ -13,6 +13,7 @@ from qchan import (
     AmplitudeDamping,
     Depolarizing,
     MixedChannelPair,
+    OracleConfig,
     QubitState,
     apply_channel,
     binary_entropy,
@@ -20,10 +21,12 @@ from qchan import (
     chi_ad_curve,
     chi_dep_curve,
     minimax_capacity,
+    oracle_capacity,
 )
 from qchan import cli
 from qchan.capacity import channel_capacity
 from qchan.cli import main
+from qchan.oracle import plan_search_size
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -320,6 +323,43 @@ class TestMinimaxCommand:
         assert abs(cert["difference"]) <= 1e-3
         assert cert["search_size"] > 0
 
+    def test_certify_flag_gate_exits_6(self, capsys):
+        code, _, err = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
+                           "--certify", "--a-grid", "101", "--prob-grid", "10",
+                           "--bound", "1e-12")
+        assert code == 6
+        assert "certification failure" in err
+
+    @pytest.mark.parametrize("weight1", ["0", "1"])
+    def test_certify_at_degenerate_weights(self, capsys, weight1):
+        # the oracle searches the live branch alone
+        report = run_json(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
+                          "--weight1", weight1, "--certify", "--a-grid", "11",
+                          "--prob-grid", "4")
+        live = AmplitudeDamping(0.5) if weight1 == "1" else Depolarizing(0.24)
+        config = OracleConfig(n_states=2, a_grid=11, prob_grid=4)
+        cert = report["outputs"]["certification"]
+        assert cert["oracle_capacity_bits"] == oracle_capacity(live, config)[0]
+
+    def test_certify_gate_holds_at_degenerate_weight(self, capsys):
+        # The damping branch sits 2.6e-5 bits above this coarse grid's best ensemble.
+        code, _, _ = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
+                         "--weight1", "1", "--certify", "--a-grid", "11", "--prob-grid", "4",
+                         "--bound", "1e-12")
+        assert code == 6
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-states", "3"), ("--a-grid", "101"), ("--phase-grid", "8"),
+        ("--prob-grid", "4"), ("--budget", "5"), ("--bound", "1e-12"),
+    ])
+    def test_oracle_flag_without_certify_exits_2(self, capsys, flag, value):
+        # only --certify runs the oracle, so its flags would change nothing
+        code, out, err = run(capsys, "minimax", "--gamma", "0.5", "--lambda", "0.24",
+                             flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} is read only with --certify" in err
+
     def test_mixed_spec_flags_exit_2(self, capsys):
         code, _, _ = run(capsys, "minimax", "--ch1", "ad:0.5")
         assert code == 2
@@ -407,6 +447,63 @@ class TestCertifyCommand:
         code, _, _ = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
                          "--a-grid", "11", "--prob-grid", "4", "--bound", "1e-12")
         assert code == 6
+
+    def test_phase_grid_searches_complex_phases(self, capsys):
+        # --phase-grid 8 used to search the real signs unless --complex-b was given too
+        report = run_json(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
+                          "--a-grid", "11", "--prob-grid", "4", "--phase-grid", "8")
+        config = OracleConfig(n_states=2, a_grid=11, phase_grid=8, prob_grid=4,
+                              restrict_real_b=False)
+        assert report["inputs"]["oracle"]["restrict_real_b"] is False
+        assert report["outputs"]["search_size"] == plan_search_size(config) > plan_search_size(
+            OracleConfig(n_states=2, a_grid=11, prob_grid=4))
+        expected = oracle_capacity(AmplitudeDamping(0.5), config)[0]
+        assert report["outputs"]["oracle_capacity_bits"] == expected
+
+    def test_phase_grid_2_is_the_real_signs(self, capsys, tmp_path):
+        argv = ["certify", "--channel", "ad", "--gamma", "0.5", "--a-grid", "11",
+                "--prob-grid", "4"]
+        paths = [tmp_path / "default.json", tmp_path / "two.json"]
+        assert main(argv + ["--out", str(paths[0])]) == 0
+        assert main(argv + ["--phase-grid", "2", "--out", str(paths[1])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text())["inputs"]["oracle"]["restrict_real_b"] is True
+
+    def test_complex_b_is_gone(self, capsys):
+        code, out, err = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
+                             "--complex-b", "--phase-grid", "8")
+        assert code == 2
+        assert out == ""
+        assert "--complex-b" in err
+
+
+# certify and minimax --certify run the same steps: check, solve, search, write, gate.
+CERTIFYING = {
+    "certify": ("certify", "--channel", "ad", "--gamma", "0.5"),
+    "minimax": ("minimax", "--gamma", "0.5", "--lambda", "0.24", "--certify"),
+}
+
+
+@pytest.mark.parametrize("command", CERTIFYING)
+def test_failed_certificate_writes_its_report_then_exits_6(capsys, tmp_path, command):
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, *CERTIFYING[command], "--a-grid", "11", "--prob-grid", "4",
+                         "--bound", "1e-12", "--out", str(out_path))
+    assert code == 6
+    assert out == ""
+    assert "certification failure" in err
+    outputs = json.loads(out_path.read_text())["outputs"]
+    certificate = outputs if command == "certify" else outputs["certification"]
+    assert abs(certificate["difference"]) > 1e-12
+
+
+@pytest.mark.parametrize("command", CERTIFYING)
+def test_budget_exceeded_writes_no_report(capsys, tmp_path, command):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, *CERTIFYING[command], "--a-grid", "201", "--n-states", "4",
+                     "--budget", "1000", "--out", str(out_path))
+    assert code == 5
+    assert not out_path.exists()
 
 
 class TestConfigPrecedence:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -5,12 +7,11 @@ import pytest
 
 from qchan import (
     AmplitudeDamping,
-    CertificationError,
     Depolarizing,
     DomainError,
     GeneralKraus,
+    MinimaxResult,
     MixedChannelPair,
-    OracleConfig,
     binary_entropy,
     capacity_amplitude_damping,
     capacity_depolarizing,
@@ -23,7 +24,6 @@ from qchan import (
     minimax_capacity,
     monotonicity_df_da,
     monotonicity_f,
-    oracle_capacity,
     separation_pair,
 )
 from qchan.mixtures import SEPARATION_GAMMA, SEPARATION_LAMBDA, crossings
@@ -113,35 +113,12 @@ class TestMinimax:
             with pytest.raises(DomainError):
                 minimax_capacity(pair)
 
-    @pytest.mark.parametrize("weight1", [0.0, 1.0])
-    def test_certify_runs_oracle_at_degenerate_weights(self, weight1):
-        pair = MixedChannelPair(AmplitudeDamping(0.5), Depolarizing(0.24), weight1=weight1)
-        config = OracleConfig(n_states=2, a_grid=11, prob_grid=4)
-        result = minimax_capacity(pair, certify=True, oracle_config=config)
-        live = pair.ch1 if weight1 == 1.0 else pair.ch2
-        assert result.certified_by_oracle
-        assert result.oracle_capacity_bits == oracle_capacity(live, config)[0]
-
-    def test_certify_gate_holds_at_degenerate_weight(self):
-        # The damping branch sits 2.6e-5 bits above this coarse grid's best ensemble.
-        pair = MixedChannelPair(AmplitudeDamping(0.5), Depolarizing(0.24), weight1=1.0)
-        config = OracleConfig(n_states=2, a_grid=11, prob_grid=4)
-        with pytest.raises(CertificationError):
-            minimax_capacity(pair, certify=True, oracle_config=config, certify_bound=1e-12)
-
-    def test_certify_keyword_runs_oracle(self):
-        config = OracleConfig(n_states=2, a_grid=101, prob_grid=10)
-        result = minimax_capacity(separation_pair(), certify=True,
-                                  oracle_config=config, certify_bound=1e-3)
-        assert result.certified_by_oracle
-        with pytest.raises(CertificationError):
-            minimax_capacity(separation_pair(), certify=True,
-                             oracle_config=config, certify_bound=1e-12)
-
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
-    def test_certify_rejects_non_finite_bound(self, bound):
-        with pytest.raises(DomainError):
-            minimax_capacity(separation_pair(), certify=True, certify_bound=bound)
+    def test_solver_does_not_certify(self):
+        # certification runs the oracle beside the solver (the CLI's minimax --certify)
+        assert list(inspect.signature(minimax_capacity).parameters) == ["pair", "resolution"]
+        assert [f.name for f in dataclasses.fields(MinimaxResult)] == [
+            "capacity_bits", "a_star", "min_branch", "branch_capacity_1",
+            "branch_capacity_2", "a_cross"]
 
     @pytest.mark.parametrize("resolution", [0.0, -1e-6, math.nan, math.inf])
     def test_rejects_bad_resolution(self, resolution):

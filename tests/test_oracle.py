@@ -29,6 +29,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             OracleConfig(prob_grid=1)
 
+    def test_real_signs_are_a_phase_grid_of_2(self):
+        # restrict_real_b searches exactly the signs +-1, so any other phase grid is refused
+        with pytest.raises(DomainError, match="phase_grid"):
+            OracleConfig(phase_grid=8)
+        assert not OracleConfig(phase_grid=8, restrict_real_b=False).restrict_real_b
+        assert not OracleConfig(phase_grid=2, restrict_real_b=False).restrict_real_b
+
     def test_plan_size_reported(self):
         assert plan_search_size(OracleConfig(n_states=2, a_grid=11, prob_grid=4)) == 590
 
