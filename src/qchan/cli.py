@@ -61,10 +61,6 @@ ORACLE_GRID_FLAGS = ("n_states", "a_grid", "phase_grid", "prob_grid")
 ORACLE_FLAGS = ORACLE_GRID_FLAGS + ("budget", "bound")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _load_config_file(path: str) -> dict:
     """Parse simple ``key = value`` lines; '#' starts a comment.
 
@@ -126,9 +122,20 @@ def _write(out, text: str) -> None:
 
 
 def _write_csv(out, header, rows):
+    """Write tuple rows as CSV: strings as they are, numbers in %.17g form.
+
+    Rows of one shape (the types of their cells) share one %-template.
+    """
+    templates = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        shape = tuple(map(type, row))
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = ",".join(
+                "%s" if issubclass(kind, str) else "%.17g" for kind in shape
+            )
+        lines.append(template % row)
     _write(out, "\n".join(lines) + "\n")
 
 

@@ -71,11 +71,11 @@ def binary_entropy(p):
     """Binary entropy H(p) in bits, with the explicit 0*log(0) = 0 convention.
 
     Accepts a scalar or a numpy array with entries in [0, 1]; values within
-    1e-9 outside the interval are clamped, anything further raises.
+    1e-9 outside the interval are clamped, anything further, and NaN, raises.
     """
     if is_scalar(p):
         q = float(p)
-        if q < -TOL_STATE or q > 1.0 + TOL_STATE:
+        if not -TOL_STATE <= q <= 1.0 + TOL_STATE:
             raise DomainError(f"binary_entropy argument {q} outside [0, 1]")
         q = min(max(q, 0.0), 1.0)
         if q == 0.0 or q == 1.0:
@@ -83,13 +83,30 @@ def binary_entropy(p):
         # np.log2 keeps the scalar and array paths bit-identical
         return float(-q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q))
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -TOL_STATE) or np.any(arr > 1.0 + TOL_STATE):
+    if not np.all((arr >= -TOL_STATE) & (arr <= 1.0 + TOL_STATE)):
         raise DomainError("binary_entropy argument outside [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    out = np.zeros(arr.shape)
-    inside = (arr > 0.0) & (arr < 1.0)
-    q = arr[inside]
-    out[inside] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    q = np.clip(arr, 0.0, 1.0)
+    return binary_entropy_into(q, np.empty(q.shape), np.empty(q.shape))
+
+
+def binary_entropy_into(q: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Writes H(q) = -q log2(q) - (1-q) log2(1-q) into ``out`` and returns it.
+
+    No range check: every entry outside the open interval (0, 1), NaN included,
+    gives 0. ``scratch`` is work space; ``out`` and ``scratch`` have q's shape
+    and alias neither q nor each other. Each entry is bit-equal to the formula
+    evaluated left to right on fresh arrays.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract(1.0, q, out=scratch)
+        np.log2(scratch, out=out)
+        np.multiply(scratch, out, out=out)
+        np.log2(q, out=scratch)
+        np.multiply(q, scratch, out=scratch)
+        # -(q log2 q) is (-q) log2 q exactly: rounding is symmetric in the sign
+        np.negative(scratch, out=scratch)
+        np.subtract(scratch, out, out=out)
+    np.copyto(out, 0.0, where=~((q > 0.0) & (q < 1.0)))
     return out
 
 

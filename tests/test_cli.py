@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qchan
@@ -230,6 +231,46 @@ class TestChiCurvesCommand:
                 assert float(row[1]) == chi_ad_curve(float(gamma), a)
                 assert float(row[2]) == chi_dep_curve(float(lam), a)
                 assert abs(float(row[1]) - float(row[2])) <= 1e-12
+
+
+def per_cell_csv(header, rows):
+    """The CSV writer before row templates: each number formatted on its own."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str) else f"{cell:.17g}" for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_chi_curves_equals_per_cell_writer(self, capsys, tmp_path, monkeypatch):
+        written = []
+        write_csv = cli._write_csv
+
+        def keep_rows(out, header, rows):
+            written.append((header, rows))
+            write_csv(out, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", keep_rows)
+        out_path = tmp_path / "chi.csv"
+        code, _, _ = run(capsys, "chi-curves", "--gamma", "0.5", "--lambda", "0.24",
+                         "--a-step", "0.0002", "--out", str(out_path))
+        assert code == 0
+        (header, rows), = written
+        assert len(rows) > 5001  # the grid rows and at least one crossing row
+        assert out_path.read_bytes() == per_cell_csv(header, rows).encode("utf-8")
+
+    def test_mixed_row_shapes_and_edge_values(self, capsys):
+        header = ["x", "y", "z"]
+        rows = [
+            (0.1, 35, "root_bisection"),
+            (-0.0, math.inf, "0"),
+            ("1", math.nan, 5e-324),
+            (np.float64(1 / 3), np.int64(7), 1e308),
+            (True, 2.0**60, 10**20),
+            (0.1, 35, "root_bisection"),
+        ]
+        cli._write_csv(None, header, rows)
+        assert capsys.readouterr().out == per_cell_csv(header, rows)
 
 
 class TestEllipseCommand:

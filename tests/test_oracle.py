@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 import qchan.oracle
@@ -6,11 +9,14 @@ from qchan import (
     BudgetExceededError,
     Depolarizing,
     DomainError,
+    GeneralKraus,
     MixedChannelPair,
     OracleConfig,
     capacity_amplitude_damping,
+    binary_entropy,
     capacity_depolarizing,
     holevo_chi,
+    kraus_amplitude_damping,
     minimax_capacity,
     oracle_capacity,
     oracle_minimax,
@@ -174,3 +180,67 @@ class TestOracleMinimax:
         solver = minimax_capacity(separation_pair()).capacity_bits
         assert value <= solver + 1e-6
         assert value >= solver - 2e-3
+
+
+def reference_pass(tables, state_ids, n, probs, comps, best):
+    """The search pass as fresh arrays through binary_entropy, block by block."""
+    ids = np.asarray(state_ids, dtype=np.int64)
+    m = ids.shape[0]
+    if m < n:
+        return best
+    p_count = probs.shape[0]
+    chunk = max(1, qchan.oracle._CHUNK_ELEMENTS // p_count)
+    combo_iter = itertools.combinations(range(m), n)
+    while block := list(itertools.islice(combo_iter, chunk)):
+        members = ids[np.array(block, dtype=np.int64)]
+        score = None
+        for u, v, s, has_imag in tables:
+            mean_u = u[members] @ probs.T
+            mean_re = v.real[members] @ probs.T
+            radicand = (2.0 * mean_u - 1.0) ** 2 + 4.0 * mean_re ** 2
+            if has_imag:
+                mean_im = v.imag[members] @ probs.T
+                radicand += 4.0 * mean_im ** 2
+            r = np.minimum(np.sqrt(radicand), 1.0)
+            chi = binary_entropy(0.5 * (1.0 - r)) - s[members] @ probs.T
+            score = chi if score is None else np.minimum(score, chi)
+        flat = int(np.argmax(score))
+        value = float(score.flat[flat])
+        if value > best[0]:
+            row, col = divmod(flat, p_count)
+            best = (value, tuple(int(x) for x in members[row]), tuple(int(k) for k in comps[col]))
+    return best
+
+
+SMALL = dict(a_grid=9, prob_grid=5)
+COMPLEX = dict(a_grid=7, prob_grid=4, phase_grid=5, restrict_real_b=False)
+# Budgets below the full enumeration, so the search runs coarse-to-fine rounds.
+ZOOM = dict(n_states=3, a_grid=31, prob_grid=5)
+KRAUS = GeneralKraus(tuple(kraus_amplitude_damping(0.3)))
+PAIR = MixedChannelPair(AmplitudeDamping(0.5), Depolarizing(0.24))
+REFERENCE_CASES = [
+    *[(AmplitudeDamping(0.3), dict(SMALL, n_states=k), 1e8) for k in (1, 2, 3, 4)],
+    *[(AmplitudeDamping(0.6), dict(COMPLEX, n_states=k), 1e8) for k in (1, 2, 3)],
+    (PAIR, dict(SMALL, n_states=3), 1e8),
+    (PAIR, dict(COMPLEX, n_states=2), 1e8),
+    (AmplitudeDamping(0.5), ZOOM, 1e5),
+    (PAIR, ZOOM, 1e5),
+    (AmplitudeDamping(0.5), dict(n_states=4, a_grid=31, prob_grid=5), 1e6),
+    (KRAUS, dict(SMALL, n_states=3), 1e8),
+    (KRAUS, dict(COMPLEX, n_states=2), 1e8),
+]
+
+
+# The small sizes put several blocks, several slices and a short last one
+# through each pass.
+@pytest.mark.parametrize("chunk, slice_", [(None, None), (60, 25)])
+@pytest.mark.parametrize("channel, grid, budget", REFERENCE_CASES)
+def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chunk, slice_):
+    if chunk is not None:
+        monkeypatch.setattr(qchan.oracle, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(qchan.oracle, "_SLICE_ELEMENTS", slice_)
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    config = OracleConfig(**grid)
+    fused = search(channel, config, budget)
+    monkeypatch.setattr(qchan.oracle, "_search_pass", reference_pass)
+    assert fused == search(channel, config, budget)

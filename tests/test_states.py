@@ -15,6 +15,7 @@ from qchan import (
     pure_state,
     von_neumann_entropy,
 )
+from qchan.states import binary_entropy_into
 from conftest import random_state
 
 # Direct high-precision evaluation of -sum p log2 p.
@@ -76,6 +77,60 @@ class TestBinaryEntropy:
         vec = binary_entropy(p)
         for i, q in enumerate(p):
             assert vec[i] == binary_entropy(float(q))
+
+    def test_nan_raises_on_both_paths(self):
+        with pytest.raises(DomainError):
+            binary_entropy(float("nan"))
+        with pytest.raises(DomainError):
+            binary_entropy(np.float64("nan"))
+        with pytest.raises(DomainError):
+            binary_entropy(np.array([float("nan"), 0.3]))
+
+
+def masked_entropy(q):
+    """The masked array formula binary_entropy used before binary_entropy_into."""
+    out = np.zeros(q.shape)
+    inside = (q > 0.0) & (q < 1.0)
+    x = q[inside]
+    out[inside] = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return out
+
+
+class TestBinaryEntropyInto:
+    EDGES = [0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    # Outside [0, 1], including NaN, both give 0.
+    OUTSIDE = [-0.0, -1e-12, -1.0, 1.0 + 2.0 ** -52, 2.0, math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def into(q):
+        return binary_entropy_into(q, np.empty(q.shape), np.empty(q.shape))
+
+    def test_bit_equal_to_masked_formula_at_edges(self):
+        q = np.array(self.EDGES + self.OUTSIDE)
+        assert self.into(q).tobytes() == masked_entropy(q).tobytes()
+
+    def test_bit_equal_to_masked_formula_on_seeded_points(self):
+        rng = np.random.default_rng(20111)
+        q = np.concatenate([rng.uniform(size=50_000), 10.0 ** rng.uniform(-320.0, 0.0, 50_000)])
+        assert self.into(q).tobytes() == masked_entropy(q).tobytes()
+
+    def test_reused_buffers(self):
+        out, scratch = np.empty((2, 3)), np.empty((2, 3))
+        first = np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]])
+        second = np.array([[0.5, 0.0, 1.0], [0.9, math.nan, 1e-300]])
+        assert binary_entropy_into(first, out, scratch) is out
+        assert out.tobytes() == masked_entropy(first).tobytes()
+        binary_entropy_into(second, out, scratch)
+        assert out.tobytes() == masked_entropy(second).tobytes()
+        # a slice of a larger buffer, as the oracle's last short block uses
+        big, work = np.full((4, 3), 7.0), np.empty((4, 3))
+        binary_entropy_into(second, big[:2], work[:2])
+        assert big[:2].tobytes() == masked_entropy(second).tobytes()
+        assert np.all(big[2:] == 7.0)
+
+    def test_binary_entropy_array_path_unchanged(self, rng):
+        p = np.concatenate([[0.0, 1.0, -1e-12, 1.0 + 1e-12], rng.uniform(size=1000)])
+        assert binary_entropy(p).tobytes() == masked_entropy(np.clip(p, 0.0, 1.0)).tobytes()
 
 
 class TestVonNeumannEntropy:
