@@ -2,9 +2,14 @@
 
 stdout carries machine-parseable JSON or CSV only; diagnostics go to stderr.
 Floats in CSV are printed with 17 significant digits so files round-trip and
-stay byte-stable across runs. JSON reports carry a schema_version and the
-wall-clock time; the wall-clock field is omitted when writing to a file so
-that identical runs produce byte-identical files.
+stay byte-stable across runs. Every JSON report goes through ``_report``: it
+carries a schema_version and, on stdout only, the wall-clock time up to the
+write, so that identical runs produce byte-identical files.
+
+``certify`` and ``minimax --certify`` share one oracle step (``_oracle_step``),
+which searches, records the oracle inputs and returns the certification fields.
+A command returns those fields, or None, and ``main`` gates on them once its
+report is written: a solver-oracle difference above the bound exits 6.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from .errors import (
     SolverError,
 )
 from .mixtures import crossings, minimax_capacity
-from .oracle import (DEFAULT_BUDGET, OracleConfig, check_bound, check_certificate,
-                     oracle_capacity, oracle_minimax, plan_search_size)
+from .oracle import (DEFAULT_BUDGET, OracleConfig, oracle_capacity, oracle_minimax,
+                     plan_search_size)
 from .states import QubitState, pure_state
 
 SCHEMA_VERSION = 1
@@ -139,34 +144,30 @@ def _write_csv(out, header, rows):
     _write(out, "\n".join(lines) + "\n")
 
 
-def _emit_json(report: dict, out) -> None:
-    if out:
-        report = {k: v for k, v in report.items() if k != "wall_time_s"}
+def _report(args, inputs: dict, **sections) -> None:
+    """Write a JSON report: schema version, command, inputs, then ``sections`` in order.
+
+    On stdout the report also carries ``wall_time_s``, taken here, after every step
+    of the command; a file leaves it out, so that identical runs write identical bytes.
+    """
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs}
+    if not args.out:
+        report["wall_time_s"] = time.perf_counter() - args.started
+    report.update(sections)
     try:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         # JSON has no NaN or infinity, so a non-finite result cannot be reported.
         raise DomainError(f"report holds a non-finite number: {exc}") from None
-    _write(out, text)
+    _write(args.out, text)
 
 
-def _emit_rows(args, header, rows, inputs):
+def _emit_rows(args, header, rows, inputs) -> None:
     """Write curve-style output as CSV (default) or a JSON report."""
     if args.format == "json":
-        report = _report_base(args, inputs)
-        report["rows"] = [dict(zip(header, row)) for row in rows]
-        _emit_json(report, args.out)
+        _report(args, inputs, rows=[dict(zip(header, row)) for row in rows])
     else:
         _write_csv(args.out, header, rows)
-
-
-def _report_base(args, inputs: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs": inputs,
-        "wall_time_s": time.perf_counter() - args.started,
-    }
 
 
 def _parse_channel(args):
@@ -224,14 +225,30 @@ def _oracle_config(args) -> OracleConfig:
     # The report records the budget, and JSON has no NaN or infinity.
     if not math.isfinite(args.budget):
         raise DomainError(f"--budget must be finite, got {args.budget}")
-    check_bound(args.bound)
+    # A NaN bound would pass every difference and a negative one would fail every one.
+    if not (math.isfinite(args.bound) and args.bound >= 0.0):
+        raise DomainError(f"certification bound must be finite and >= 0, got {args.bound}")
     grid = {name: getattr(args, name) for name in ORACLE_GRID_FLAGS
             if getattr(args, name) is not None}
     return OracleConfig(**grid,
                         restrict_real_b=grid.get("phase_grid", OracleConfig.phase_grid) == 2)
 
 
-def cmd_capacity(args) -> int:
+def _oracle_step(args, config: OracleConfig, inputs: dict, solver_bits: float, search, target):
+    """Search ``target`` with the oracle, record the search in ``inputs`` and return the
+    certification fields, with the oracle's argmax ensemble."""
+    oracle_bits, ensemble = search(target, config, args.budget)
+    inputs["oracle"] = {**dataclasses.asdict(config), "budget": args.budget}
+    certification = {
+        "oracle_capacity_bits": oracle_bits,
+        "difference": solver_bits - oracle_bits,
+        "bound": args.bound,
+        "search_size": plan_search_size(config, args.budget),
+    }
+    return certification, ensemble
+
+
+def cmd_capacity(args) -> None:
     channel = _parse_channel(args)
     result = channel_capacity(channel, args.tol)
     outputs = {
@@ -243,16 +260,12 @@ def cmd_capacity(args) -> int:
     }
     if args.format == "csv":
         _write_csv(args.out, list(outputs), [tuple(outputs.values())])
-        return EXIT_OK
-    inputs = {**_channel_inputs(channel), "tol": args.tol}
-    report = _report_base(args, inputs)
-    report["outputs"] = outputs
-    report["tolerances"] = {"tol": args.tol}
-    _emit_json(report, args.out)
-    return EXIT_OK
+    else:
+        _report(args, {**_channel_inputs(channel), "tol": args.tol},
+                outputs=outputs, tolerances={"tol": args.tol})
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> None:
     params = _grid(args.start, args.end, args.step)
     family = FAMILIES[args.family]
     rows = []
@@ -263,10 +276,9 @@ def cmd_curve(args) -> int:
         "family": args.family, "start": args.start, "end": args.end,
         "step": args.step, "tol": args.tol,
     })
-    return EXIT_OK
 
 
-def cmd_chi_curves(args) -> int:
+def cmd_chi_curves(args) -> None:
     gamma, lam = args.gamma, args.lam
     grid = _grid(0.0, 1.0, args.a_step)
     arr = np.array(grid)
@@ -292,10 +304,9 @@ def cmd_chi_curves(args) -> int:
     rows.sort(key=lambda r: r[0])
     _emit_rows(args, ["a", "chi_ad", "chi_dep", "min_chi", "crossing"], rows,
                {"gamma": gamma, "lambda": lam, "a_step": args.a_step})
-    return EXIT_OK
 
 
-def cmd_ellipse(args) -> int:
+def cmd_ellipse(args) -> None:
     gamma = args.gamma
     if not 3 <= args.n_points <= MAX_ROWS:
         raise DomainError(f"--n-points must lie in [3, {MAX_ROWS}], got {args.n_points}")
@@ -314,7 +325,6 @@ def cmd_ellipse(args) -> int:
         rows.append(row(pure_state(best.a_max, sign), "1"))
     _emit_rows(args, ["a_in", "b_in", "a_out", "b_out", "optimal"], rows,
                {"gamma": gamma, "n_points": args.n_points, "tol": args.tol})
-    return EXIT_OK
 
 
 def _minimax_pair(args) -> MixedChannelPair:
@@ -334,7 +344,7 @@ def _minimax_pair(args) -> MixedChannelPair:
     )
 
 
-def cmd_minimax(args) -> int:
+def cmd_minimax(args):
     pair = _minimax_pair(args)
     if args.certify:
         config = _oracle_config(args)
@@ -350,7 +360,6 @@ def cmd_minimax(args) -> int:
         "weight1": pair.weight1,
         "resolution": args.resolution,
     }
-    report = _report_base(args, inputs)
     outputs = {
         "capacity_bits": result.capacity_bits,
         "a_star": result.a_star,
@@ -362,47 +371,31 @@ def cmd_minimax(args) -> int:
         "separation_gap": min_cap - result.capacity_bits,
     }
     if args.certify:
-        oracle_value, _ = oracle_minimax(pair, config, args.budget)
-        difference = result.capacity_bits - oracle_value
-        inputs["oracle"] = {**dataclasses.asdict(config), "budget": args.budget}
-        outputs["certification"] = {
-            "oracle_capacity_bits": oracle_value,
-            "difference": difference,
-            "bound": args.bound,
-            "search_size": plan_search_size(config, args.budget),
-        }
-    report["outputs"] = outputs
-    report["tolerances"] = {"resolution": args.resolution}
-    _emit_json(report, args.out)
-    if args.certify:
-        check_certificate(difference, args.bound)
-    return EXIT_OK
+        outputs["certification"], _ = _oracle_step(
+            args, config, inputs, result.capacity_bits, oracle_minimax, pair)
+    _report(args, inputs, outputs=outputs, tolerances={"resolution": args.resolution})
+    return outputs.get("certification")
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args):
     channel = _parse_channel(args)
     config = _oracle_config(args)
     solver = channel_capacity(channel, args.tol)
-    oracle_value, ensemble = oracle_capacity(channel, config, args.budget)
-    difference = solver.capacity_bits - oracle_value
-    inputs = {**_channel_inputs(channel), "tol": args.tol,
-              "oracle": {**dataclasses.asdict(config), "budget": args.budget}}
-    report = _report_base(args, inputs)
-    report["outputs"] = {
+    inputs = {**_channel_inputs(channel), "tol": args.tol}
+    certification, ensemble = _oracle_step(
+        args, config, inputs, solver.capacity_bits, oracle_capacity, channel)
+    outputs = {
         "solver_capacity_bits": solver.capacity_bits,
         "solver_a_max": solver.a_max,
-        "oracle_capacity_bits": oracle_value,
-        "difference": difference,
-        "search_size": plan_search_size(config, args.budget),
+        **certification,
         "oracle_ensemble": [
             {"p": p, "a": s.a, "b_re": s.b.real, "b_im": s.b.imag}
             for p, s in ensemble
         ],
     }
-    report["tolerances"] = {"bound": args.bound}
-    _emit_json(report, args.out)
-    check_certificate(difference, args.bound)
-    return EXIT_OK
+    del outputs["bound"]  # certify reports the bound among its tolerances
+    _report(args, inputs, outputs=outputs, tolerances={"bound": args.bound})
+    return certification
 
 
 def _add_common(parser: argparse.ArgumentParser, tol: bool, fmt: bool) -> None:
@@ -502,7 +495,12 @@ def main(argv=None) -> int:
         return exc.code
     try:
         _resolve_settings(args)
-        return args.func(args)
+        # A certifying command returns its certification fields, gated once it is written.
+        certification = args.func(args)
+        if certification and abs(certification["difference"]) > certification["bound"]:
+            raise CertificationError(f"oracle difference {certification['difference']} "
+                                     f"exceeds the bound {certification['bound']}")
+        return EXIT_OK
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

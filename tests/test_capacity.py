@@ -207,6 +207,23 @@ def test_bisect_sign_change_ends_inside_its_bracket(lo, hi, share, width, residu
     assert f_mid == f(mid)
 
 
+# Parameter pairs: half of them adjacent floats, half drawn independently.
+PARAMS = st.floats(0.0, 1.0)
+PARAM_PAIRS = st.one_of(
+    PARAMS.map(lambda p: (p, math.nextafter(p, 2.0) if p < 1.0 else p)),
+    st.tuples(PARAMS, PARAMS),
+)
+
+
+@pytest.mark.parametrize("capacity", [capacity_amplitude_damping, capacity_depolarizing],
+                         ids=["gamma", "lambda"])
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(pair=PARAM_PAIRS)
+def test_capacity_is_non_increasing_in_the_noise(capacity, pair):
+    low, high = sorted(pair)
+    assert capacity(high).capacity_bits <= capacity(low).capacity_bits + 1e-15
+
+
 def _kernel_points():
     """Seeded (p, a) in (0, 1) x [0, 1): uniform, a near 1, p below 1e-9, and one
     point where scalar and array chi_ad_curve once disagreed in the last bit."""

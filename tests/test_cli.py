@@ -5,6 +5,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qchan import (
     minimax_capacity,
     oracle_capacity,
 )
-from qchan import cli
+from qchan import cli, oracle
 from qchan.capacity import channel_capacity
 from qchan.cli import main
 from qchan.oracle import plan_search_size
@@ -518,7 +519,8 @@ class TestCertifyCommand:
         assert "--complex-b" in err
 
 
-# certify and minimax --certify run the same steps: check, solve, search, write, gate.
+# certify and minimax --certify share one oracle step: check the oracle flags, solve,
+# search, write the report, then gate the difference on --bound.
 CERTIFYING = {
     "certify": ("certify", "--channel", "ad", "--gamma", "0.5"),
     "minimax": ("minimax", "--gamma", "0.5", "--lambda", "0.24", "--certify"),
@@ -545,6 +547,80 @@ def test_budget_exceeded_writes_no_report(capsys, tmp_path, command):
                      "--budget", "1000", "--out", str(out_path))
     assert code == 5
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", CERTIFYING)
+def test_wall_time_covers_the_oracle_search(capsys, monkeypatch, command):
+    # wall_time_s is taken as the report is written, so it covers the oracle search.
+    name = "oracle_capacity" if command == "certify" else "oracle_minimax"
+    search = getattr(cli, name)
+
+    def slow_search(*args):
+        time.sleep(0.2)
+        return search(*args)
+
+    monkeypatch.setattr(cli, name, slow_search)
+    report = run_json(capsys, *CERTIFYING[command], "--a-grid", "11", "--prob-grid", "4",
+                      "--bound", "0.05")
+    assert report["wall_time_s"] >= 0.2
+
+
+@pytest.mark.parametrize("command", CERTIFYING)
+def test_budget_counts_the_tabulated_states(capsys, monkeypatch, command):
+    # A 10**9-point a-grid plans few evaluations but would tabulate 2e9 states first.
+    def no_tables(*args):
+        raise AssertionError("per-state tables built past the budget")
+
+    monkeypatch.setattr(oracle, "_channel_table", no_tables)
+    assert plan_search_size(OracleConfig(a_grid=10**9)) <= oracle.DEFAULT_BUDGET
+    code, out, err = run(capsys, *CERTIFYING[command], "--a-grid", "1000000000")
+    assert code == 5
+    assert out == ""
+    assert "budget" in err
+
+
+# The keys of inputs and outputs, in the order the reports write them.
+CERTIFYING_KEYS = {
+    "certify": (
+        ["channel", "gamma", "tol", "oracle"],
+        ["solver_capacity_bits", "solver_a_max", "oracle_capacity_bits", "difference",
+         "search_size", "oracle_ensemble"],
+    ),
+    "minimax": (
+        ["channel1", "channel2", "weight1", "resolution", "oracle"],
+        ["capacity_bits", "a_star", "min_branch", "a_cross", "branch_capacity_1",
+         "branch_capacity_2", "min_branch_capacity", "separation_gap", "certification"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", CERTIFYING)
+def test_certifying_report_key_order(capsys, command):
+    report = run_json(capsys, *CERTIFYING[command], "--a-grid", "11", "--prob-grid", "4",
+                      "--bound", "0.05")
+    inputs, outputs = CERTIFYING_KEYS[command]
+    assert list(report) == [
+        "schema_version", "command", "inputs", "wall_time_s", "outputs", "tolerances"]
+    assert list(report["inputs"]) == inputs
+    assert list(report["outputs"]) == outputs
+    assert list(report["inputs"]["oracle"]) == [
+        "n_states", "a_grid", "phase_grid", "prob_grid", "restrict_real_b", "budget"]
+    if command == "certify":
+        assert list(report["tolerances"]) == ["bound"]
+    else:
+        assert list(report["outputs"]["certification"]) == [
+            "oracle_capacity_bits", "difference", "bound", "search_size"]
+
+
+# Oracle values depend on the BLAS build, so only solver reports have golden bytes.
+@pytest.mark.parametrize("argv, golden", [
+    (["capacity", "--channel", "ad", "--gamma", "0.5"], "capacity_ad_golden.json"),
+    (["minimax", "--gamma", "0.5", "--lambda", "0.24"], "minimax_golden.json"),
+])
+def test_report_file_matches_committed_golden(tmp_path, argv, golden):
+    out_path = tmp_path / golden
+    assert main(argv + ["--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == (DATA / golden).read_bytes()
 
 
 class TestConfigPrecedence:

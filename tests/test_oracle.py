@@ -116,6 +116,19 @@ class TestOracleCapacity:
         with pytest.raises(BudgetExceededError):
             oracle_minimax(separation_pair(), config, budget=1e6)
 
+    def test_budget_counts_tabulated_states(self, monkeypatch):
+        # The plan fits the budget, but the tables would hold 2e9 states per channel.
+        def no_tables(*args):
+            raise AssertionError("per-state tables built past the budget")
+
+        monkeypatch.setattr(qchan.oracle, "_channel_table", no_tables)
+        config = OracleConfig(a_grid=10**9)
+        assert plan_search_size(config, 1e8) <= 1e8
+        with pytest.raises(BudgetExceededError):
+            oracle_capacity(AmplitudeDamping(0.5), config, budget=1e8)
+        with pytest.raises(BudgetExceededError):
+            oracle_minimax(separation_pair(), config, budget=1e8)
+
     def test_nan_budget_rejected(self):
         config = OracleConfig(n_states=4, a_grid=201, prob_grid=20)
         with pytest.raises(DomainError):
