@@ -26,6 +26,25 @@ matmul per block fills the means, then the radius, the entropy, chi and the
 minimum over channels are computed in place on row slices. Every score is
 bit-equal to the unfused formula on fresh arrays, which tests/test_oracle.py
 keeps as its reference.
+
+A pass skips the rows that provably cannot beat the incumbent. For any state
+sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and the
+last term is >= 0 (Schumacher-Westmoreland, "Optimal signal ensembles", 2001),
+so chi(E) <= sum_i p_i D_i. Every composition of a row of n states on the grid
+G = prob_grid has p_i in [1/G, (G - n + 1)/G], so no column of the row scores
+above ((sum_i D_i) + (G - n) max_i D_i) / G; with several channels the score is
+bounded by the smallest per-channel bound. sigma is diagonal, the mean output
+of the best ensemble of the sizes searched so far (the maximally mixed state
+before the first), so D comes from the u and s columns of the tables; any
+sigma is valid, and the choice moves only how much gets pruned. A row is
+skipped only if its bound + 1e-9 is below the incumbent of the current size at
+the start of its block: such a row scores strictly below the incumbent, so no
+tie can change, and the margin is far above the ~1e-15 float error of either
+side. A NaN bound, which a degenerate sigma yields, prunes nothing. The bits
+cannot move: the matmuls still run on the full blocks of _CHUNK_ELEMENTS rows
+(BLAS rounds by block row count), the surviving rows are compacted in order
+and the elementwise steps are exact on any row slice, and the winner maps back
+through the surviving row indices to the first maximal row of its block.
 """
 
 from __future__ import annotations
@@ -147,18 +166,47 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _search_pass(tables, state_ids, n, probs, comps, best):
+def _divergences(u, s, sigma0):
+    """D(N psi || diag(sigma0, 1 - sigma0)) in bits for every tabulated output.
+
+    An output with population u and entropy s has D = -s - (u log2 sigma0 +
+    (1 - u) log2(1 - sigma0)). A sigma0 of 0 or 1 gives inf or NaN entries.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -s - (u * np.log2(sigma0) + (1.0 - u) * np.log2(1.0 - sigma0))
+
+
+def _row_bounds(divergences, members, prob_grid):
+    """Upper bound on the score of every composition of each row of ``members``.
+
+    ``divergences`` holds one _divergences table per scored channel; the bound is
+    the smallest per-channel ((sum D_i) + (G - n) max D_i) / G. It is NaN where
+    the row meets a NaN entry, or an inf entry when G == n.
+    """
+    spare = prob_grid - members.shape[1]
+    bound = None
+    for table in divergences:
+        d = table[members]
+        rows = (d.sum(axis=1) + spare * d.max(axis=1)) / prob_grid
+        bound = rows if bound is None else np.minimum(bound, rows)
+    return bound
+
+
+def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
     """Exhaustive max over distinct sorted n-subsets of state_ids x compositions.
 
     ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
     score is the minimum chi across channels. ``best`` is the running
     (value, state id tuple, composition tuple) and ties keep the incumbent.
+    ``divergences`` holds the per-channel _divergences tables that bound a row's
+    score. Returns the new best and the number of rows skipped by that bound.
     """
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
     if m < n:
-        return best
+        return best, 0
     p_count = probs.shape[0]
+    prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
     step = max(1, _SLICE_ELEMENTS // p_count)
     weights = probs.T
@@ -167,6 +215,7 @@ def _search_pass(tables, state_ids, n, probs, comps, best):
     score, *means = np.empty((5, rows, p_count))
     # Slice buffers: two work arrays and the chi of a later channel table.
     slice_work = np.empty((3, min(step, rows), p_count))
+    pruned = 0
     combo_iter = itertools.combinations(range(m), n)
     while True:
         block = itertools.chain.from_iterable(itertools.islice(combo_iter, chunk))
@@ -174,13 +223,27 @@ def _search_pass(tables, state_ids, n, probs, comps, best):
         c = members.shape[0]
         if c == 0:
             break
+        with np.errstate(invalid="ignore"):
+            bound = _row_bounds(divergences, members, prob_grid)
+            # Written so that a NaN bound keeps its row.
+            live = np.flatnonzero(~(bound + 1e-9 < best[0]))
+        kept = live.shape[0]
+        pruned += c - kept
+        if kept == 0:
+            continue
         for index, (u, v, s, has_imag) in enumerate(tables):
             parts = (u, s, v.real, v.imag) if has_imag else (u, s, v.real)
             for part, mean in zip(parts, means):
+                # The full block keeps BLAS's rounding; then the live rows move up in
+                # order, which is safe in place because live[j] >= j.
                 np.matmul(part[members], weights, out=mean[:c])
+                if kept < c:
+                    for lo in range(0, kept, step):
+                        hi = min(lo + step, kept)
+                        mean[lo:hi] = mean[live[lo:hi]]
             mean_u, mean_s, *mean_v = means[: len(parts)]
-            for lo in range(0, c, step):
-                hi = min(lo + step, c)
+            for lo in range(0, kept, step):
+                hi = min(lo + step, kept)
                 t1, t2, chi = slice_work[:, : hi - lo]
                 out = chi if index else score[lo:hi]
                 # Output Bloch radius r of the mean state, sqrt((2<u> - 1)^2 + 4|<v>|^2)
@@ -200,17 +263,17 @@ def _search_pass(tables, state_ids, n, probs, comps, best):
                 np.subtract(out, mean_s[lo:hi], out=out)
                 if index:
                     np.minimum(score[lo:hi], chi, out=score[lo:hi])
-        block_score = score[:c]
+        block_score = score[:kept]
         flat = int(np.argmax(block_score))
         value = float(block_score.flat[flat])
         if value > best[0]:
             row, col = divmod(flat, p_count)
             best = (
                 value,
-                tuple(int(x) for x in members[row]),
+                tuple(int(x) for x in members[live[row]]),
                 tuple(int(k) for k in comps[col]),
             )
-    return best
+    return best, pruned
 
 
 def _subgrid_indices(a_grid: int, stride: int):
@@ -285,10 +348,13 @@ def _search(channels, config: OracleConfig, budget: float):
 
     all_ids = np.arange(a.shape[0], dtype=np.int64)
     best = (-math.inf, None, None)
+    sigma0 = [0.5] * len(tables)  # the maximally mixed state, until a size has a best
     for n, schedule in plans:
         comps = _compositions(config.prob_grid, n)
         probs = comps.astype(float) / config.prob_grid
+        divergences = [_divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma0)]
         incumbent = (-math.inf, None, None)
+        rows = pruned = 0
         for round_no, stride in enumerate(schedule):
             if round_no == 0:
                 keep = set(_subgrid_indices(config.a_grid, stride))
@@ -301,11 +367,18 @@ def _search(channels, config: OracleConfig, budget: float):
                         if 0 <= candidate < config.a_grid:
                             keep.add(candidate)
             ids = all_ids[np.isin(a_index, sorted(keep))]
-            incumbent = _search_pass(tables, ids, n, probs, comps, incumbent)
+            incumbent, skipped = _search_pass(tables, ids, n, probs, comps, incumbent, divergences)
+            rows += math.comb(ids.shape[0], n)
+            pruned += skipped
             if incumbent[1] is None:
                 break
+        log.debug("oracle size %d: %d rows scored, %d rows pruned", n, rows - pruned, pruned)
         if incumbent[0] > best[0]:
             best = incumbent
+        if best[1] is not None:
+            # The next size's sigma: the diagonal of the best ensemble's mean output.
+            weights = np.array(best[2]) / config.prob_grid
+            sigma0 = [float(weights @ u[list(best[1])]) for u, *_ in tables]
 
     value, state_ids, comp = best
     if state_ids is None:

@@ -1,4 +1,6 @@
 import itertools
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qchan import (
     GeneralKraus,
     MixedChannelPair,
     OracleConfig,
+    apply_channel,
     capacity_amplitude_damping,
     binary_entropy,
     capacity_depolarizing,
@@ -195,34 +198,40 @@ class TestOracleMinimax:
         assert value >= solver - 2e-3
 
 
-def reference_pass(tables, state_ids, n, probs, comps, best):
-    """The search pass as fresh arrays through binary_entropy, block by block."""
+def reference_scores(tables, members, probs):
+    """Scores of every row of members x column of probs, as fresh arrays through binary_entropy."""
+    score = None
+    for u, v, s, has_imag in tables:
+        mean_u = u[members] @ probs.T
+        mean_re = v.real[members] @ probs.T
+        radicand = (2.0 * mean_u - 1.0) ** 2 + 4.0 * mean_re ** 2
+        if has_imag:
+            mean_im = v.imag[members] @ probs.T
+            radicand += 4.0 * mean_im ** 2
+        r = np.minimum(np.sqrt(radicand), 1.0)
+        chi = binary_entropy(0.5 * (1.0 - r)) - s[members] @ probs.T
+        score = chi if score is None else np.minimum(score, chi)
+    return score
+
+
+def reference_pass(tables, state_ids, n, probs, comps, best, divergences):
+    """The search pass block by block, unpruned: it ignores ``divergences``."""
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
     if m < n:
-        return best
+        return best, 0
     p_count = probs.shape[0]
     chunk = max(1, qchan.oracle._CHUNK_ELEMENTS // p_count)
     combo_iter = itertools.combinations(range(m), n)
     while block := list(itertools.islice(combo_iter, chunk)):
         members = ids[np.array(block, dtype=np.int64)]
-        score = None
-        for u, v, s, has_imag in tables:
-            mean_u = u[members] @ probs.T
-            mean_re = v.real[members] @ probs.T
-            radicand = (2.0 * mean_u - 1.0) ** 2 + 4.0 * mean_re ** 2
-            if has_imag:
-                mean_im = v.imag[members] @ probs.T
-                radicand += 4.0 * mean_im ** 2
-            r = np.minimum(np.sqrt(radicand), 1.0)
-            chi = binary_entropy(0.5 * (1.0 - r)) - s[members] @ probs.T
-            score = chi if score is None else np.minimum(score, chi)
+        score = reference_scores(tables, members, probs)
         flat = int(np.argmax(score))
         value = float(score.flat[flat])
         if value > best[0]:
             row, col = divmod(flat, p_count)
             best = (value, tuple(int(x) for x in members[row]), tuple(int(k) for k in comps[col]))
-    return best
+    return best, 0
 
 
 SMALL = dict(a_grid=9, prob_grid=5)
@@ -241,12 +250,21 @@ REFERENCE_CASES = [
     (AmplitudeDamping(0.5), dict(n_states=4, a_grid=31, prob_grid=5), 1e6),
     (KRAUS, dict(SMALL, n_states=3), 1e8),
     (KRAUS, dict(COMPLEX, n_states=2), 1e8),
+    # Channels at or next to the ends of their range. At gamma 0, gamma 1 and
+    # lambda 0 the best ensemble's mean output is diagonal and pure, so sigma0 is
+    # 0 or 1 and the divergence tables hold inf or NaN entries.
+    *[(AmplitudeDamping(g), dict(SMALL, n_states=3), 1e8) for g in (0.0, 1.0, 1e-300, 1 - 1e-16)],
+    *[(Depolarizing(lam), dict(SMALL, n_states=3), 1e8) for lam in (0.0, 1.0)],
+    # n_states == prob_grid leaves no spare weight, so an inf entry meets 0 * inf.
+    (AmplitudeDamping(0.0), dict(SMALL, n_states=2, prob_grid=2), 1e8),
 ]
 
 
 # The small sizes put several blocks, several slices and a short last one
-# through each pass.
-@pytest.mark.parametrize("chunk, slice_", [(None, None), (60, 25)])
+# through each pass, so the later blocks are pruned. For n >= 2 a slice of 7
+# elements holds at most two rows, so a pruned block compacts over many slices.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk, slice_", [(None, None), (60, 25), (60, 7)])
 @pytest.mark.parametrize("channel, grid, budget", REFERENCE_CASES)
 def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chunk, slice_):
     if chunk is not None:
@@ -257,3 +275,46 @@ def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chu
     fused = search(channel, config, budget)
     monkeypatch.setattr(qchan.oracle, "_search_pass", reference_pass)
     assert fused == search(channel, config, budget)
+
+
+@pytest.mark.parametrize(
+    "channel, grid",
+    [(AmplitudeDamping(0.3), SMALL), (Depolarizing(0.4), SMALL), (KRAUS, COMPLEX), (PAIR, SMALL)],
+)
+def test_row_bound_is_above_every_score_in_its_row(channel, grid):
+    # Every row of a full search, with sigma from the search and from seeded random diagonals.
+    config = OracleConfig(n_states=3, **grid)
+    paired = isinstance(channel, MixedChannelPair)
+    channels = [channel.ch1, channel.ch2] if paired else [channel]
+    a, b, _ = qchan.oracle._grid_states(config)
+    tables = []
+    for ch in channels:
+        u, v, s = qchan.oracle._channel_table(ch, a, b)
+        tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
+    _, ensemble = (oracle_minimax if paired else oracle_capacity)(channel, config)
+    sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
+    sigmas += np.random.default_rng(5).uniform(size=(4, len(channels))).tolist()
+    for n in (1, 2, 3):
+        comps = qchan.oracle._compositions(config.prob_grid, n)
+        members = np.array(list(itertools.combinations(range(a.shape[0]), n)))
+        best_in_row = reference_scores(tables, members, comps / config.prob_grid).max(axis=1)
+        for sigma in sigmas:
+            divergences = [
+                qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)
+            ]
+            bound = qchan.oracle._row_bounds(divergences, members, config.prob_grid)
+            assert np.all(np.isfinite(bound))
+            # Float error on either side is ~1e-15, far inside the pass's 1e-9 margin.
+            assert np.all(best_in_row <= bound + 1e-12)
+
+
+def test_search_logs_scored_and_pruned_rows(caplog):
+    config = OracleConfig(n_states=3)
+    with caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
+        oracle_capacity(AmplitudeDamping(0.5), config)
+    sizes = [r.args for r in caplog.records if r.msg.startswith("oracle size")]
+    assert [n for n, _, _ in sizes] == [1, 2, 3]
+    # The default budget enumerates every 3-subset of the grid states in one pass.
+    _, scored, pruned = sizes[-1]
+    assert scored + pruned == math.comb(qchan.oracle._total_states(config), 3)
+    assert pruned > 0
