@@ -21,11 +21,15 @@ decreases across rounds. Iteration order is deterministic and ties keep
 the first ensemble encountered.
 
 A pass scores its candidates in blocks of combination rows x probability
-columns. It allocates its work buffers once and every block reuses them: one
-matmul per block fills the means, then the radius, the entropy, chi and the
-minimum over channels are computed in place on row slices. Every score is
-bit-equal to the unfused formula on fresh arrays, which tests/test_oracle.py
-keeps as its reference.
+columns, and a block in slices of rows. It builds, once per pass, the tables
+part[state] * p_k of each part u, Re v, (Im v,) s at each position k; the mean
+of a part over a row is then the sum of the row's n table entries in k order,
+each step rounded, with no BLAS call, and rows that share their first n - 1
+states share that partial sum. The radius, the entropy, chi and the minimum
+over channels are computed in place on buffers the size of one slice. Every
+score depends on its own row only, so neither the block nor the slice size
+moves a bit, and every score is bit-equal to the formula on fresh arrays that
+tests/test_oracle.py keeps as its reference.
 
 A pass skips the rows that provably cannot beat the incumbent. For any state
 sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and the
@@ -37,14 +41,15 @@ bounded by the smallest per-channel bound. sigma is diagonal, the mean output
 of the best ensemble of the sizes searched so far (the maximally mixed state
 before the first), so D comes from the u and s columns of the tables; any
 sigma is valid, and the choice moves only how much gets pruned. A row is
-skipped only if its bound + 1e-9 is below the incumbent of the current size at
-the start of its block: such a row scores strictly below the incumbent, so no
-tie can change, and the margin is far above the ~1e-15 float error of either
-side. A NaN bound, which a degenerate sigma yields, prunes nothing. The bits
-cannot move: the matmuls still run on the full blocks of _CHUNK_ELEMENTS rows
-(BLAS rounds by block row count), the surviving rows are compacted in order
-and the elementwise steps are exact on any row slice, and the winner maps back
-through the surviving row indices to the first maximal row of its block.
+skipped only if its bound + 1e-9 is below the incumbent of the current size as
+it stands before the row's slice: such a row scores strictly below a genuine
+score, so no tie can change, and the margin is far above the ~1e-15 float error
+of either side. A NaN bound, which a degenerate sigma yields, prunes nothing.
+Each block scores first a probe slice of its rows with the largest bounds, so
+that even the first block of a size, which meets no incumbent, prunes its
+other rows against genuine scores of its own. The winner is still the first
+maximal row of the unpruned pass: each slice is scored in row order, and a
+later slice wins a tie only with an earlier row.
 """
 
 from __future__ import annotations
@@ -72,16 +77,15 @@ log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 10 ** 8
 
-# Elements per vectorized block (combination rows x probability columns). The
-# means <u>, <v>, <s> are one matmul per block: BLAS rounds an element
-# differently depending on the block's row count, so this constant is part of
-# the bit-level result.
+# Elements per block (combination rows x probability columns): the rows whose
+# bounds are computed, ordered and pruned together. Scores do not depend on it.
 _CHUNK_ELEMENTS = 1_000_000
 
-# Elements per row slice of a block for the elementwise steps, which are exact
-# whatever the slicing. Their three work arrays, 512 KiB each, stay in a core's
-# L2 cache; on a 2-vCPU x86-64 host with 2 MiB of L2 per core this ran criterion
-# 4 about 12% faster than whole-block steps.
+# Elements per row slice of a block, the rows scored together; the probe slice
+# is an eighth of it. Scores do not depend on it. Its four work arrays take 512
+# KiB each; on a 2-vCPU x86-64 host with 2 MiB of L2 per core, slices of 32,768
+# to 131,072 elements ran the criterion-8 searches equally fast, and smaller
+# ones slower, as more of the time goes to per-call overhead.
 _SLICE_ELEMENTS = 65_536
 
 # Refinement rounds probe +-2 steps of the halved stride around every
@@ -92,7 +96,10 @@ _REFINE_SPAN = 2
 @dataclass(frozen=True)
 class OracleConfig:
     """Search-space discretization; n_states is the Caratheodory cap.
-    ``restrict_real_b`` searches the 2 real signs, so it requires phase_grid == 2."""
+    ``restrict_real_b`` searches the 2 real signs, so it requires phase_grid == 2.
+    No ensemble of more than prob_grid states has every weight a positive multiple
+    of 1/prob_grid, so the search skips those sizes: an n_states above prob_grid
+    searches the same ensembles as n_states == prob_grid."""
 
     n_states: int = 2
     a_grid: int = 51
@@ -183,13 +190,85 @@ def _row_bounds(divergences, members, prob_grid):
     the smallest per-channel ((sum D_i) + (G - n) max D_i) / G. It is NaN where
     the row meets a NaN entry, or an inf entry when G == n.
     """
-    spare = prob_grid - members.shape[1]
+    n = members.shape[1]
     bound = None
     for table in divergences:
+        # Column by column: a reduction along rows of n <= 4 entries is 30-100x slower.
         d = table[members]
-        rows = (d.sum(axis=1) + spare * d.max(axis=1)) / prob_grid
+        total, top = d[:, 0].copy(), d[:, 0].copy()
+        for k in range(1, n):
+            total += d[:, k]
+            np.maximum(top, d[:, k], out=top)
+        rows = (total + (prob_grid - n) * top) / prob_grid
         bound = rows if bound is None else np.minimum(bound, rows)
     return bound
+
+
+def _product_tables(tables, ids, weights):
+    """Per channel, the (n, m, P) tables part[ids][i] * weights[k] of u, Re v, (Im v,) s."""
+    products = []
+    for u, v, s, has_imag in tables:
+        parts = (u, v.real, v.imag, s) if has_imag else (u, v.real, s)
+        products.append([part[ids][None, :, None] * weights[:, None, :] for part in parts])
+    return products
+
+
+def _runs(members):
+    """The first n - 1 members of each run of adjacent rows that share them, and
+    the run of each row."""
+    first = np.ones(members.shape[0], dtype=bool)
+    np.any(members[1:, :-1] != members[:-1, :-1], axis=1, out=first[1:])
+    return members[first, :-1], np.cumsum(first) - 1
+
+
+def _mean_into(table, members, runs, out, scratch):
+    """out[r] = table[0][members[r, 0]] + ... + table[n - 1][members[r, n - 1]], in k order.
+
+    Each run of ``runs`` sums its first n - 1 positions once; adding the last
+    position after that is the same float sum, as float addition commutes.
+    """
+    n = members.shape[1]
+    np.take(table[n - 1], members[:, n - 1], axis=0, out=out, mode="clip")
+    if n == 1:
+        return
+    heads, run_of_row = runs
+    partial = table[0][heads[:, 0]]
+    for k in range(1, n - 1):
+        partial += table[k][heads[:, k]]
+    np.take(partial, run_of_row, axis=0, out=scratch, mode="clip")
+    np.add(scratch, out, out=out)
+
+
+def _score_into(products, members, work, score):
+    """Writes the score of every row of ``members`` x composition column into ``score``.
+
+    ``work`` holds three arrays of score's shape: two work arrays and the chi of
+    a later channel table.
+    """
+    runs = _runs(members)
+    t1, t2, chi = work
+    for index, (mean_u, *mean_v, mean_s) in enumerate(products):
+        out = chi if index else score
+        # Output Bloch radius r of the mean state, sqrt((2<u> - 1)^2 + 4|<v>|^2)
+        _mean_into(mean_u, members, runs, t1, t2)
+        np.multiply(t1, 2.0, out=t1)
+        np.subtract(t1, 1.0, out=t1)
+        np.square(t1, out=t1)
+        for part in mean_v:
+            _mean_into(part, members, runs, t2, out)
+            np.square(t2, out=t2)
+            np.multiply(t2, 4.0, out=t2)
+            np.add(t1, t2, out=t1)
+        np.sqrt(t1, out=t1)
+        np.minimum(t1, 1.0, out=t1)
+        # chi = H((1 - r)/2) - <s>
+        np.subtract(1.0, t1, out=t1)
+        np.multiply(t1, 0.5, out=t1)
+        binary_entropy_into(t1, out, t2)
+        _mean_into(mean_s, members, runs, t1, t2)
+        np.subtract(out, t1, out=out)
+        if index:
+            np.minimum(score, chi, out=score)
 
 
 def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
@@ -209,69 +288,52 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
     prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
     step = max(1, _SLICE_ELEMENTS // p_count)
-    weights = probs.T
-    rows = min(chunk, math.comb(m, n))
-    # Block buffers: the score, then the means <u>, <s>, <Re v> and <Im v>.
-    score, *means = np.empty((5, rows, p_count))
-    # Slice buffers: two work arrays and the chi of a later channel table.
-    slice_work = np.empty((3, min(step, rows), p_count))
+    probe = max(1, step // 8)
+    products = _product_tables(tables, ids, probs.T)
+    score_buf, *work_buf = np.empty((4, step, p_count))
     pruned = 0
     combo_iter = itertools.combinations(range(m), n)
     while True:
         block = itertools.chain.from_iterable(itertools.islice(combo_iter, chunk))
-        members = ids[np.fromiter(block, dtype=np.int64).reshape(-1, n)]  # (C, n)
-        c = members.shape[0]
+        local = np.fromiter(block, dtype=np.int64).reshape(-1, n)  # (C, n) positions in ids
+        c = local.shape[0]
         if c == 0:
             break
         with np.errstate(invalid="ignore"):
-            bound = _row_bounds(divergences, members, prob_grid)
-            # Written so that a NaN bound keeps its row.
-            live = np.flatnonzero(~(bound + 1e-9 < best[0]))
-        kept = live.shape[0]
-        pruned += c - kept
-        if kept == 0:
-            continue
-        for index, (u, v, s, has_imag) in enumerate(tables):
-            parts = (u, s, v.real, v.imag) if has_imag else (u, s, v.real)
-            for part, mean in zip(parts, means):
-                # The full block keeps BLAS's rounding; then the live rows move up in
-                # order, which is safe in place because live[j] >= j.
-                np.matmul(part[members], weights, out=mean[:c])
-                if kept < c:
-                    for lo in range(0, kept, step):
-                        hi = min(lo + step, kept)
-                        mean[lo:hi] = mean[live[lo:hi]]
-            mean_u, mean_s, *mean_v = means[: len(parts)]
-            for lo in range(0, kept, step):
-                hi = min(lo + step, kept)
-                t1, t2, chi = slice_work[:, : hi - lo]
-                out = chi if index else score[lo:hi]
-                # Output Bloch radius r of the mean state, sqrt((2<u> - 1)^2 + 4|<v>|^2)
-                np.multiply(mean_u[lo:hi], 2.0, out=t1)
-                np.subtract(t1, 1.0, out=t1)
-                np.square(t1, out=t1)
-                for mean in mean_v:
-                    np.square(mean[lo:hi], out=t2)
-                    np.multiply(t2, 4.0, out=t2)
-                    np.add(t1, t2, out=t1)
-                np.sqrt(t1, out=t1)
-                np.minimum(t1, 1.0, out=t1)
-                # chi = H((1 - r)/2) - <s>
-                np.subtract(1.0, t1, out=t1)
-                np.multiply(t1, 0.5, out=t1)
-                binary_entropy_into(t1, out, t2)
-                np.subtract(out, mean_s[lo:hi], out=out)
-                if index:
-                    np.minimum(score[lo:hi], chi, out=score[lo:hi])
-        block_score = score[:kept]
-        flat = int(np.argmax(block_score))
-        value = float(block_score.flat[flat])
-        if value > best[0]:
-            row, col = divmod(flat, p_count)
+            bound = _row_bounds(divergences, ids[local], prob_grid)
+        # First a probe of the rows with the largest bounds (NaN sorts last), then
+        # the others. Each slice is sorted, so its first maximal element is in its
+        # first maximal row, and adjacent rows share their first members.
+        by_bound = np.argsort(-bound)
+        rest = np.concatenate([by_bound[:probe], np.sort(by_bound[probe:])])
+        size = probe
+        # Row -1 is the incoming best: it comes before the block, so it wins ties.
+        top_value, top_row, top_col = best[0], -1, -1
+        threshold = None
+        scored = 0
+        while True:
+            if top_value != threshold:
+                threshold = top_value
+                with np.errstate(invalid="ignore"):
+                    # Written so that a NaN bound keeps its row.
+                    rest = rest[~(bound[rest] + 1e-9 < threshold)]
+            if rest.shape[0] == 0:
+                break
+            rows, rest, size = np.sort(rest[:size]), rest[size:], step
+            h = rows.shape[0]
+            scored += h
+            score = score_buf[:h]
+            _score_into(products, local[rows], [w[:h] for w in work_buf], score)
+            row, col = divmod(int(np.argmax(score)), p_count)
+            value = score[row, col]
+            if value > top_value or (value == top_value and rows[row] < top_row):
+                top_value, top_row, top_col = value, int(rows[row]), col
+        pruned += c - scored
+        if top_row >= 0:
             best = (
-                value,
-                tuple(int(x) for x in members[live[row]]),
-                tuple(int(k) for k in comps[col]),
+                float(top_value),
+                tuple(int(x) for x in ids[local[top_row]]),
+                tuple(int(k) for k in comps[top_col]),
             )
     return best, pruned
 
@@ -305,7 +367,7 @@ def _plan(config: OracleConfig, budget: float):
     slice_budget = budget / 8.0
     plans = []
     total = 0.0
-    for n in range(1, config.n_states + 1):
+    for n in range(1, min(config.n_states, config.prob_grid) + 1):
         p_count = math.comb(config.prob_grid - 1, n - 1)
 
         def pass_cost(stride):

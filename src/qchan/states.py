@@ -106,7 +106,9 @@ def binary_entropy_into(q: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> 
         # -(q log2 q) is (-q) log2 q exactly: rounding is symmetric in the sign
         np.negative(scratch, out=scratch)
         np.subtract(scratch, out, out=out)
-    np.copyto(out, 0.0, where=~((q > 0.0) & (q < 1.0)))
+    # Exactly the entries outside (0, 1) are NaN here: 0 * log2(0), or a log2 of a
+    # negative number or of NaN.
+    np.copyto(out, 0.0, where=np.isnan(out))
     return out
 
 

@@ -511,6 +511,18 @@ class TestCertifyCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert json.loads(paths[0].read_text())["inputs"]["oracle"]["restrict_real_b"] is True
 
+    def test_more_states_than_prob_grid_steps(self, capsys, tmp_path):
+        # n_states 3 on a prob_grid of 2 used to end in an IndexError traceback. No
+        # 3-state ensemble has weights in steps of 1/2, so it searches sizes 1 and 2.
+        argv = ["certify", "--channel", "ad", "--gamma", "0.5", "--a-grid", "11",
+                "--prob-grid", "2"]
+        paths = [tmp_path / "two.json", tmp_path / "three.json"]
+        assert main(argv + ["--n-states", "2", "--out", str(paths[0])]) == 0
+        assert main(argv + ["--n-states", "3", "--out", str(paths[1])]) == 0
+        two, three = (json.loads(path.read_text()) for path in paths)
+        assert three["inputs"]["oracle"]["n_states"] == 3
+        assert three["outputs"] == two["outputs"]
+
     def test_complex_b_is_gone(self, capsys):
         code, out, err = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
                              "--complex-b", "--phase-grid", "8")
@@ -612,7 +624,7 @@ def test_certifying_report_key_order(capsys, command):
             "oracle_capacity_bits", "difference", "bound", "search_size"]
 
 
-# Oracle values depend on the BLAS build, so only solver reports have golden bytes.
+# Oracle values depend on the platform's log2, so only solver reports have golden bytes.
 @pytest.mark.parametrize("argv, golden", [
     (["capacity", "--channel", "ad", "--gamma", "0.5"], "capacity_ad_golden.json"),
     (["minimax", "--gamma", "0.5", "--lambda", "0.24"], "minimax_golden.json"),

@@ -17,17 +17,21 @@ EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_SOLVER, cli.EXIT_IO,
 
 # Every command at a grid small enough to finish in milliseconds, with the settings it
 # declares; it is given only those, so that examples reach the settings resolver.
-COMMANDS = [
-    (["capacity", "--channel", "ad", "--gamma", "0.5"], {"--tol", "--format"}),
-    (["curve", "--family", "ad", "--start", "0.4", "--end", "0.5", "--step", "0.05"],
-     {"--tol", "--format"}),
-    (["chi-curves", "--gamma", "0.5", "--lambda", "0.24", "--a-step", "0.25"], {"--format"}),
-    (["ellipse", "--gamma", "0.5", "--n-points", "4"], {"--tol", "--format"}),
-    (["minimax", "--gamma", "0.5", "--lambda", "0.24", "--certify", "--a-grid", "5",
-      "--prob-grid", "2"], set()),
-    (["certify", "--channel", "dep", "--lambda", "0.5", "--a-grid", "5", "--prob-grid", "2"],
-     {"--tol"}),
-]
+COMMANDS = {
+    "capacity": (["capacity", "--channel", "ad", "--gamma", "0.5"], {"--tol", "--format"}),
+    "curve": (["curve", "--family", "ad", "--start", "0.4", "--end", "0.5", "--step", "0.05"],
+              {"--tol", "--format"}),
+    "chi-curves": (["chi-curves", "--gamma", "0.5", "--lambda", "0.24", "--a-step", "0.25"],
+                   {"--format"}),
+    "ellipse": (["ellipse", "--gamma", "0.5", "--n-points", "4"], {"--tol", "--format"}),
+    "minimax": (["minimax", "--gamma", "0.5", "--lambda", "0.24", "--certify", "--a-grid", "5",
+                 "--prob-grid", "2"], set()),
+    "certify": (["certify", "--channel", "dep", "--lambda", "0.5", "--a-grid", "5",
+                 "--prob-grid", "2"], {"--tol"}),
+    # More ensemble states than prob_grid steps: the sizes above 2 have no compositions.
+    "certify-n-states": (["certify", "--channel", "ad", "--gamma", "0.5", "--a-grid", "5",
+                          "--n-states", "4", "--prob-grid", "2"], {"--tol"}),
+}
 
 NOTABLE = ["0", "-1", "1", "3", "1e-9", "1e-300", "5e-324", "1e308", "inf", "-inf", "nan",
            "2.5", "true", "csv", "json", "xml", "", " ", "'4'", "\"json\"", "0x10", "1_0"]
@@ -47,7 +51,7 @@ LINES = st.tuples(KEYS, VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}") | st.text(m
 CONFIGS = st.none() | st.lists(LINES, max_size=3).map("\n".join)
 
 
-@pytest.mark.parametrize("argv, declared", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+@pytest.mark.parametrize("argv, declared", COMMANDS.values(), ids=list(COMMANDS))
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(tol=TOLS, fmt=FORMATS, config=CONFIGS)
 def test_any_setting_ends_in_a_documented_exit_code(argv, declared, tol, fmt, config):

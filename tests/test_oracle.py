@@ -157,6 +157,18 @@ class TestOracleCapacity:
         )
         assert wrapped == pytest.approx(direct, abs=1e-12)
 
+    def test_more_states_than_prob_grid_steps(self):
+        # No ensemble of 3 or 4 states has weights in steps of 1/2: those sizes are
+        # skipped, where they used to raise an IndexError.
+        two = OracleConfig(n_states=2, a_grid=11, prob_grid=2)
+        for n_states in (3, 4):
+            config = OracleConfig(n_states=n_states, a_grid=11, prob_grid=2)
+            assert plan_search_size(config) == plan_search_size(two)
+            assert oracle_capacity(AmplitudeDamping(0.5), config) == oracle_capacity(
+                AmplitudeDamping(0.5), two)
+            assert oracle_minimax(separation_pair(), config) == oracle_minimax(
+                separation_pair(), two)
+
     def test_zoom_matches_full_enumeration(self):
         channel = AmplitudeDamping(0.5)
         config = OracleConfig(n_states=2, a_grid=101, prob_grid=10)
@@ -198,18 +210,32 @@ class TestOracleMinimax:
         assert value >= solver - 2e-3
 
 
-def reference_scores(tables, members, probs):
+def chain_mean(part, members, probs):
+    """Mean of part over each row of members, per column of probs, as the pass sums it:
+    part[member 0] * p_0 + part[member 1] * p_1 + ..., in k order, each step rounded."""
+    mean = part[members[:, 0], None] * probs[:, 0]
+    for k in range(1, members.shape[1]):
+        mean = mean + part[members[:, k], None] * probs[:, k]
+    return mean
+
+
+def matmul_mean(part, members, probs):
+    """The same mean through BLAS, as the pass computed it before it summed in k order."""
+    return part[members] @ probs.T
+
+
+def reference_scores(tables, members, probs, mean=chain_mean):
     """Scores of every row of members x column of probs, as fresh arrays through binary_entropy."""
     score = None
     for u, v, s, has_imag in tables:
-        mean_u = u[members] @ probs.T
-        mean_re = v.real[members] @ probs.T
+        mean_u = mean(u, members, probs)
+        mean_re = mean(v.real, members, probs)
         radicand = (2.0 * mean_u - 1.0) ** 2 + 4.0 * mean_re ** 2
         if has_imag:
-            mean_im = v.imag[members] @ probs.T
+            mean_im = mean(v.imag, members, probs)
             radicand += 4.0 * mean_im ** 2
         r = np.minimum(np.sqrt(radicand), 1.0)
-        chi = binary_entropy(0.5 * (1.0 - r)) - s[members] @ probs.T
+        chi = binary_entropy(0.5 * (1.0 - r)) - mean(s, members, probs)
         score = chi if score is None else np.minimum(score, chi)
     return score
 
@@ -257,12 +283,16 @@ REFERENCE_CASES = [
     *[(Depolarizing(lam), dict(SMALL, n_states=3), 1e8) for lam in (0.0, 1.0)],
     # n_states == prob_grid leaves no spare weight, so an inf entry meets 0 * inf.
     (AmplitudeDamping(0.0), dict(SMALL, n_states=2, prob_grid=2), 1e8),
+    # The best row is a mirror pair (a, +-b) whose columns (3, 4) and (4, 3) tie
+    # exactly: the first composition must win.
+    (AmplitudeDamping(0.5), dict(a_grid=9, prob_grid=7, n_states=2), 1e8),
 ]
 
 
 # The small sizes put several blocks, several slices and a short last one
 # through each pass, so the later blocks are pruned. For n >= 2 a slice of 7
-# elements holds at most two rows, so a pruned block compacts over many slices.
+# elements holds at most two rows, so the probe and every slice after it are
+# short and a block's own scores prune its later rows.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("chunk, slice_", [(None, None), (60, 25), (60, 7)])
 @pytest.mark.parametrize("channel, grid, budget", REFERENCE_CASES)
@@ -277,6 +307,80 @@ def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chu
     assert fused == search(channel, config, budget)
 
 
+# The exhaustive cases; the coarse-to-fine ones take seconds at a slice of 7
+# elements and meet the reference at both partitions above.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("channel, grid, budget", [c for c in REFERENCE_CASES if c[2] == 1e8])
+def test_search_does_not_depend_on_block_or_slice_size(monkeypatch, channel, grid, budget):
+    # Every score depends on its own row only, so the partition cannot move a bit.
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    results = []
+    for chunk, slice_ in ((10**6, 65536), (60, 7)):
+        monkeypatch.setattr(qchan.oracle, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(qchan.oracle, "_SLICE_ELEMENTS", slice_)
+        results.append(search(channel, OracleConfig(**grid), budget))
+    assert results[0] == results[1]
+
+
+def grid_tables(channel, config):
+    """The search's channels and their (u, v, s, has_imag) tables on the config's grid."""
+    channels = [channel.ch1, channel.ch2] if isinstance(channel, MixedChannelPair) else [channel]
+    a, b, _ = qchan.oracle._grid_states(config)
+    tables = []
+    for ch in channels:
+        u, v, s = qchan.oracle._channel_table(ch, a, b)
+        tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
+    return channels, tables
+
+
+@pytest.mark.parametrize(
+    "channel, grid",
+    [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL), (PAIR, COMPLEX)],
+)
+def test_sum_in_k_order_moves_means_by_at_most_2_ulp(channel, grid):
+    # The pass used to take its means from BLAS, which rounds a fused multiply-add
+    # chain; it now rounds each product and each sum. The means of every row of up
+    # to 3 states differ by at most 2 ulp of the sum of the terms' magnitudes
+    # (a mean near 0 can come from terms near 1). A score is H(q) - <s>, a
+    # difference of terms of up to 1 bit, so it moves by up to ~10 ulp of 1 (seen:
+    # 1.05e-15 on the SMALL grid); the best score of a row moves by at most 1e-15.
+    config = OracleConfig(n_states=3, **grid)
+    _, tables = grid_tables(channel, config)
+    for n in (1, 2, 3):
+        probs = qchan.oracle._compositions(config.prob_grid, n) / config.prob_grid
+        members = np.array(list(itertools.combinations(range(tables[0][0].shape[0]), n)))
+        for u, v, s, _ in tables:
+            for part in (u, s, v.real, v.imag):
+                scale = chain_mean(np.abs(part), members, probs)
+                moved = np.abs(chain_mean(part, members, probs) - matmul_mean(part, members, probs))
+                assert np.all(moved <= 2 * np.spacing(scale))
+        new = reference_scores(tables, members, probs)
+        old = reference_scores(tables, members, probs, mean=matmul_mean)
+        assert np.max(np.abs(new - old)) <= 2e-15
+        assert np.max(np.abs(new.max(axis=1) - old.max(axis=1))) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", ["lexicographic", "shuffled"])
+@pytest.mark.parametrize(
+    "channel, grid", [(AmplitudeDamping(0.3), SMALL), (KRAUS, COMPLEX), (PAIR, SMALL), (PAIR, COMPLEX)],
+)
+def test_pass_scores_equal_reference_scores(channel, grid, order):
+    # Element by element, for rows in the order the pass takes them and in any other.
+    config = OracleConfig(n_states=4, **grid)
+    _, tables = grid_tables(channel, config)
+    ids = np.arange(tables[0][0].shape[0])
+    for n in (1, 2, 3, 4):
+        probs = qchan.oracle._compositions(config.prob_grid, n) / config.prob_grid
+        members = np.array(list(itertools.combinations(ids, n)))
+        if order == "shuffled":
+            members = members[np.random.default_rng(n).permutation(members.shape[0])]
+        products = qchan.oracle._product_tables(tables, ids, probs.T)
+        score, *work = np.empty((4, members.shape[0], probs.shape[0]))
+        qchan.oracle._score_into(products, members, work, score)
+        assert score.tobytes() == reference_scores(tables, members, probs).tobytes()
+
+
 @pytest.mark.parametrize(
     "channel, grid",
     [(AmplitudeDamping(0.3), SMALL), (Depolarizing(0.4), SMALL), (KRAUS, COMPLEX), (PAIR, SMALL)],
@@ -284,19 +388,14 @@ def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chu
 def test_row_bound_is_above_every_score_in_its_row(channel, grid):
     # Every row of a full search, with sigma from the search and from seeded random diagonals.
     config = OracleConfig(n_states=3, **grid)
-    paired = isinstance(channel, MixedChannelPair)
-    channels = [channel.ch1, channel.ch2] if paired else [channel]
-    a, b, _ = qchan.oracle._grid_states(config)
-    tables = []
-    for ch in channels:
-        u, v, s = qchan.oracle._channel_table(ch, a, b)
-        tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
-    _, ensemble = (oracle_minimax if paired else oracle_capacity)(channel, config)
+    channels, tables = grid_tables(channel, config)
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    _, ensemble = search(channel, config)
     sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
     sigmas += np.random.default_rng(5).uniform(size=(4, len(channels))).tolist()
     for n in (1, 2, 3):
         comps = qchan.oracle._compositions(config.prob_grid, n)
-        members = np.array(list(itertools.combinations(range(a.shape[0]), n)))
+        members = np.array(list(itertools.combinations(range(tables[0][0].shape[0]), n)))
         best_in_row = reference_scores(tables, members, comps / config.prob_grid).max(axis=1)
         for sigma in sigmas:
             divergences = [
@@ -317,4 +416,18 @@ def test_search_logs_scored_and_pruned_rows(caplog):
     # The default budget enumerates every 3-subset of the grid states in one pass.
     _, scored, pruned = sizes[-1]
     assert scored + pruned == math.comb(qchan.oracle._total_states(config), 3)
+    assert pruned > 0
+
+
+def test_first_block_of_a_size_prunes_itself(caplog):
+    # At n = 2 the default grid is a single block, which meets an incumbent of -inf:
+    # the scores of its first rows are what prune the rest.
+    config = OracleConfig(n_states=2)
+    states = qchan.oracle._total_states(config)
+    assert math.comb(states, 2) * (config.prob_grid - 1) <= qchan.oracle._CHUNK_ELEMENTS
+    with caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
+        oracle_capacity(AmplitudeDamping(0.5), config)
+    sizes = {r.args[0]: r.args[1:] for r in caplog.records if r.msg.startswith("oracle size")}
+    scored, pruned = sizes[2]
+    assert scored + pruned == math.comb(100, 2) == math.comb(states, 2)
     assert pruned > 0
