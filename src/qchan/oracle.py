@@ -20,12 +20,15 @@ capacity; the refinement rounds contain the incumbent, so the value never
 decreases across rounds. Iteration order is deterministic and ties keep
 the first ensemble encountered.
 
-A pass scores its candidates in blocks of combination rows x probability
-columns, and a block in slices of rows. It builds, once per pass, the tables
-part[state] * p_k of each part u, Re v, (Im v,) s at each position k; the mean
-of a part over a row is then the sum of the row's n table entries in k order,
-each step rounded, with no BLAS call, and rows that share their first n - 1
-states share that partial sum. The radius, the entropy, chi and the minimum
+A pass enumerates its combination rows by prefix, the first n - 1 states of
+a row, in itertools.combinations order: numpy extends a block of prefixes by
+every later state at once, and prefixes come in blocks, so no array grows with
+the number of prefixes. It scores its candidates in blocks of combination rows
+x probability columns, and a block in slices of rows. It builds, once per pass,
+the tables part[state] * p_k of each part u, Re v, (Im v,) s at each position
+k; the mean of a part over a row is then the sum of the row's n table entries
+in k order, each step rounded, with no BLAS call, and rows that share their
+prefix share that partial sum. The radius, the entropy, chi and the minimum
 over channels are computed in place on buffers the size of one slice. Every
 score depends on its own row only, so neither the block nor the slice size
 moves a bit, and every score is bit-equal to the formula on fresh arrays that
@@ -45,17 +48,27 @@ skipped only if its bound + 1e-9 is below the incumbent of the current size as
 it stands before the row's slice: such a row scores strictly below a genuine
 score, so no tie can change, and the margin is far above the ~1e-15 float error
 of either side. A NaN bound, which a degenerate sigma yields, prunes nothing.
-Each block scores first a probe slice of its rows with the largest bounds, so
-that even the first block of a size, which meets no incumbent, prunes its
-other rows against genuine scores of its own. The winner is still the first
-maximal row of the unpruned pass: each slice is scored in row order, and a
-later slice wins a tie only with an earlier row.
+
+A prefix is bounded before its rows are built: the same formula, in the same
+float steps, with the last state's D replaced by the largest D of the states
+that can follow the prefix. D is finite, +inf or NaN. Order NaN above +inf:
+each step (a sum, a max, a product with G - n >= 0, a division by G, a min over
+channels) is then monotone in each input, and so is rounding to nearest, so
+the prefix bound is >= the float bound of every row under it, with no slack,
+and NaN wherever one of those is NaN: a prefix that holds a row a NaN bound
+keeps is never dropped. A prefix whose bound + 1e-9 is below the incumbent is
+dropped with all its rows, which counts them as pruned. The surviving prefixes
+are built into blocks of rows in order, and each block scores first a probe
+slice of its rows with the largest bounds, so that even the first block of a
+size, which meets no incumbent, prunes its other rows against genuine scores of
+its own. The winner is still the first maximal row of the unpruned pass: each
+slice is scored in row order, and a later slice wins a tie only with an earlier
+row.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -78,7 +91,11 @@ log = logging.getLogger(__name__)
 DEFAULT_BUDGET = 10 ** 8
 
 # Elements per block (combination rows x probability columns): the rows whose
-# bounds are computed, ordered and pruned together. Scores do not depend on it.
+# bounds are computed, ordered and pruned together. A block of prefixes holds as
+# many prefixes as a block holds rows; a block of rows holds the rows of whole
+# prefixes, or of one prefix with more, at most one per state. So a pass's
+# arrays are bounded by this and by the number of states, not by the number of
+# prefixes or rows. Scores do not depend on it.
 _CHUNK_ELEMENTS = 1_000_000
 
 # Elements per row slice of a block, the rows scored together; the probe slice
@@ -157,20 +174,95 @@ def _channel_table(channel: Channel, a, b):
     return u, v, s
 
 
+def _first_free(rows):
+    """The smallest value that can follow each row: its last entry + 1, or 0 for an empty row."""
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    return rows[:, -1] + 1
+
+
+def _extend(rows, stop):
+    """Each row of ``rows`` followed by every value from its first free value to
+    ``stop`` - 1, in row order and then value order."""
+    first = _first_free(rows)
+    counts = np.maximum(stop - first, 0)
+    total = int(counts.sum())
+    out = np.empty((total, rows.shape[1] + 1), dtype=np.int64)
+    for k, col in enumerate(rows.T):  # column by column, so no temporary is wider
+        out[:, k] = np.repeat(col, counts)
+    # A row's run starts at out-row cumsum - counts; its j-th new row gets first + j.
+    out[:, -1] = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    out[:, -1] += np.arange(total)
+    return out
+
+
+def _complete(rows, m, n, width):
+    """``rows``, the first members of n-subsets of range(m), extended in every way
+    to their first ``width`` members, in itertools.combinations order."""
+    for k in range(rows.shape[1], width):
+        # Member k stops where the later members still find values below m.
+        rows = _extend(rows, m - n + k + 1)
+    return rows
+
+
+def _combinations(m, n):
+    """The n-subsets of range(m) as rows, in itertools.combinations order."""
+    return _complete(np.zeros((1, 0), dtype=np.int64), m, n, n)
+
+
 def _compositions(total: int, parts: int) -> np.ndarray:
     """Ordered positive integer compositions of ``total`` into ``parts`` parts."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        prev = 0
-        row = []
-        for cut in cuts:
-            row.append(cut - prev)
-            prev = cut
-        row.append(total - prev)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    cuts = _combinations(total - 1, parts - 1) + 1  # the (parts - 1)-subsets of range(1, total)
+    edges = np.zeros((cuts.shape[0], parts + 1), dtype=np.int64)
+    edges[:, 1:-1] = cuts
+    edges[:, -1] = total
+    return np.diff(edges, axis=1)
+
+
+def _subsets_below(first, stop, k):
+    """C(stop - first, k) for each entry of ``first``: the k-subsets of range(first, stop)."""
+    count = np.ones_like(first)
+    for i in range(k):
+        # C(x, i) (x - i) / (i + 1) = C(x, i + 1), an integer at every step.
+        count = count * (stop - first - i) // (i + 1)
+    return np.maximum(count, 0)
+
+
+def _groups(counts, limit):
+    """(start, stop) runs of adjacent entries whose counts sum to at most ``limit``, or
+    a single entry that alone exceeds it."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < counts.shape[0]:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _prefix_blocks(m, n, limit, heads=None):
+    """The first n - 1 members of the n-subsets of range(m), each once, in
+    itertools.combinations order, in blocks of at most ``limit`` prefixes.
+
+    ``heads`` are partial prefixes; each block extends a run of them whose
+    prefixes fit the limit, and a head with more is split on its next member.
+    """
+    if heads is None:
+        if m < n:
+            return
+        heads = np.zeros((1, 0), dtype=np.int64)
+    j = heads.shape[1]
+    if j == n - 1:
+        for start in range(0, heads.shape[0], limit):
+            yield heads[start:start + limit]
+        return
+    # A prefix ends below m - 1, so that one member can follow it.
+    counts = _subsets_below(_first_free(heads), m - 1, n - 1 - j)
+    for start, stop in _groups(counts, limit):
+        if stop - start > 1 or counts[start] <= limit:
+            yield _complete(heads[start:stop], m, n, n - 1)
+        else:
+            yield from _prefix_blocks(m, n, limit, _complete(heads[start:stop], m, n, j + 1))
 
 
 def _divergences(u, s, sigma0):
@@ -183,25 +275,54 @@ def _divergences(u, s, sigma0):
         return -s - (u * np.log2(sigma0) + (1.0 - u) * np.log2(1.0 - sigma0))
 
 
+def _bound(columns, prob_grid):
+    """The smallest over channels of ((sum D_i) + (G - n) max D_i) / G.
+
+    ``columns`` holds, per channel, the n (table, index) pairs whose table[index]
+    are the columns of D of the rows bounded; they are summed and maxed in
+    column order, one column at a time. The bound is NaN where a column is NaN,
+    or inf when G == n.
+    """
+    bound = None
+    for (table, index), *later in columns:
+        # Column by column: a reduction along rows of n <= 4 entries is 30-100x slower.
+        total = table[index]
+        top = total.copy()
+        for later_table, later_index in later:
+            d = later_table[later_index]
+            total += d
+            np.maximum(top, d, out=top)
+        top *= prob_grid - 1 - len(later)
+        total += top
+        total /= prob_grid
+        bound = total if bound is None else np.minimum(bound, total, out=bound)
+    return bound
+
+
 def _row_bounds(divergences, members, prob_grid):
     """Upper bound on the score of every composition of each row of ``members``.
 
-    ``divergences`` holds one _divergences table per scored channel; the bound is
-    the smallest per-channel ((sum D_i) + (G - n) max D_i) / G. It is NaN where
-    the row meets a NaN entry, or an inf entry when G == n.
+    ``divergences`` holds one _divergences table per scored channel.
     """
-    n = members.shape[1]
-    bound = None
-    for table in divergences:
-        # Column by column: a reduction along rows of n <= 4 entries is 30-100x slower.
-        d = table[members]
-        total, top = d[:, 0].copy(), d[:, 0].copy()
-        for k in range(1, n):
-            total += d[:, k]
-            np.maximum(top, d[:, k], out=top)
-        rows = (total + (prob_grid - n) * top) / prob_grid
-        bound = rows if bound is None else np.minimum(bound, rows)
-    return bound
+    return _bound([[(table, col) for col in members.T] for table in divergences], prob_grid)
+
+
+def _suffix_max(divergences):
+    """Per table, the largest D at each position or after it; NaN if one of them is."""
+    return [np.maximum.accumulate(d[::-1])[::-1] for d in divergences]
+
+
+def _prefix_bounds(divergences, suffix_max, prefixes, prob_grid):
+    """Upper bound on _row_bounds of every row whose first members are a row of
+    ``prefixes``: _bound with the last member's D replaced by ``suffix_max`` at
+    its first free position, the largest D the last member can take. Rounding
+    is monotone, so this is >= each such row's bound in floats too."""
+    last = _first_free(prefixes)
+    return _bound(
+        [[(table, col) for col in prefixes.T] + [(top, last)]
+         for table, top in zip(divergences, suffix_max)],
+        prob_grid,
+    )
 
 
 def _product_tables(tables, ids, weights):
@@ -287,55 +408,81 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
     p_count = probs.shape[0]
     prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
-    step = max(1, _SLICE_ELEMENTS // p_count)
-    probe = max(1, step // 8)
     products = _product_tables(tables, ids, probs.T)
-    score_buf, *work_buf = np.empty((4, step, p_count))
+    buffers = np.empty((4, max(1, _SLICE_ELEMENTS // p_count), p_count))
+    d_at = [table[ids] for table in divergences]  # D at each position of ids
+    suffix_max = _suffix_max(d_at)
     pruned = 0
-    combo_iter = itertools.combinations(range(m), n)
-    while True:
-        block = itertools.chain.from_iterable(itertools.islice(combo_iter, chunk))
-        local = np.fromiter(block, dtype=np.int64).reshape(-1, n)  # (C, n) positions in ids
-        c = local.shape[0]
-        if c == 0:
-            break
+    for prefixes in _prefix_blocks(m, n, chunk):
         with np.errstate(invalid="ignore"):
-            bound = _row_bounds(divergences, ids[local], prob_grid)
-        # First a probe of the rows with the largest bounds (NaN sorts last), then
-        # the others. Each slice is sorted, so its first maximal element is in its
-        # first maximal row, and adjacent rows share their first members.
-        by_bound = np.argsort(-bound)
-        rest = np.concatenate([by_bound[:probe], np.sort(by_bound[probe:])])
-        size = probe
-        # Row -1 is the incoming best: it comes before the block, so it wins ties.
-        top_value, top_row, top_col = best[0], -1, -1
+            prefix_bound = _prefix_bounds(d_at, suffix_max, prefixes, prob_grid)
         threshold = None
-        scored = 0
-        while True:
-            if top_value != threshold:
-                threshold = top_value
+        while prefixes.shape[0]:
+            if best[0] != threshold:
+                threshold = best[0]
                 with np.errstate(invalid="ignore"):
-                    # Written so that a NaN bound keeps its row.
-                    rest = rest[~(bound[rest] + 1e-9 < threshold)]
-            if rest.shape[0] == 0:
-                break
-            rows, rest, size = np.sort(rest[:size]), rest[size:], step
-            h = rows.shape[0]
-            scored += h
-            score = score_buf[:h]
-            _score_into(products, local[rows], [w[:h] for w in work_buf], score)
-            row, col = divmod(int(np.argmax(score)), p_count)
-            value = score[row, col]
-            if value > top_value or (value == top_value and rows[row] < top_row):
-                top_value, top_row, top_col = value, int(rows[row]), col
-        pruned += c - scored
-        if top_row >= 0:
-            best = (
-                float(top_value),
-                tuple(int(x) for x in ids[local[top_row]]),
-                tuple(int(k) for k in comps[top_col]),
-            )
+                    # Written so that a NaN bound keeps its prefix.
+                    keep = ~(prefix_bound + 1e-9 < threshold)
+                row_counts = m - _first_free(prefixes)
+                pruned += int(row_counts.sum() - row_counts[keep].sum())
+                prefixes, prefix_bound = prefixes[keep], prefix_bound[keep]
+                ends, done = np.cumsum(row_counts[keep]), 0
+                continue
+            # The next prefixes, in order, whose rows fit a block, or one prefix.
+            take = max(1, int(np.searchsorted(ends, done + chunk, side="right")))
+            block, done = prefixes[:take], ends[take - 1]
+            prefixes, prefix_bound, ends = prefixes[take:], prefix_bound[take:], ends[take:]
+            best, skipped = _block_pass(
+                products, d_at, _complete(block, m, n, n), ids, comps, best, prob_grid, buffers)
+            pruned += skipped
     return best, pruned
+
+
+def _block_pass(products, divergences, local, ids, comps, best, prob_grid, buffers):
+    """_search_pass over one block of rows ``local``, positions in ids in row order.
+
+    ``buffers`` holds the score and work arrays of one slice. Returns the new
+    best and the number of rows skipped by their bounds.
+    """
+    score_buf, *work_buf = buffers
+    step, p_count = score_buf.shape
+    probe = max(1, step // 8)
+    with np.errstate(invalid="ignore"):
+        bound = _row_bounds(divergences, local, prob_grid)
+    # First a probe of the rows with the largest bounds (NaN sorts last), then
+    # the others. Each slice is sorted, so its first maximal element is in its
+    # first maximal row, and adjacent rows share their first members.
+    rest = np.argsort(-bound)
+    rest[probe:].sort()
+    size = probe
+    # Row -1 is the incoming best: it comes before the block, so it wins ties.
+    top_value, top_row, top_col = best[0], -1, -1
+    threshold = None
+    scored = 0
+    while True:
+        if top_value != threshold:
+            threshold = top_value
+            with np.errstate(invalid="ignore"):
+                # Written so that a NaN bound keeps its row.
+                rest = rest[~(bound[rest] + 1e-9 < threshold)]
+        if rest.shape[0] == 0:
+            break
+        rows, rest, size = np.sort(rest[:size]), rest[size:], step
+        h = rows.shape[0]
+        scored += h
+        score = score_buf[:h]
+        _score_into(products, local[rows], [w[:h] for w in work_buf], score)
+        row, col = divmod(int(np.argmax(score)), p_count)
+        value = score[row, col]
+        if value > top_value or (value == top_value and rows[row] < top_row):
+            top_value, top_row, top_col = value, int(rows[row]), col
+    if top_row >= 0:
+        best = (
+            float(top_value),
+            tuple(int(x) for x in ids[local[top_row]]),
+            tuple(int(k) for k in comps[top_col]),
+        )
+    return best, local.shape[0] - scored
 
 
 def _subgrid_indices(a_grid: int, stride: int):

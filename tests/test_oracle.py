@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,16 +408,179 @@ def test_row_bound_is_above_every_score_in_its_row(channel, grid):
             assert np.all(best_in_row <= bound + 1e-12)
 
 
-def test_search_logs_scored_and_pruned_rows(caplog):
-    config = OracleConfig(n_states=3)
-    with caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
-        oracle_capacity(AmplitudeDamping(0.5), config)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_combinations_in_itertools_order(n):
+    for m in range(13):
+        rows = qchan.oracle._combinations(m, n)
+        assert rows.dtype == np.int64
+        assert rows.shape == (math.comb(m, n), n)
+        assert [tuple(row) for row in rows.tolist()] == list(itertools.combinations(range(m), n))
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5, 10**6])
+def test_prefix_blocks_list_each_prefix_once_in_order(limit):
+    for m in range(13):
+        for n in (1, 2, 3, 4):
+            blocks = list(qchan.oracle._prefix_blocks(m, n, limit))
+            assert all(0 < block.shape[0] <= limit for block in blocks)
+            prefixes = [tuple(row) for block in blocks for row in block.tolist()]
+            assert prefixes == sorted({c[:-1] for c in itertools.combinations(range(m), n)})
+
+
+def prefix_and_row_bounds(divergences, m, n, prob_grid):
+    """The bound of every prefix of the n-subsets of range(m), repeated for each of
+    its rows, and the bound of every row, rows in itertools order."""
+    rows = np.array(list(itertools.combinations(range(m), n)), dtype=np.int64)
+    if n == 1:
+        prefixes, of_row = np.zeros((1, 0), dtype=np.int64), np.zeros(m, dtype=np.int64)
+    else:
+        prefixes, of_row = np.unique(rows[:, :-1], axis=0, return_inverse=True)
+    with np.errstate(invalid="ignore"):
+        suffix_max = qchan.oracle._suffix_max(divergences)
+        prefix = qchan.oracle._prefix_bounds(divergences, suffix_max, prefixes, prob_grid)
+        row = qchan.oracle._row_bounds(divergences, rows, prob_grid)
+    return prefix[of_row.ravel()], row
+
+
+@pytest.mark.parametrize(
+    "channel, grid",
+    [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL),
+     (PAIR, COMPLEX), (KRAUS, SMALL), (KRAUS, COMPLEX)],
+)
+def test_prefix_bound_is_above_every_row_bound_under_it(channel, grid):
+    # With no slack: the prefix bound takes the same float steps as a row bound on
+    # inputs that are >= the row's, and every step rounds monotonically.
+    config = OracleConfig(n_states=4, **grid)
+    channels, tables = grid_tables(channel, config)
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    _, ensemble = search(channel, config)
+    sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
+    sigmas += np.random.default_rng(7).uniform(size=(4, len(channels))).tolist()
+    m = tables[0][0].shape[0]
+    for sigma in sigmas:
+        divergences = [qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+        for n in (1, 2, 3, 4):
+            prefix, row = prefix_and_row_bounds(divergences, m, n, config.prob_grid)
+            assert np.all(np.isfinite(prefix))
+            assert np.all(row <= prefix)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "channel, grid, budget",
+    [c for c in REFERENCE_CASES if c[0] in (AmplitudeDamping(0.0), AmplitudeDamping(1.0),
+                                               Depolarizing(0.0), Depolarizing(1.0))],
+)
+def test_no_row_with_a_nan_or_inf_bound_sits_under_a_pruned_prefix(monkeypatch, channel, grid, budget):
+    # Every pass of the search, with the divergence tables it used: where sigma0
+    # is 0 or 1 they hold inf or NaN entries, and with n == prob_grid an inf
+    # entry meets 0 * inf. A prefix that can be pruned has a finite bound, so it
+    # must hold no row whose bound is NaN or inf.
+    passes = []
+    search_pass = qchan.oracle._search_pass
+
+    def recording_pass(tables, state_ids, n, probs, comps, best, divergences):
+        passes.append((np.asarray(state_ids), n, int(comps[0].sum()), divergences))
+        return search_pass(tables, state_ids, n, probs, comps, best, divergences)
+
+    monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
+    oracle_capacity(channel, OracleConfig(**grid), budget)
+    if channel != Depolarizing(1.0):  # whose every output, and so sigma, is I / 2
+        assert not all(np.isfinite(d).all() for *_, divergences in passes for d in divergences)
+    for ids, n, prob_grid, divergences in passes:
+        prefix, row = prefix_and_row_bounds([d[ids] for d in divergences], ids.shape[0], n, prob_grid)
+        assert np.all(np.isnan(prefix) | (prefix == np.inf) | np.isfinite(row))
+        assert np.all(np.isnan(prefix) | (row <= prefix))
+
+
+@pytest.mark.filterwarnings("error")
+def test_prefix_bound_is_nan_or_inf_over_a_row_bound_that_is():
+    # One NaN or inf entry among finite ones, in one table of one or two, at
+    # either end or inside: every prefix over a NaN or inf row stays unprunable.
+    finite = np.random.default_rng(3).uniform(size=12)
+    for bad in (np.nan, np.inf):
+        for at in (0, 5, 11):
+            table = finite.copy()
+            table[at] = bad
+            for divergences in ([table], [finite, table]):
+                for n in (1, 2, 3, 4):
+                    for prob_grid in (n, n + 3):
+                        prefix, row = prefix_and_row_bounds(divergences, 12, n, prob_grid)
+                        assert np.all(np.isnan(prefix) | (prefix == np.inf) | np.isfinite(row))
+                        assert np.all(np.isnan(prefix) | (row <= prefix))
+
+
+def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
+    # At n = 4 and prob_grid 4 a row has one composition, so a block holds at most
+    # _CHUNK_ELEMENTS rows and a prefix block as many prefixes. The larger grid has
+    # 8.4x the prefixes (C(60, 3) against C(30, 3)) and 2x the states. The pass
+    # starts just below the best 3-state value, with that ensemble's sigma, so
+    # that about 0.5% of the rows are scored and whole prefixes are pruned.
+    monkeypatch.setattr(qchan.oracle, "_CHUNK_ELEMENTS", 500)
+    monkeypatch.setattr(qchan.oracle, "_SLICE_ELEMENTS", 2000)
+    peaks = []
+    for a_grid in (16, 31):
+        config = OracleConfig(n_states=4, a_grid=a_grid, prob_grid=4)
+        _, tables = grid_tables(AmplitudeDamping(0.5), config)
+        value, ensemble = oracle_capacity(AmplitudeDamping(0.5), OracleConfig(**dict(vars(config), n_states=3)))
+        sigma0 = sum(p * apply_channel(AmplitudeDamping(0.5), state).a for p, state in ensemble)
+        divergences = [qchan.oracle._divergences(u, s, sigma0) for u, _, s, _ in tables]
+        ids = np.arange(tables[0][0].shape[0])
+        comps = qchan.oracle._compositions(4, 4)
+        tracemalloc.start()
+        try:
+            _, pruned = qchan.oracle._search_pass(
+                tables, ids, 4, comps / 4, comps, (value - 0.01, None, None), divergences)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert 0 < pruned < math.comb(ids.shape[0], 4)
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def logged_sizes(monkeypatch, caplog, channel, config, budget):
+    """The logged (n, rows scored, rows pruned) of a search, with the rows each
+    size's passes hold and the rows actually scored, counted per size."""
+    rows, scored = {}, {}
+    search_pass, score_into = qchan.oracle._search_pass, qchan.oracle._score_into
+
+    def counting_pass(tables, state_ids, n, *args):
+        rows[n] = rows.get(n, 0) + math.comb(len(state_ids), n)
+        return search_pass(tables, state_ids, n, *args)
+
+    def counting_score(products, members, *args):
+        n = members.shape[1]
+        scored[n] = scored.get(n, 0) + members.shape[0]
+        return score_into(products, members, *args)
+
+    with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
+        patch.setattr(qchan.oracle, "_search_pass", counting_pass)
+        patch.setattr(qchan.oracle, "_score_into", counting_score)
+        oracle_capacity(channel, config, budget)
     sizes = [r.args for r in caplog.records if r.msg.startswith("oracle size")]
+    caplog.clear()
+    return sizes, rows, scored
+
+
+def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
+    config = OracleConfig(n_states=3)
+    full = logged_sizes(monkeypatch, caplog, AmplitudeDamping(0.5), config, 1e8)
+    sizes = full[0]
     assert [n for n, _, _ in sizes] == [1, 2, 3]
     # The default budget enumerates every 3-subset of the grid states in one pass.
     _, scored, pruned = sizes[-1]
     assert scored + pruned == math.comb(qchan.oracle._total_states(config), 3)
     assert pruned > 0
+    # Coarse-to-fine rounds at n = 4, where whole prefixes are pruned before
+    # their rows are built: rows pruned that way still count as pruned.
+    zoom = logged_sizes(
+        monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**dict(ZOOM, n_states=4)), 1e6)
+    assert [n for n, _, _ in zoom[0]] == [1, 2, 3, 4]
+    assert zoom[0][-1][2] > 0
+    for sizes, rows, scored in (full, zoom):
+        for n, scored_n, pruned in sizes:
+            assert scored_n == scored[n]
+            assert scored_n + pruned == rows[n]
 
 
 def test_first_block_of_a_size_prunes_itself(caplog):
