@@ -15,7 +15,10 @@ from .capacity import (
     chi_ad_curve,
     chi_ad_derivative,
     chi_dep_curve,
+    dchi_dgamma,
     holevo_chi,
+    monotonicity_df_da,
+    monotonicity_f,
 )
 from .channels import (
     AmplitudeDamping,
@@ -42,10 +45,7 @@ from .mixtures import (
     MinimaxResult,
     capacity_two_amplitude_damping,
     capacity_two_depolarizing,
-    dchi_dgamma,
     minimax_capacity,
-    monotonicity_df_da,
-    monotonicity_f,
     separation_pair,
 )
 from .oracle import DEFAULT_BUDGET, OracleConfig, oracle_capacity, oracle_minimax

@@ -15,11 +15,20 @@ than ``width`` or |f(mid)| exceeds ``residual``, and stops early once the ends
 are adjacent floats or after 200 halvings. Curve functions accept scalars or
 numpy arrays.
 
-When both inputs are scalars (``np.ndim`` 0), ``chi_ad_curve``,
-``chi_ad_derivative`` and ``chi_dep_curve`` compute on Python floats and
+The gamma-derivative ``dchi_dgamma`` is nonpositive, so chi falls as gamma
+grows and the worse damping parameter decides a two-damping mixture. Past
+gamma = 1/2 this rests on the monotonicity certificate: dchi_dgamma =
+-(1-a) f with ``monotonicity_f`` zero at a = 0 and increasing in a
+(``monotonicity_df_da`` > 0).
+
+When both inputs are scalars (``np.ndim`` 0), the six curve functions
+``chi_ad_curve``, ``chi_dep_curve``, ``chi_ad_derivative``, ``dchi_dgamma``,
+``monotonicity_f`` and ``monotonicity_df_da`` compute on Python floats and
 return a float; the bisection solver calls the derivative this way about 35
 times per solve, and numpy's per-call overhead on 0-d arrays would dominate.
-This float kernel is bit-equal to the array kernel, entry by entry:
+Each decides once, at entry, through ``_operands`` (the two curves) or
+``_interior`` (the four derivatives). This float kernel is bit-equal to the
+array kernel, entry by entry:
 
 - ``+ - * /`` and the square root are correctly rounded in both;
 - (1-a)^2 is written ``d * d``, which is what numpy computes when it squares
@@ -76,11 +85,26 @@ def holevo_chi(channel: Channel, ensemble: Ensemble) -> float:
     return mean_term - branch_term
 
 
-def _unit_array(name, value):
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return arr
+def _float_root(v):
+    """sqrt(max(v, 0)) on a float, where v = 1 - u can round below 0."""
+    return math.sqrt(max(v, 0.0))
+
+
+def _array_root(v):
+    """_float_root on an array."""
+    return np.sqrt(np.maximum(v, 0.0))
+
+
+def _operands(name, p, a):
+    """(p, a) checked to lie in [0, 1], with the clamped square root for them: Python
+    floats and _float_root for two scalars, float arrays and _array_root otherwise."""
+    if is_scalar(p) and is_scalar(a):
+        return _unit_interval(name, p), _unit_interval("a", a), _float_root
+    p, a = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
+    for label, value in ((name, p), ("a", a)):
+        if not np.all((value >= 0.0) & (value <= 1.0)):
+            raise DomainError(f"{label} must lie in [0, 1]")
+    return p, a, _array_root
 
 
 def _u(gamma, a):
@@ -94,62 +118,47 @@ def _ratio(gamma, a):
     return (a + gamma * (1.0 - a)) / ((1.0 - gamma) * (1.0 - a))
 
 
-def _u_x(gamma, a):
-    """u and x = sqrt(1 - u) of the closed form, on arrays."""
-    u = _u(gamma, a)
-    return u, np.sqrt(np.maximum(1.0 - u, 0.0))
+def _interior(gamma, a, gamma_low=0.0):
+    """(g, a, x, ln ratio, ln((1+x)/(1-x)) / x) for the derivatives of chi_ad_curve, with
+    ratio = (a + g (1-a)) / ((1-g) (1-a)) and x = sqrt(1 - u).
 
-
-def interior_terms(gamma, a, gamma_low=0.0):
-    """Validated (g, a, u, x, ratio) for the derivatives of chi_ad_curve, which are
-    singular at a = 1 and g = 1: gamma must lie in (gamma_low, 1) and a in [0, 1).
+    They are singular at a = 1 and g = 1: gamma must lie in (gamma_low, 1) and a in
+    [0, 1). The last term has three regimes: a Taylor series for small x, the direct
+    quotient in the bulk, and (2 log1p(x) - log(u)) / x when 1 - x would cancel
+    catastrophically. Two scalars give Python floats and evaluate only the selected
+    regime; arrays evaluate all three and select entry by entry.
     """
-    g = np.asarray(gamma, dtype=float)
-    av = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g <= gamma_low) or np.any(g >= 1.0):
+    if is_scalar(gamma) and is_scalar(a):
+        g, av = float(gamma), float(a)
+        if not gamma_low < g < 1.0:
+            raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
+        if not 0.0 <= av < 1.0:
+            raise DomainError("a must lie in [0, 1)")
+        u = _u(g, av)
+        x = _float_root(1.0 - u)
+        if x < 1e-4:
+            xx = x * x
+            over_x = 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
+        elif u < 1e-8:
+            over_x = (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
+        else:
+            over_x = float(np.log((1.0 + x) / max(1.0 - x, 1e-300))) / x
+        return g, av, x, float(np.log(_ratio(g, av))), over_x
+    g, av = np.asarray(gamma, dtype=float), np.asarray(a, dtype=float)
+    if not np.all((g > gamma_low) & (g < 1.0)):
         raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
-    if not np.all(np.isfinite(av)) or np.any(av < 0.0) or np.any(av >= 1.0):
-        raise DomainError("a must lie in [0, 1)")
-    u, x = _u_x(g, av)
-    return g, av, u, x, _ratio(g, av)
-
-
-def _interior_floats(gamma, a):
-    """interior_terms(gamma, a) for two scalars, as Python floats."""
-    g, av = float(gamma), float(a)
-    if not 0.0 < g < 1.0:
-        raise DomainError("gamma must lie strictly inside (0, 1)")
-    if not 0.0 <= av < 1.0:
+    if not np.all((av >= 0.0) & (av < 1.0)):
         raise DomainError("a must lie in [0, 1)")
     u = _u(g, av)
-    return g, av, u, math.sqrt(max(1.0 - u, 0.0)), _ratio(g, av)
-
-
-def _log_ratio_over_x(u, x):
-    """ln((1+x)/(1-x)) / x for x = sqrt(1-u), stable as x -> 0 and x -> 1.
-
-    Three regimes: a Taylor series for small x, the direct quotient in the
-    bulk, and 2*log1p(x) - log(u) when 1 - x would cancel catastrophically.
-    """
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
+    x = _array_root(1.0 - u)
     x_safe = np.where(x > 0.0, x, 1.0)
     u_safe = np.where(u > 0.0, u, 1.0)
     direct = np.log((1.0 + x) / np.maximum(1.0 - x, 1e-300)) / x_safe
     robust = (2.0 * np.log1p(x) - np.log(u_safe)) / x_safe
     xx = x * x
     series = 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
-    return np.where(x < 1e-4, series, np.where(u < 1e-8, robust, direct))
-
-
-def _log_ratio_over_x_float(u, x):
-    """_log_ratio_over_x on floats, evaluating only the selected regime."""
-    if x < 1e-4:
-        xx = x * x
-        return 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
-    if u < 1e-8:
-        return (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
-    return float(np.log((1.0 + x) / max(1.0 - x, 1e-300))) / x
+    over_x = np.where(x < 1e-4, series, np.where(u < 1e-8, robust, direct))
+    return g, av, x, np.log(_ratio(g, av)), over_x
 
 
 def chi_ad_curve(gamma, a):
@@ -158,12 +167,8 @@ def chi_ad_curve(gamma, a):
     Equals H((1-a)(1-gamma)) - H((1-x)/2); agrees with holevo_chi on the
     explicit two-state ensemble to roundoff.
     """
-    if is_scalar(gamma) and is_scalar(a):
-        g, av = _unit_interval("gamma", gamma), _unit_interval("a", a)
-        x = math.sqrt(max(1.0 - _u(g, av), 0.0))
-    else:
-        g, av = _unit_array("gamma", gamma), _unit_array("a", a)
-        _, x = _u_x(g, av)
+    g, av, root = _operands("gamma", gamma, a)
+    x = root(1.0 - _u(g, av))
     return binary_entropy((1.0 - av) * (1.0 - g)) - binary_entropy(0.5 * (1.0 - x))
 
 
@@ -174,16 +179,45 @@ def chi_ad_derivative(gamma, a):
     gamma in {0, 1}; those inputs are rejected, the capacity solver handles
     the endpoints separately.
     """
-    if is_scalar(gamma) and is_scalar(a):
-        g, av, u, x, ratio = _interior_floats(gamma, a)
-        log_ratio, log_ratio_over_x = float(np.log(ratio)), _log_ratio_over_x_float(u, x)
-    else:
-        g, av, u, x, ratio = interior_terms(gamma, a)
-        log_ratio, log_ratio_over_x = np.log(ratio), _log_ratio_over_x(u, x)
+    g, av, _, log_ratio, over_x = _interior(gamma, a)
     return (
         -(1.0 - g) * log_ratio
-        + 2.0 * g * (1.0 - g) * (1.0 - av) * log_ratio_over_x
+        + 2.0 * g * (1.0 - g) * (1.0 - av) * over_x
     ) / _LN2
+
+
+def dchi_dgamma(gamma, a):
+    """Partial derivative in gamma of ln2 * chi_ad_curve; nonpositive everywhere.
+
+    Natural-log units so the expression matches finite differences of
+    ln(2) * chi_ad_curve directly.
+    """
+    g, av, _, log_ratio, over_x = _interior(gamma, a)
+    d = 1.0 - av
+    return -d * log_ratio + (2.0 * g - 1.0) * (d * d) * over_x
+
+
+def monotonicity_f(gamma, a):
+    """Monotonicity certificate for gamma > 1/2: dchi_dgamma = -(1-a) f(a, gamma).
+
+    Vanishes at a = 0 and stays nonnegative, which certifies that the damping
+    chi curve decreases with gamma also beyond gamma = 1/2.
+    """
+    g, av, _, log_ratio, over_x = _interior(gamma, a, gamma_low=0.5)
+    return log_ratio - (2.0 * g - 1.0) * (1.0 - av) * over_x
+
+
+def monotonicity_df_da(gamma, a):
+    """Derivative of monotonicity_f in a; positive on its domain."""
+    g, av, x, _, over_x = _interior(gamma, a, gamma_low=0.5)
+    # x * x is 0 or above 1e-16 here, so adding 1e-300 is max(x * x, 1e-300) on floats and arrays
+    x_sq = x * x + 1e-300
+    return (
+        (1.0 - g) / (av + g * (1.0 - av))
+        + 1.0 / (1.0 - av)
+        + (2.0 * g - 1.0) * over_x / x_sq
+        - 2.0 * (2.0 * g - 1.0) / x_sq
+    )
 
 
 def check_tol(tol, name="tol"):
@@ -272,10 +306,7 @@ def chi_dep_curve(lam, a):
     Pure-state outputs have a-independent spectrum, so the curve reduces to
     H((1-lam) a + lam/2) - H(lam/2), maximized at a = 1/2.
     """
-    if is_scalar(lam) and is_scalar(a):
-        l, av = _unit_interval("lambda", lam), _unit_interval("a", a)
-    else:
-        l, av = _unit_array("lambda", lam), _unit_array("a", a)
+    l, av, _ = _operands("lambda", lam, a)
     return binary_entropy((1.0 - l) * av + 0.5 * l) - binary_entropy(0.5 * l)
 
 

@@ -21,21 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .capacity import (
     CapacityResult,
-    _log_ratio_over_x,
     bisect_sign_change,
     capacity_amplitude_damping,
     capacity_depolarizing,
     channel_capacity,
     check_tol,
     family_of,
-    interior_terms,
 )
 from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair, _unit_interval
-from .states import is_scalar
 
 MIN_BRANCH_CH1 = "channel1"
 MIN_BRANCH_CH2 = "channel2"
@@ -83,15 +78,15 @@ def crossings(diff, grid, values, resolution: float):
 
     Returns (i, a) pairs: a = grid[i] where values[i] is exactly zero, else the
     sign change inside [grid[i], grid[i + 1]] bisected to ``resolution`` (or
-    to adjacent floats, whichever comes first). The first and last grid cells
-    are skipped.
+    to adjacent floats, whichever comes first). Exact zeros count at every grid
+    point but the two ends; sign changes in the first and last cells are skipped.
     """
     found = []
-    for i in range(1, len(grid) - 2):
-        f_lo, f_hi = float(values[i]), float(values[i + 1])
+    for i in range(1, len(grid) - 1):
+        f_lo = float(values[i])
         if f_lo == 0.0:
             found.append((i, float(grid[i])))
-        elif f_lo * f_hi < 0.0:
+        elif i < len(grid) - 2 and f_lo * float(values[i + 1]) < 0.0:
             lo, hi = float(grid[i]), float(grid[i + 1])
             if f_lo < 0.0:  # bisect_sign_change starts where diff > 0
                 lo, hi = hi, lo
@@ -154,42 +149,3 @@ def capacity_two_depolarizing(lambda1: float, lambda2: float) -> CapacityResult:
     l1 = _unit_interval("lambda1", lambda1)
     l2 = _unit_interval("lambda2", lambda2)
     return capacity_depolarizing(max(l1, l2))
-
-
-def dchi_dgamma(gamma, a):
-    """Partial derivative in gamma of ln2 * chi_ad_curve; nonpositive everywhere.
-
-    Natural-log units so the expression matches finite differences of
-    ln(2) * chi_ad_curve directly.
-    """
-    scalar = is_scalar(gamma) and is_scalar(a)
-    g, av, u, x, ratio = interior_terms(gamma, a)
-    d = 1.0 - av  # squared as d * d: on 0-d inputs ** 2 calls pow, unlike on arrays
-    value = -d * np.log(ratio) + (2.0 * g - 1.0) * (d * d) * _log_ratio_over_x(u, x)
-    return float(value) if scalar else value
-
-
-def monotonicity_f(gamma, a):
-    """Monotonicity certificate for gamma > 1/2: dchi_dgamma = -(1-a) f(a, gamma).
-
-    Vanishes at a = 0 and stays nonnegative, which certifies that the damping
-    chi curve decreases with gamma also beyond gamma = 1/2.
-    """
-    scalar = is_scalar(gamma) and is_scalar(a)
-    g, av, u, x, ratio = interior_terms(gamma, a, gamma_low=0.5)
-    value = np.log(ratio) - (2.0 * g - 1.0) * (1.0 - av) * _log_ratio_over_x(u, x)
-    return float(value) if scalar else value
-
-
-def monotonicity_df_da(gamma, a):
-    """Derivative of monotonicity_f in a; positive on its domain."""
-    scalar = is_scalar(gamma) and is_scalar(a)
-    g, av, u, x, _ = interior_terms(gamma, a, gamma_low=0.5)
-    x_sq = np.maximum(x * x, 1e-300)
-    value = (
-        (1.0 - g) / (av + g * (1.0 - av))
-        + 1.0 / (1.0 - av)
-        + (2.0 * g - 1.0) * _log_ratio_over_x(u, x) / x_sq
-        - 2.0 * (2.0 * g - 1.0) / x_sq
-    )
-    return float(value) if scalar else value

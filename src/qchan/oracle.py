@@ -71,6 +71,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,14 +126,17 @@ class OracleConfig:
     restrict_real_b: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "n_states", int(self.n_states))
+        for name in ("n_states", "a_grid", "phase_grid", "prob_grid"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.n_states <= 4:
             raise DomainError(f"n_states must lie in [1, 4], got {self.n_states}")
         for name in ("a_grid", "phase_grid", "prob_grid"):
-            value = int(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if value < 2:
-                raise DomainError(f"{name} must be >= 2, got {value}")
+            if getattr(self, name) < 2:
+                raise DomainError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.restrict_real_b and self.phase_grid != 2:
             raise DomainError(f"restrict_real_b needs phase_grid 2, got {self.phase_grid}")
 

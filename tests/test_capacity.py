@@ -259,6 +259,8 @@ class TestScalarKernel:
         (chi_ad_derivative, 0.0, 0.5), (chi_ad_derivative, 1.0, 0.5),
         (chi_ad_derivative, math.nan, 0.5), (chi_ad_derivative, 0.5, 1.0),
         (chi_ad_derivative, 0.5, -1e-300),
+        (dchi_dgamma, 0.0, 0.5), (dchi_dgamma, 0.5, 1.0), (monotonicity_f, 0.5, 0.3),
+        (monotonicity_df_da, 1.0, 0.3), (monotonicity_f, 0.75, math.nan),
     ])
     def test_scalar_and_array_reject_alike(self, curve, p, a):
         # The scalar message may append the offending value ("..., got nan").

@@ -195,6 +195,13 @@ class TestCrossings:
             assert grid[i] <= a <= grid[i + 1]
             assert abs(diff(a)) < 1e-15
 
+    @pytest.mark.parametrize("root, expected", [(0.25, [(1, 0.25)]), (0.75, [(3, 0.75)]),
+                                                (0.0, []), (1.0, [])])
+    def test_exact_zeros_count_at_every_grid_point_but_the_ends(self, root, expected):
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        values = [root - a for a in grid]
+        assert crossings(lambda a: root - a, grid, values, 1e-12) == expected
+
 
 class TestGammaMonotonicity:
     def test_frozen_value(self):

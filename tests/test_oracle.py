@@ -38,6 +38,12 @@ class TestConfig:
             OracleConfig(a_grid=1)
         with pytest.raises(DomainError):
             OracleConfig(prob_grid=1)
+        # a size that is not an integer is refused, not truncated
+        for name in ("n_states", "a_grid", "phase_grid", "prob_grid"):
+            for value in (2.7, 1.9, 3.0, math.nan, math.inf, "3", None):
+                with pytest.raises(DomainError):
+                    OracleConfig(**{name: value}, restrict_real_b=False)
+        assert type(OracleConfig(a_grid=np.int64(11)).a_grid) is int
 
     def test_real_signs_are_a_phase_grid_of_2(self):
         # restrict_real_b searches exactly the signs +-1, so any other phase grid is refused
