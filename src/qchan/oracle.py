@@ -26,30 +26,46 @@ every later state at once, and prefixes come in blocks, so no array grows with
 the number of prefixes. It scores its candidates in blocks of combination rows
 x probability columns, and a block in slices of rows. It builds, once per pass,
 the tables part[state] * p_k of each part u, Re v, (Im v,) s at each position
-k; the mean of a part over a row is then the sum of the row's n table entries
-in k order, each step rounded, with no BLAS call, and rows that share their
-prefix share that partial sum. The radius, the entropy, chi and the minimum
-over channels are computed in place on buffers the size of one slice. Every
-score depends on its own row only, so neither the block nor the slice size
-moves a bit, and every score is bit-equal to the formula on fresh arrays that
+k, each a C-contiguous (n, m, P) array of n positions x m states x P
+compositions, so a state's row of one position is P adjacent floats and an
+element (row, composition) reads entry member * P + column of each position.
+The mean of a part over an element is the sum of its n table entries in k
+order, each step rounded, with no BLAS call; rows that share their prefix
+share that partial sum. The radius, the entropy, chi and the minimum over
+channels are computed in place on buffers the size of one slice. Every score
+depends on its own element only, so neither the block nor the slice size moves
+a bit, and every score is bit-equal to the formula on fresh arrays that
 tests/test_oracle.py keeps as its reference.
 
-A pass skips the rows that provably cannot beat the incumbent. For any state
-sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and the
-last term is >= 0 (Schumacher-Westmoreland, "Optimal signal ensembles", 2001),
-so chi(E) <= sum_i p_i D_i. Every composition of a row of n states on the grid
-G = prob_grid has p_i in [1/G, (G - n + 1)/G], so no column of the row scores
-above ((sum_i D_i) + (G - n) max_i D_i) / G; with several channels the score is
-bounded by the smallest per-channel bound. sigma is diagonal, the mean output
-of the best ensemble of the sizes searched so far (the maximally mixed state
-before the first), so D comes from the u and s columns of the tables; any
-sigma is valid, and the choice moves only how much gets pruned. A row is
-skipped only if its bound + 1e-9 is below the incumbent of the current size as
-it stands before the row's slice: such a row scores strictly below a genuine
-score, so no tie can change, and the margin is far above the ~1e-15 float error
-of either side. A NaN bound, which a degenerate sigma yields, prunes nothing.
+A pass skips the candidates that provably cannot beat the incumbent. For any
+state sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and
+the last term is >= 0 (Schumacher-Westmoreland, "Optimal signal ensembles",
+2001), so chi(E) <= sum_i p_i D_i; with several channels the score is bounded
+by the smallest per-channel bound. sigma is diagonal, so D comes from the u and
+s columns of the tables. Sizes 1 and 2 take, per channel, the divergence-radius
+centre: the sigma0 that minimizes the largest D over all grid states, where
+the bound is tightest. Each D_i is convex in sigma0, so it is bisected on the
+sign of the slope of the largest D_i. Later sizes take the mean output of the
+best ensemble so far. Any sigma is valid; the choice moves only how much gets
+pruned. A candidate is skipped only if its bound + 1e-9 is below the incumbent
+of the current size as it stands before the candidate's slice: the bound is
+within ~1e-15 of a sum that is >= the candidate's score, so such a candidate
+scores strictly below a genuine score and can neither win nor tie, while one
+that ties or beats the incumbent has a bound at most ~1e-15 below it, far
+inside the margin, and is scored. So the bits, and the first maximal candidate
+that wins, are those of the unpruned pass. A NaN bound, which a degenerate sigma yields, prunes nothing.
 
-A prefix is bounded before its rows are built: the same formula, in the same
+An element's own bound is sum_k p_k D_k, summed like a mean from per-pass
+tables D[state] * p_k. A row of n states on the grid G = prob_grid has p_i in
+[1/G, (G - n + 1)/G], so its elements' bounds lie between ((sum_i D_i) + (G - n)
+min_i D_i) / G and the row bound ((sum_i D_i) + (G - n) max_i D_i) / G. A row is
+scored only if its row bound reaches the incumbent, and a slice bounds its
+elements only if some row floor falls short of it. The elements that survive
+are then scored from gathers of their own entries, and the other elements are
+not computed. Only a slice where too many survive for that to pay scores every
+element of its rows from row gathers instead.
+
+A prefix is bounded before its rows are built: the row formula, in the same
 float steps, with the last state's D replaced by the largest D of the states
 that can follow the prefix. D is finite, +inf or NaN. Order NaN above +inf:
 each step (a sum, a max, a product with G - n >= 0, a division by G, a min over
@@ -61,9 +77,9 @@ dropped with all its rows, which counts them as pruned. The surviving prefixes
 are built into blocks of rows in order, and each block scores first a probe
 slice of its rows with the largest bounds, so that even the first block of a
 size, which meets no incumbent, prunes its other rows against genuine scores of
-its own. The winner is still the first maximal row of the unpruned pass: each
-slice is scored in row order, and a later slice wins a tie only with an earlier
-row.
+its own. The winner is still the first maximal candidate of the unpruned pass:
+each slice is scored in row-major order, and a later slice wins a tie only with
+an earlier row.
 """
 
 from __future__ import annotations
@@ -76,7 +92,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, MixedChannelPair, apply_channel
+from .capacity import bisect_sign_change
+from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair, apply_channel
 from .errors import BudgetExceededError, DomainError
 # binary_entropy stays bound here: perfbench's tracer test patches qchan.oracle.binary_entropy.
 from .states import (  # noqa: F401
@@ -105,6 +122,16 @@ _CHUNK_ELEMENTS = 1_000_000
 # to 131,072 elements ran the criterion-8 searches equally fast, and smaller
 # ones slower, as more of the time goes to per-call overhead.
 _SLICE_ELEMENTS = 65_536
+
+# A slice where at most this share of the elements survive their bounds gathers
+# and scores only those; a slice with more scores every element of its rows from
+# row gathers. Scores do not depend on it. In a sweep over 0, 1/16, 1/8, 1/4, 1/2
+# and 1 (every slice gathers) on a 2-vCPU x86-64 host, the three criterion-4
+# searches and the separation pair ran equally fast from 1/16 to 1, and 1.4x and
+# 2x slower at 0. AD 0.4 + dep 0.2 at the criterion-8 shape, where 42% of the
+# n = 3 elements survive, ran fastest at 1/4: 2.42 s, against 2.63 s at 1/8,
+# 2.44 s at 1/2 and 4.83 s at 1.
+_GATHER_SHARE = 0.25
 
 # Refinement rounds probe +-2 steps of the halved stride around every
 # incumbent state, which spans the previous round's full cell.
@@ -165,17 +192,37 @@ def _grid_states(config: OracleConfig):
 
 
 def _channel_table(channel: Channel, a, b):
-    """Per-state output population, coherence, and output entropy."""
-    n = a.shape[0]
-    u = np.empty(n)
-    v = np.empty(n, dtype=complex)
-    s = np.empty(n)
-    for j in range(n):
-        out = apply_channel(channel, QubitState(a[j], b[j]))
-        u[j] = out.a
-        v[j] = out.b
-        s[j] = von_neumann_entropy(out.to_herm2())
-    return u, v, s
+    """Per-state output population, coherence, and output entropy.
+
+    Damping and depolarizing outputs take apply_channel's formula and
+    von_neumann_entropy's steps on whole arrays, with the same libm calls for
+    abs(b) (hypot) and for ** 2 (pow), so every entry has the bits of the
+    per-state loop that a GeneralKraus channel still takes.
+    """
+    if isinstance(channel, AmplitudeDamping):
+        u = a + (1.0 - a) * channel.gamma
+        v = b * math.sqrt(1.0 - channel.gamma)
+    elif isinstance(channel, Depolarizing):
+        u = (1.0 - channel.lam) * a + 0.5 * channel.lam
+        v = (1.0 - channel.lam) * b
+    else:
+        n = a.shape[0]
+        u = np.empty(n)
+        v = np.empty(n, dtype=complex)
+        s = np.empty(n)
+        for j in range(n):
+            out = apply_channel(channel, QubitState(a[j], b[j]))
+            u[j] = out.a
+            v[j] = out.b
+            s[j] = von_neumann_entropy(out.to_herm2())
+        return u, v, s
+    # The smaller eigenvalue of [[u, v], [v*, m11]] as eigenvalues_herm2 takes it; the
+    # entropy of one outside (0, 1) is 0, as the loop's clamp to [0, 1] makes it.
+    m11 = 1.0 - u
+    half_trace = 0.5 * (u + m11)
+    radicand = np.float_power(u - m11, 2.0) + 4.0 * np.float_power(np.hypot(v.real, v.imag), 2.0)
+    low = half_trace - 0.5 * np.sqrt(radicand)
+    return u, v, binary_entropy_into(low, np.empty(low.shape), np.empty(low.shape))
 
 
 def _first_free(rows):
@@ -279,8 +326,24 @@ def _divergences(u, s, sigma0):
         return -s - (u * np.log2(sigma0) + (1.0 - u) * np.log2(1.0 - sigma0))
 
 
-def _bound(columns, prob_grid):
-    """The smallest over channels of ((sum D_i) + (G - n) max D_i) / G.
+def _radius_centre(u, s):
+    """The diagonal sigma0 in [0, 1] that minimizes max_i D(N psi_i || sigma), the
+    divergence-radius centre of the outputs with populations u and entropies s.
+
+    Each D_i is convex in sigma0 with slope (sigma0 - u_i) / (sigma0 (1 - sigma0) ln 2),
+    so the largest D_i falls while its u_i is above sigma0: the centre is where
+    that sign changes, bisected inside (0, 1), where every D_i is finite.
+    """
+    def falling(x):
+        return u[np.argmax(_divergences(u, s, x))] - x
+
+    return bisect_sign_change(falling, 0.0, 1.0, 0.0)[0]
+
+
+def _bound(columns, prob_grid, extreme=np.maximum):
+    """The smallest over channels of ((sum D_i) + (G - n) max D_i) / G, the largest
+    sum_k p_k D_k over the compositions of a row; with ``extreme`` np.minimum,
+    of ((sum D_i) + (G - n) min D_i) / G, the smallest.
 
     ``columns`` holds, per channel, the n (table, index) pairs whose table[index]
     are the columns of D of the rows bounded; they are summed and maxed in
@@ -295,7 +358,7 @@ def _bound(columns, prob_grid):
         for later_table, later_index in later:
             d = later_table[later_index]
             total += d
-            np.maximum(top, d, out=top)
+            extreme(top, d, out=top)
         top *= prob_grid - 1 - len(later)
         total += top
         total /= prob_grid
@@ -303,12 +366,14 @@ def _bound(columns, prob_grid):
     return bound
 
 
-def _row_bounds(divergences, members, prob_grid):
-    """Upper bound on the score of every composition of each row of ``members``.
+def _row_bounds(divergences, members, prob_grid, extreme=np.maximum):
+    """Upper bound on the score of every composition of each row of ``members``;
+    with ``extreme`` np.minimum, the smallest element bound of the row.
 
     ``divergences`` holds one _divergences table per scored channel.
     """
-    return _bound([[(table, col) for col in members.T] for table in divergences], prob_grid)
+    return _bound(
+        [[(table, col) for col in members.T] for table in divergences], prob_grid, extreme)
 
 
 def _suffix_max(divergences):
@@ -329,12 +394,18 @@ def _prefix_bounds(divergences, suffix_max, prefixes, prob_grid):
     )
 
 
+def _position_tables(column, weights):
+    """The C-contiguous (n, m, P) table column[i] * weights[k, c]."""
+    out = np.empty((weights.shape[0], column.shape[0], weights.shape[1]))
+    return np.multiply(column[None, :, None], weights[:, None, :], out=out)
+
+
 def _product_tables(tables, ids, weights):
     """Per channel, the (n, m, P) tables part[ids][i] * weights[k] of u, Re v, (Im v,) s."""
     products = []
     for u, v, s, has_imag in tables:
         parts = (u, v.real, v.imag, s) if has_imag else (u, v.real, s)
-        products.append([part[ids][None, :, None] * weights[:, None, :] for part in parts])
+        products.append([_position_tables(part[ids], weights) for part in parts])
     return products
 
 
@@ -364,23 +435,44 @@ def _mean_into(table, members, runs, out, scratch):
     np.add(scratch, out, out=out)
 
 
-def _score_into(products, members, work, score):
-    """Writes the score of every row of ``members`` x composition column into ``score``.
+def _gather_into(table, index, out, scratch):
+    """out[j] = table[0].flat[index[0, j]] + ... + table[n - 1].flat[index[n - 1, j]],
+    in k order: for index[k] = member k * P + column, _mean_into's sum of that element."""
+    flat = table.reshape(table.shape[0], -1)
+    np.take(flat[0], index[0], out=out, mode="clip")
+    for k in range(1, flat.shape[0]):
+        np.take(flat[k], index[k], out=scratch, mode="clip")
+        np.add(out, scratch, out=out)
+
+
+def _bound_into(bound_tables, mean_into, out, scratch, other):
+    """Writes into ``out`` the smallest over channels of sum_k p_k D_k, each sum
+    filled by mean_into(table, out, scratch) from one channel's table of D * p_k."""
+    for index, table in enumerate(bound_tables):
+        if index:
+            mean_into(table, other, scratch)
+            np.minimum(out, other, out=out)
+        else:
+            mean_into(table, out, scratch)
+
+
+def _chi_into(products, mean_into, work, score):
+    """Writes into ``score`` the minimum over channels of chi, each mean filled by
+    mean_into(table, out, scratch), for whichever elements those means hold.
 
     ``work`` holds three arrays of score's shape: two work arrays and the chi of
     a later channel table.
     """
-    runs = _runs(members)
     t1, t2, chi = work
     for index, (mean_u, *mean_v, mean_s) in enumerate(products):
         out = chi if index else score
         # Output Bloch radius r of the mean state, sqrt((2<u> - 1)^2 + 4|<v>|^2)
-        _mean_into(mean_u, members, runs, t1, t2)
+        mean_into(mean_u, t1, t2)
         np.multiply(t1, 2.0, out=t1)
         np.subtract(t1, 1.0, out=t1)
         np.square(t1, out=t1)
         for part in mean_v:
-            _mean_into(part, members, runs, t2, out)
+            mean_into(part, t2, out)
             np.square(t2, out=t2)
             np.multiply(t2, 4.0, out=t2)
             np.add(t1, t2, out=t1)
@@ -390,10 +482,24 @@ def _score_into(products, members, work, score):
         np.subtract(1.0, t1, out=t1)
         np.multiply(t1, 0.5, out=t1)
         binary_entropy_into(t1, out, t2)
-        _mean_into(mean_s, members, runs, t1, t2)
+        mean_into(mean_s, t1, t2)
         np.subtract(out, t1, out=out)
         if index:
             np.minimum(score, chi, out=score)
+
+
+def _row_means(members):
+    """mean_into for every element of the rows ``members``, through _mean_into."""
+    runs = _runs(members)
+    return lambda table, out, scratch: _mean_into(table, members, runs, out, scratch)
+
+
+def _element_means(members, live, p_count):
+    """mean_into for the elements ``live``, flat indices into the rows ``members`` x
+    p_count composition columns in row-major order, through _gather_into."""
+    of_row, col = np.divmod(live, p_count)
+    index = members[of_row].T * p_count + col
+    return lambda table, out, scratch: _gather_into(table, index, out, scratch)
 
 
 def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
@@ -403,20 +509,24 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
     score is the minimum chi across channels. ``best`` is the running
     (value, state id tuple, composition tuple) and ties keep the incumbent.
     ``divergences`` holds the per-channel _divergences tables that bound a row's
-    score. Returns the new best and the number of rows skipped by that bound.
+    and an element's score. Returns the new best and an int64 array of three
+    counts: the rows skipped by their bounds, the elements scored and the
+    elements of the other rows skipped by theirs.
     """
+    counts = np.zeros(3, dtype=np.int64)
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
     if m < n:
-        return best, 0
+        return best, counts
     p_count = probs.shape[0]
     prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
     products = _product_tables(tables, ids, probs.T)
-    buffers = np.empty((4, max(1, _SLICE_ELEMENTS // p_count), p_count))
+    shape = (max(1, _SLICE_ELEMENTS // p_count), p_count)
+    buffers = [*np.empty((4, *shape)), np.empty(shape, dtype=bool)]
     d_at = [table[ids] for table in divergences]  # D at each position of ids
+    bound_tables = [_position_tables(d, probs.T) for d in d_at]
     suffix_max = _suffix_max(d_at)
-    pruned = 0
     for prefixes in _prefix_blocks(m, n, chunk):
         with np.errstate(invalid="ignore"):
             prefix_bound = _prefix_bounds(d_at, suffix_max, prefixes, prob_grid)
@@ -428,7 +538,7 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
                     # Written so that a NaN bound keeps its prefix.
                     keep = ~(prefix_bound + 1e-9 < threshold)
                 row_counts = m - _first_free(prefixes)
-                pruned += int(row_counts.sum() - row_counts[keep].sum())
+                counts[0] += row_counts.sum() - row_counts[keep].sum()
                 prefixes, prefix_bound = prefixes[keep], prefix_bound[keep]
                 ends, done = np.cumsum(row_counts[keep]), 0
                 continue
@@ -436,23 +546,29 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
             take = max(1, int(np.searchsorted(ends, done + chunk, side="right")))
             block, done = prefixes[:take], ends[take - 1]
             prefixes, prefix_bound, ends = prefixes[take:], prefix_bound[take:], ends[take:]
-            best, skipped = _block_pass(
-                products, d_at, _complete(block, m, n, n), ids, comps, best, prob_grid, buffers)
-            pruned += skipped
-    return best, pruned
+            best, block_counts = _block_pass(
+                products, d_at, bound_tables, _complete(block, m, n, n), ids, comps, best,
+                prob_grid, buffers)
+            counts += block_counts
+    return best, counts
 
 
-def _block_pass(products, divergences, local, ids, comps, best, prob_grid, buffers):
+def _block_pass(products, divergences, bound_tables, local, ids, comps, best, prob_grid, buffers):
     """_search_pass over one block of rows ``local``, positions in ids in row order.
 
-    ``buffers`` holds the score and work arrays of one slice. Returns the new
-    best and the number of rows skipped by their bounds.
+    ``bound_tables`` holds per channel the (n, m, P) table D * p_k of the element
+    bounds; ``buffers`` holds the score and work arrays of one slice and a
+    boolean array of its shape. Returns the new best and _search_pass's three
+    counts for the block.
     """
-    score_buf, *work_buf = buffers
+    score_buf, *work_buf, dropped_buf = buffers
     step, p_count = score_buf.shape
     probe = max(1, step // 8)
     with np.errstate(invalid="ignore"):
         bound = _row_bounds(divergences, local, prob_grid)
+        # No element bound of a row is below the row's floor. With one
+        # composition per row there is nothing between the two.
+        floor = bound if p_count == 1 else _row_bounds(divergences, local, prob_grid, np.minimum)
     # First a probe of the rows with the largest bounds (NaN sorts last), then
     # the others. Each slice is sorted, so its first maximal element is in its
     # first maximal row, and adjacent rows share their first members.
@@ -462,7 +578,7 @@ def _block_pass(products, divergences, local, ids, comps, best, prob_grid, buffe
     # Row -1 is the incoming best: it comes before the block, so it wins ties.
     top_value, top_row, top_col = best[0], -1, -1
     threshold = None
-    scored = 0
+    rows_scored = elements_scored = 0
     while True:
         if top_value != threshold:
             threshold = top_value
@@ -473,11 +589,38 @@ def _block_pass(products, divergences, local, ids, comps, best, prob_grid, buffe
             break
         rows, rest, size = np.sort(rest[:size]), rest[size:], step
         h = rows.shape[0]
-        scored += h
-        score = score_buf[:h]
-        _score_into(products, local[rows], [w[:h] for w in work_buf], score)
-        row, col = divmod(int(np.argmax(score)), p_count)
-        value = score[row, col]
+        rows_scored += h
+        members = local[rows]
+        row_means = _row_means(members)
+        live = None
+        with np.errstate(invalid="ignore"):
+            # Only a slice with a floor short of the incumbent can prune an element.
+            if np.any(floor[rows] + 1e-9 < threshold):
+                element_bound, dropped = score_buf[:h], dropped_buf[:h]
+                _bound_into(bound_tables, row_means, element_bound, work_buf[0][:h], work_buf[1][:h])
+                element_bound += 1e-9
+                # Written so that a NaN bound keeps its element.
+                np.less(element_bound, threshold, out=dropped)
+                if dropped.size - np.count_nonzero(dropped) <= _GATHER_SHARE * dropped.size:
+                    live = np.flatnonzero(~dropped)
+        if live is None:
+            # Dense: every element of the rows, from row gathers.
+            score = score_buf[:h]
+            _chi_into(products, row_means, [w[:h] for w in work_buf], score)
+            elements_scored += score.size
+            flat = int(np.argmax(score))
+            value = score.flat[flat]
+        elif live.shape[0]:
+            # Sparse: only the elements whose bound can reach the incumbent, one
+            # gather per element and position, in row-major order.
+            score, *work = (buf.reshape(-1)[:live.shape[0]] for buf in (score_buf, *work_buf))
+            _chi_into(products, _element_means(members, live, p_count), work, score)
+            elements_scored += score.size
+            top = int(np.argmax(score))
+            flat, value = int(live[top]), score[top]
+        else:
+            continue
+        row, col = divmod(flat, p_count)
         if value > top_value or (value == top_value and rows[row] < top_row):
             top_value, top_row, top_col = value, int(rows[row]), col
     if top_row >= 0:
@@ -486,7 +629,8 @@ def _block_pass(products, divergences, local, ids, comps, best, prob_grid, buffe
             tuple(int(x) for x in ids[local[top_row]]),
             tuple(int(k) for k in comps[top_col]),
         )
-    return best, local.shape[0] - scored
+    return best, np.array(
+        [local.shape[0] - rows_scored, elements_scored, rows_scored * p_count - elements_scored])
 
 
 def _subgrid_indices(a_grid: int, stride: int):
@@ -561,13 +705,21 @@ def _search(channels, config: OracleConfig, budget: float):
 
     all_ids = np.arange(a.shape[0], dtype=np.int64)
     best = (-math.inf, None, None)
-    sigma0 = [0.5] * len(tables)  # the maximally mixed state, until a size has a best
+    centre = [_radius_centre(u, s) for u, _, s, _ in tables]
     for n, schedule in plans:
         comps = _compositions(config.prob_grid, n)
         probs = comps.astype(float) / config.prob_grid
+        if n <= 2 or best[1] is None:
+            sigma0 = centre
+        else:
+            # The diagonal of the best ensemble's mean output.
+            weights = np.array(best[2]) / config.prob_grid
+            sigma0 = [float(weights @ u[list(best[1])]) for u, *_ in tables]
         divergences = [_divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma0)]
         incumbent = (-math.inf, None, None)
-        rows = pruned = 0
+        rows = 0
+        # Rows pruned, elements scored, elements pruned.
+        counts = np.zeros(3, dtype=np.int64)
         for round_no, stride in enumerate(schedule):
             if round_no == 0:
                 keep = set(_subgrid_indices(config.a_grid, stride))
@@ -580,18 +732,17 @@ def _search(channels, config: OracleConfig, budget: float):
                         if 0 <= candidate < config.a_grid:
                             keep.add(candidate)
             ids = all_ids[np.isin(a_index, sorted(keep))]
-            incumbent, skipped = _search_pass(tables, ids, n, probs, comps, incumbent, divergences)
+            incumbent, pass_counts = _search_pass(
+                tables, ids, n, probs, comps, incumbent, divergences)
             rows += math.comb(ids.shape[0], n)
-            pruned += skipped
+            counts += pass_counts
             if incumbent[1] is None:
                 break
-        log.debug("oracle size %d: %d rows scored, %d rows pruned", n, rows - pruned, pruned)
+        pruned, scored, skipped = (int(c) for c in counts)
+        log.debug("oracle size %d: %d rows scored, %d rows pruned, %d elements scored, "
+                  "%d elements pruned", n, rows - pruned, pruned, scored, skipped)
         if incumbent[0] > best[0]:
             best = incumbent
-        if best[1] is not None:
-            # The next size's sigma: the diagonal of the best ensemble's mean output.
-            weights = np.array(best[2]) / config.prob_grid
-            sigma0 = [float(weights @ u[list(best[1])]) for u, *_ in tables]
 
     value, state_ids, comp = best
     if state_ids is None:

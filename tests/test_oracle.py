@@ -15,6 +15,7 @@ from qchan import (
     GeneralKraus,
     MixedChannelPair,
     OracleConfig,
+    QubitState,
     apply_channel,
     capacity_amplitude_damping,
     binary_entropy,
@@ -26,6 +27,7 @@ from qchan import (
     oracle_minimax,
     separation_pair,
     symmetrize,
+    von_neumann_entropy,
 )
 from qchan.oracle import plan_search_size
 
@@ -384,8 +386,15 @@ def test_pass_scores_equal_reference_scores(channel, grid, order):
             members = members[np.random.default_rng(n).permutation(members.shape[0])]
         products = qchan.oracle._product_tables(tables, ids, probs.T)
         score, *work = np.empty((4, members.shape[0], probs.shape[0]))
-        qchan.oracle._score_into(products, members, work, score)
-        assert score.tobytes() == reference_scores(tables, members, probs).tobytes()
+        qchan.oracle._chi_into(products, qchan.oracle._row_means(members), work, score)
+        reference = reference_scores(tables, members, probs)
+        assert score.tobytes() == reference.tobytes()
+        # A seeded third of the elements, each gathered on its own.
+        live = np.flatnonzero(np.random.default_rng(n + 10).random(score.size) < 1 / 3)
+        gathered, *work = np.empty((4, live.shape[0]))
+        means = qchan.oracle._element_means(members, live, probs.shape[0])
+        qchan.oracle._chi_into(products, means, work, gathered)
+        assert gathered.tobytes() == reference.ravel()[live].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -412,6 +421,139 @@ def test_row_bound_is_above_every_score_in_its_row(channel, grid):
             assert np.all(np.isfinite(bound))
             # Float error on either side is ~1e-15, far inside the pass's 1e-9 margin.
             assert np.all(best_in_row <= bound + 1e-12)
+
+
+def element_bounds(divergences, members, probs):
+    """The bound sum_k p_k D_k of every row of members x column of probs, the
+    smallest over the tables, as the pass computes it."""
+    bound_tables = [qchan.oracle._position_tables(d, probs.T) for d in divergences]
+    bound, scratch, other = np.empty((3, members.shape[0], probs.shape[0]))
+    qchan.oracle._bound_into(bound_tables, qchan.oracle._row_means(members), bound, scratch, other)
+    return bound
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "channel, grid",
+    [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL),
+     (PAIR, COMPLEX), (KRAUS, SMALL), (KRAUS, COMPLEX)],
+)
+def test_element_bound_is_above_its_score(channel, grid):
+    # Every (row, composition) of a full n = 1..4 search, with sigma the radius
+    # centre, the search's own and four seeded random diagonals: chi(E) <= sum_k
+    # p_k D(N psi_k || sigma) for any sigma, and float error on either side is
+    # ~1e-15, far inside the pass's 1e-9 margin.
+    config = OracleConfig(n_states=4, **grid)
+    channels, tables = grid_tables(channel, config)
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    _, ensemble = search(channel, config)
+    sigmas = [[qchan.oracle._radius_centre(u, s) for u, _, s, _ in tables]]
+    sigmas += [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
+    sigmas += np.random.default_rng(11).uniform(size=(4, len(channels))).tolist()
+    for n in (1, 2, 3, 4):
+        probs = qchan.oracle._compositions(config.prob_grid, n) / config.prob_grid
+        members = np.array(list(itertools.combinations(range(tables[0][0].shape[0]), n)))
+        score = reference_scores(tables, members, probs)
+        for sigma in sigmas:
+            divergences = [
+                qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)
+            ]
+            bound = element_bounds(divergences, members, probs)
+            assert np.all(np.isfinite(bound))
+            assert np.all(score <= bound + 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nan_at_best", [False, True])
+@pytest.mark.parametrize(
+    "channel, grid",
+    [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL), (KRAUS, COMPLEX),
+     # The best row's columns (3, 4) and (4, 3) tie exactly: the first must win.
+     (AmplitudeDamping(0.5), dict(a_grid=9, prob_grid=7)),
+     # The best is a mirror pair of equal weights, whose mean output is diagonal:
+     # with sigma that output, its bound is its score.
+     (AmplitudeDamping(0.5), dict(a_grid=9, prob_grid=4))],
+)
+def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch, channel, grid, nan_at_best):
+    # A pass that starts just below its best bounds the elements of its first
+    # slice and gathers those that survive, so its best is found there; on these
+    # small grids the row bounds leave few rows, so the share is raised to make
+    # every such slice gather. With sigma the best ensemble's own mean output,
+    # that ensemble's bound is its score, within float error. A NaN D at one of
+    # its states makes its bound NaN, and a NaN bound must keep its element.
+    monkeypatch.setattr(qchan.oracle, "_GATHER_SHARE", 1.0)
+    config = OracleConfig(n_states=3, **grid)
+    _, tables = grid_tables(channel, config)
+    ids = np.arange(tables[0][0].shape[0])
+    gathers = []
+    gather_into = qchan.oracle._gather_into
+    monkeypatch.setattr(qchan.oracle, "_gather_into", lambda *args: gathers.append(1) or gather_into(*args))
+    for n in (2, 3):
+        comps = qchan.oracle._compositions(config.prob_grid, n)
+        probs = comps / config.prob_grid
+        best, _ = reference_pass(tables, ids, n, probs, comps, (-math.inf, None, None), None)
+        weights = np.array(best[2]) / config.prob_grid
+        own = [float(weights @ u[list(best[1])]) for u, *_ in tables]
+        centre = [qchan.oracle._radius_centre(u, s) for u, _, s, _ in tables]
+        for sigma in (own, centre):
+            divergences = [qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+            if nan_at_best:
+                for d in divergences:
+                    d[best[1][-1]] = np.nan
+            for below in (best[0] - 1e-2, best[0] - 1e-6, best[0] - 1e-12, np.nextafter(best[0], 0.0)):
+                start = (float(below), None, None)
+                assert qchan.oracle._search_pass(
+                    tables, ids, n, probs, comps, start, divergences)[0] == best
+    assert gathers
+
+
+CRITERION4 = dict(n_states=4, a_grid=201, prob_grid=20)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "channel, grid, budget",
+    [c for c in REFERENCE_CASES if not isinstance(c[0], MixedChannelPair)]
+    + [(AmplitudeDamping(round(0.1 * k, 1)), CRITERION4, 1e9) for k in range(1, 10)],
+)
+def test_radius_centre_bounds_every_grid_ensemble(channel, grid, budget):
+    # Any sigma bounds every grid ensemble, so the largest D at the centre is at
+    # least the search's value; and no sigma0 on a fine grid has a smaller one.
+    config = OracleConfig(**grid)
+    a, b, _ = qchan.oracle._grid_states(config)
+    u, _, s = qchan.oracle._channel_table(channel, a, b)
+    centre = qchan.oracle._radius_centre(u, s)
+    assert 0.0 <= centre <= 1.0
+    radius = np.max(qchan.oracle._divergences(u, s, centre))
+    value, _ = oracle_capacity(channel, config, budget)
+    assert radius + 1e-12 >= value
+    for x in np.linspace(1e-6, 1 - 1e-6, 1001):
+        assert radius <= np.max(qchan.oracle._divergences(u, s, x)) + 1e-12
+
+
+def loop_table(channel, a, b):
+    """(u, v, s) one state at a time, as _channel_table still takes a GeneralKraus channel."""
+    u, v, s = np.empty(a.shape[0]), np.empty(a.shape[0], dtype=complex), np.empty(a.shape[0])
+    for j in range(a.shape[0]):
+        out = apply_channel(channel, QubitState(a[j], b[j]))
+        u[j], v[j], s[j] = out.a, out.b, von_neumann_entropy(out.to_herm2())
+    return u, v, s
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "grid", [dict(a_grid=201), dict(a_grid=81, phase_grid=8, restrict_real_b=False), COMPLEX])
+def test_damping_and_depolarizing_tables_equal_the_loop(grid):
+    # Byte for byte, signed zeros included, at the ends of the parameter range and
+    # at seeded points.
+    a, b, _ = qchan.oracle._grid_states(OracleConfig(**grid))
+    edges = [0.0, 1.0, 1e-300, 1e-16, 1 - 1e-16, 0.5, 0.24]
+    for x in edges + np.random.default_rng(13).uniform(size=20).tolist():
+        for channel in (AmplitudeDamping(x), Depolarizing(x)):
+            table = qchan.oracle._channel_table(channel, a, b)
+            for new, old in zip(table, loop_table(channel, a, b)):
+                assert new.dtype == old.dtype
+                assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -478,16 +620,25 @@ def test_prefix_bound_is_above_every_row_bound_under_it(channel, grid):
                                                Depolarizing(0.0), Depolarizing(1.0))],
 )
 def test_no_row_with_a_nan_or_inf_bound_sits_under_a_pruned_prefix(monkeypatch, channel, grid, budget):
-    # Every pass of the search, with the divergence tables it used: where sigma0
-    # is 0 or 1 they hold inf or NaN entries, and with n == prob_grid an inf
-    # entry meets 0 * inf. A prefix that can be pruned has a finite bound, so it
-    # must hold no row whose bound is NaN or inf.
+    # Every pass of the search, with the divergence tables it used and with those
+    # of sigma0 = 0 and sigma0 = 1 fed to it: where sigma0 is 0 or 1 they hold inf
+    # or NaN entries, and with n == prob_grid an inf entry meets 0 * inf. The
+    # centre sigma of sizes 1 and 2 lies inside (0, 1), so only gamma = 1 still
+    # meets such a table of its own. A prefix that can be pruned has a finite
+    # bound, so it must hold no row whose bound is NaN or inf; and a pass fed
+    # such tables finds the same best.
     passes = []
     search_pass = qchan.oracle._search_pass
 
     def recording_pass(tables, state_ids, n, probs, comps, best, divergences):
-        passes.append((np.asarray(state_ids), n, int(comps[0].sum()), divergences))
-        return search_pass(tables, state_ids, n, probs, comps, best, divergences)
+        ids = np.asarray(state_ids)
+        result = search_pass(tables, state_ids, n, probs, comps, best, divergences)
+        passes.append((ids, n, int(comps[0].sum()), divergences))
+        for x in (0.0, 1.0):
+            fed = [qchan.oracle._divergences(u, s, x) for u, _, s, _ in tables]
+            assert search_pass(tables, state_ids, n, probs, comps, best, fed)[0] == result[0]
+            passes.append((ids, n, int(comps[0].sum()), fed))
+        return result
 
     monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
     oracle_capacity(channel, OracleConfig(**grid), budget)
@@ -535,7 +686,7 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
         comps = qchan.oracle._compositions(4, 4)
         tracemalloc.start()
         try:
-            _, pruned = qchan.oracle._search_pass(
+            _, (pruned, *_) = qchan.oracle._search_pass(
                 tables, ids, 4, comps / 4, comps, (value - 0.01, None, None), divergences)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -545,48 +696,52 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
 
 
 def logged_sizes(monkeypatch, caplog, channel, config, budget):
-    """The logged (n, rows scored, rows pruned) of a search, with the rows each
-    size's passes hold and the rows actually scored, counted per size."""
-    rows, scored = {}, {}
-    search_pass, score_into = qchan.oracle._search_pass, qchan.oracle._score_into
+    """The logged (n, rows scored, rows pruned, elements scored, elements pruned)
+    of a search; the rows each size's passes hold and their composition count;
+    and the elements actually scored, counted per size."""
+    rows, columns, scored = {}, {}, {}
+    search_pass, chi_into = qchan.oracle._search_pass, qchan.oracle._chi_into
 
-    def counting_pass(tables, state_ids, n, *args):
+    def counting_pass(tables, state_ids, n, probs, *args):
         rows[n] = rows.get(n, 0) + math.comb(len(state_ids), n)
-        return search_pass(tables, state_ids, n, *args)
+        columns[n] = probs.shape[0]
+        return search_pass(tables, state_ids, n, probs, *args)
 
-    def counting_score(products, members, *args):
-        n = members.shape[1]
-        scored[n] = scored.get(n, 0) + members.shape[0]
-        return score_into(products, members, *args)
+    def counting_chi(products, mean_into, work, score):
+        n = products[0][0].shape[0]  # the tables are (n, m, P)
+        scored[n] = scored.get(n, 0) + score.size
+        return chi_into(products, mean_into, work, score)
 
     with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
         patch.setattr(qchan.oracle, "_search_pass", counting_pass)
-        patch.setattr(qchan.oracle, "_score_into", counting_score)
+        patch.setattr(qchan.oracle, "_chi_into", counting_chi)
         oracle_capacity(channel, config, budget)
     sizes = [r.args for r in caplog.records if r.msg.startswith("oracle size")]
     caplog.clear()
-    return sizes, rows, scored
+    return sizes, rows, columns, scored
 
 
 def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
     config = OracleConfig(n_states=3)
     full = logged_sizes(monkeypatch, caplog, AmplitudeDamping(0.5), config, 1e8)
     sizes = full[0]
-    assert [n for n, _, _ in sizes] == [1, 2, 3]
+    assert [n for n, *_ in sizes] == [1, 2, 3]
     # The default budget enumerates every 3-subset of the grid states in one pass.
-    _, scored, pruned = sizes[-1]
+    _, scored, pruned, _, elements_pruned = sizes[-1]
     assert scored + pruned == math.comb(qchan.oracle._total_states(config), 3)
     assert pruned > 0
+    assert elements_pruned > 0
     # Coarse-to-fine rounds at n = 4, where whole prefixes are pruned before
     # their rows are built: rows pruned that way still count as pruned.
     zoom = logged_sizes(
         monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**dict(ZOOM, n_states=4)), 1e6)
-    assert [n for n, _, _ in zoom[0]] == [1, 2, 3, 4]
+    assert [n for n, *_ in zoom[0]] == [1, 2, 3, 4]
     assert zoom[0][-1][2] > 0
-    for sizes, rows, scored in (full, zoom):
-        for n, scored_n, pruned in sizes:
-            assert scored_n == scored[n]
-            assert scored_n + pruned == rows[n]
+    for sizes, rows, columns, scored in (full, zoom):
+        for n, rows_scored, rows_pruned, elements_scored, elements_pruned in sizes:
+            assert elements_scored == scored[n]
+            assert elements_scored + elements_pruned == rows_scored * columns[n]
+            assert rows_scored + rows_pruned == rows[n]
 
 
 def test_first_block_of_a_size_prunes_itself(caplog):
@@ -598,6 +753,6 @@ def test_first_block_of_a_size_prunes_itself(caplog):
     with caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
         oracle_capacity(AmplitudeDamping(0.5), config)
     sizes = {r.args[0]: r.args[1:] for r in caplog.records if r.msg.startswith("oracle size")}
-    scored, pruned = sizes[2]
+    scored, pruned, *_ = sizes[2]
     assert scored + pruned == math.comb(100, 2) == math.comb(states, 2)
     assert pruned > 0
