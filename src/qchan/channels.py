@@ -106,14 +106,23 @@ def kraus_depolarizing(lam: float) -> list:
     ]
 
 
-def apply_channel(channel: Channel, state: QubitState) -> QubitState:
-    """Image of a state under the channel, back in (a, b) form."""
+def _closed_form_output(channel: Channel, a, b):
+    """The output (a, b) of a damping or depolarizing channel on the input (a, b),
+    floats or whole arrays alike, or None for any other channel."""
     if isinstance(channel, AmplitudeDamping):
         g = channel.gamma
-        return QubitState(state.a + (1.0 - state.a) * g, state.b * math.sqrt(1.0 - g))
+        return a + (1.0 - a) * g, b * math.sqrt(1.0 - g)
     if isinstance(channel, Depolarizing):
         l = channel.lam
-        return QubitState((1.0 - l) * state.a + 0.5 * l, (1.0 - l) * state.b)
+        return (1.0 - l) * a + 0.5 * l, (1.0 - l) * b
+    return None
+
+
+def apply_channel(channel: Channel, state: QubitState) -> QubitState:
+    """Image of a state under the channel, back in (a, b) form."""
+    closed = _closed_form_output(channel, state.a, state.b)
+    if closed is not None:
+        return QubitState(*closed)
     if isinstance(channel, GeneralKraus):
         rho = state.to_herm2().to_matrix()
         out = np.zeros((2, 2), dtype=complex)

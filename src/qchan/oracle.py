@@ -46,24 +46,27 @@ s columns of the tables. Sizes 1 and 2 take, per channel, the divergence-radius
 centre: the sigma0 that minimizes the largest D over all grid states, where
 the bound is tightest. Each D_i is convex in sigma0, so it is bisected on the
 sign of the slope of the largest D_i. Later sizes take the mean output of the
-best ensemble so far. Any sigma is valid; the choice moves only how much gets
+best ensemble so far, which prunes more for a pair of channels, where each
+channel's centre bounds its own capacity rather than the sup-min (timings at
+the branch in _search). Any sigma is valid; the choice moves only how much gets
 pruned. A candidate is skipped only if its bound + 1e-9 is below the incumbent
 of the current size as it stands before the candidate's slice: the bound is
 within ~1e-15 of a sum that is >= the candidate's score, so such a candidate
 scores strictly below a genuine score and can neither win nor tie, while one
 that ties or beats the incumbent has a bound at most ~1e-15 below it, far
 inside the margin, and is scored. So the bits, and the first maximal candidate
-that wins, are those of the unpruned pass. A NaN bound, which a degenerate sigma yields, prunes nothing.
+that wins, are those of the unpruned pass. A NaN bound, which a degenerate
+sigma yields, prunes nothing.
 
 An element's own bound is sum_k p_k D_k, summed like a mean from per-pass
 tables D[state] * p_k. A row of n states on the grid G = prob_grid has p_i in
-[1/G, (G - n + 1)/G], so its elements' bounds lie between ((sum_i D_i) + (G - n)
-min_i D_i) / G and the row bound ((sum_i D_i) + (G - n) max_i D_i) / G. A row is
-scored only if its row bound reaches the incumbent, and a slice bounds its
-elements only if some row floor falls short of it. The elements that survive
-are then scored from gathers of their own entries, and the other elements are
-not computed. Only a slice where too many survive for that to pay scores every
-element of its rows from row gathers instead.
+[1/G, (G - n + 1)/G], so the largest of its elements' bounds is the row bound
+((sum_i D_i) + (G - n) max_i D_i) / G. A row is scored only if its row bound
+reaches the incumbent, and once the size has an incumbent, the elements of the
+rows scored are bounded one by one. The elements that survive are scored from
+gathers of their own entries, and the other elements are not computed. Only a
+slice where too many survive for that to pay scores every element of its rows
+from row gathers instead.
 
 A prefix is bounded before its rows are built: the row formula, in the same
 float steps, with the last state's D replaced by the largest D of the states
@@ -93,11 +96,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import bisect_sign_change
-from .channels import AmplitudeDamping, Channel, Depolarizing, MixedChannelPair, apply_channel
+from .channels import Channel, MixedChannelPair, _closed_form_output, apply_channel
 from .errors import BudgetExceededError, DomainError
 # binary_entropy stays bound here: perfbench's tracer test patches qchan.oracle.binary_entropy.
 from .states import (  # noqa: F401
     Ensemble,
+    Herm2,
     QubitState,
     binary_entropy,
     binary_entropy_into,
@@ -125,12 +129,12 @@ _SLICE_ELEMENTS = 65_536
 
 # A slice where at most this share of the elements survive their bounds gathers
 # and scores only those; a slice with more scores every element of its rows from
-# row gathers. Scores do not depend on it. In a sweep over 0, 1/16, 1/8, 1/4, 1/2
-# and 1 (every slice gathers) on a 2-vCPU x86-64 host, the three criterion-4
-# searches and the separation pair ran equally fast from 1/16 to 1, and 1.4x and
-# 2x slower at 0. AD 0.4 + dep 0.2 at the criterion-8 shape, where 42% of the
-# n = 3 elements survive, ran fastest at 1/4: 2.42 s, against 2.63 s at 1/8,
-# 2.44 s at 1/2 and 4.83 s at 1.
+# row gathers. Scores do not depend on it. Of the shapes measured, the dense side
+# serves only AD 0.4 + dep 0.2 at the criterion-8 shape, a CI and test shape,
+# where 42% of the n = 3 elements survive; the benchmark's searches keep at most
+# 8% and run as fast at any share from 1/16 to 1. In a sweep over 1/16, 1/8,
+# 1/4, 1/2 and 1 (every slice gathers) on a 2-vCPU x86-64 host, that pair ran
+# fastest at 1/4: 2.20 s, against 2.29 s at 1/8, 2.46 s at 1/2 and 4.73 s at 1.
 _GATHER_SHARE = 0.25
 
 # Refinement rounds probe +-2 steps of the halved stride around every
@@ -194,35 +198,24 @@ def _grid_states(config: OracleConfig):
 def _channel_table(channel: Channel, a, b):
     """Per-state output population, coherence, and output entropy.
 
-    Damping and depolarizing outputs take apply_channel's formula and
-    von_neumann_entropy's steps on whole arrays, with the same libm calls for
-    abs(b) (hypot) and for ** 2 (pow), so every entry has the bits of the
-    per-state loop that a GeneralKraus channel still takes.
+    Damping and depolarizing outputs go through the closed forms and the entropy
+    on whole arrays, bit-equal to the per-state loop that a GeneralKraus
+    channel still takes.
     """
-    if isinstance(channel, AmplitudeDamping):
-        u = a + (1.0 - a) * channel.gamma
-        v = b * math.sqrt(1.0 - channel.gamma)
-    elif isinstance(channel, Depolarizing):
-        u = (1.0 - channel.lam) * a + 0.5 * channel.lam
-        v = (1.0 - channel.lam) * b
-    else:
-        n = a.shape[0]
-        u = np.empty(n)
-        v = np.empty(n, dtype=complex)
-        s = np.empty(n)
-        for j in range(n):
-            out = apply_channel(channel, QubitState(a[j], b[j]))
-            u[j] = out.a
-            v[j] = out.b
-            s[j] = von_neumann_entropy(out.to_herm2())
-        return u, v, s
-    # The smaller eigenvalue of [[u, v], [v*, m11]] as eigenvalues_herm2 takes it; the
-    # entropy of one outside (0, 1) is 0, as the loop's clamp to [0, 1] makes it.
-    m11 = 1.0 - u
-    half_trace = 0.5 * (u + m11)
-    radicand = np.float_power(u - m11, 2.0) + 4.0 * np.float_power(np.hypot(v.real, v.imag), 2.0)
-    low = half_trace - 0.5 * np.sqrt(radicand)
-    return u, v, binary_entropy_into(low, np.empty(low.shape), np.empty(low.shape))
+    closed = _closed_form_output(channel, a, b)
+    if closed is not None:
+        u, v = closed
+        return u, v, von_neumann_entropy(Herm2(u, 1.0 - u, v))
+    n = a.shape[0]
+    u = np.empty(n)
+    v = np.empty(n, dtype=complex)
+    s = np.empty(n)
+    for j in range(n):
+        out = apply_channel(channel, QubitState(a[j], b[j]))
+        u[j] = out.a
+        v[j] = out.b
+        s[j] = von_neumann_entropy(out.to_herm2())
+    return u, v, s
 
 
 def _first_free(rows):
@@ -340,10 +333,9 @@ def _radius_centre(u, s):
     return bisect_sign_change(falling, 0.0, 1.0, 0.0)[0]
 
 
-def _bound(columns, prob_grid, extreme=np.maximum):
+def _bound(columns, prob_grid):
     """The smallest over channels of ((sum D_i) + (G - n) max D_i) / G, the largest
-    sum_k p_k D_k over the compositions of a row; with ``extreme`` np.minimum,
-    of ((sum D_i) + (G - n) min D_i) / G, the smallest.
+    sum_k p_k D_k over the compositions of a row.
 
     ``columns`` holds, per channel, the n (table, index) pairs whose table[index]
     are the columns of D of the rows bounded; they are summed and maxed in
@@ -358,7 +350,7 @@ def _bound(columns, prob_grid, extreme=np.maximum):
         for later_table, later_index in later:
             d = later_table[later_index]
             total += d
-            extreme(top, d, out=top)
+            np.maximum(top, d, out=top)
         top *= prob_grid - 1 - len(later)
         total += top
         total /= prob_grid
@@ -366,14 +358,13 @@ def _bound(columns, prob_grid, extreme=np.maximum):
     return bound
 
 
-def _row_bounds(divergences, members, prob_grid, extreme=np.maximum):
-    """Upper bound on the score of every composition of each row of ``members``;
-    with ``extreme`` np.minimum, the smallest element bound of the row.
+def _row_bounds(divergences, members, prob_grid):
+    """Upper bound on the score of every composition of each row of ``members``.
 
     ``divergences`` holds one _divergences table per scored channel.
     """
     return _bound(
-        [[(table, col) for col in members.T] for table in divergences], prob_grid, extreme)
+        [[(table, col) for col in members.T] for table in divergences], prob_grid)
 
 
 def _suffix_max(divergences):
@@ -566,9 +557,6 @@ def _block_pass(products, divergences, bound_tables, local, ids, comps, best, pr
     probe = max(1, step // 8)
     with np.errstate(invalid="ignore"):
         bound = _row_bounds(divergences, local, prob_grid)
-        # No element bound of a row is below the row's floor. With one
-        # composition per row there is nothing between the two.
-        floor = bound if p_count == 1 else _row_bounds(divergences, local, prob_grid, np.minimum)
     # First a probe of the rows with the largest bounds (NaN sorts last), then
     # the others. Each slice is sorted, so its first maximal element is in its
     # first maximal row, and adjacent rows share their first members.
@@ -593,9 +581,9 @@ def _block_pass(products, divergences, bound_tables, local, ids, comps, best, pr
         members = local[rows]
         row_means = _row_means(members)
         live = None
-        with np.errstate(invalid="ignore"):
-            # Only a slice with a floor short of the incumbent can prune an element.
-            if np.any(floor[rows] + 1e-9 < threshold):
+        # No element bound falls short of an incumbent of -inf.
+        if threshold > -math.inf:
+            with np.errstate(invalid="ignore"):
                 element_bound, dropped = score_buf[:h], dropped_buf[:h]
                 _bound_into(bound_tables, row_means, element_bound, work_buf[0][:h], work_buf[1][:h])
                 element_bound += 1e-9
@@ -712,7 +700,11 @@ def _search(channels, config: OracleConfig, budget: float):
         if n <= 2 or best[1] is None:
             sigma0 = centre
         else:
-            # The diagonal of the best ensemble's mean output.
+            # The diagonal of the best ensemble's mean output. With the centre at
+            # every size instead, in 16 alternating in-process pairs on a 2-vCPU
+            # x86-64 host, the criterion-4 searches ran x0.98, AD 0.4 + dep 0.2 at
+            # the criterion-8 shape x0.84, but the separation pair x1.43 and three
+            # AD + dep pairs near the branch crossing x1.15.
             weights = np.array(best[2]) / config.prob_grid
             sigma0 = [float(weights @ u[list(best[1])]) for u, *_ in tables]
         divergences = [_divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma0)]

@@ -45,26 +45,31 @@ class Herm2:
         )
 
 
-def eigenvalues_herm2(m: Herm2) -> tuple[float, float]:
-    """Closed-form eigenvalues of a Herm2, returned as (high, low).
-
-    The pair always sums to the trace. The radicand (m00 - m11)^2 + 4|m01|^2
-    equals trace^2 - 4 det and cannot go negative except by roundoff, which is
-    clamped.
-    """
-    half_trace = 0.5 * (m.m00 + m.m11)
-    radicand = (m.m00 - m.m11) ** 2 + 4.0 * abs(m.m01) ** 2
-    if radicand < 0.0:
-        if radicand < -1e-14:
-            raise DomainError(f"eigenvalue radicand {radicand} below -1e-14")
-        radicand = 0.0
-    half_gap = 0.5 * math.sqrt(radicand)
-    return half_trace + half_gap, half_trace - half_gap
-
-
 def is_scalar(value) -> bool:
     """Whether ``value`` has np.ndim 0; a float answers without np.ndim's cost."""
     return isinstance(value, float) or np.ndim(value) == 0
+
+
+# (x ** 2, abs, sqrt) for float entries, as Python computes them with libm's pow
+# and hypot, and the numpy ufuncs that give the same bits on arrays: np.square
+# and np.abs of a complex array round otherwise than pow and hypot.
+_FLOAT_OPS = (lambda x: x ** 2, abs, math.sqrt)
+_ARRAY_OPS = (lambda x: np.float_power(x, 2.0), lambda z: np.hypot(z.real, z.imag), np.sqrt)
+
+
+def eigenvalues_herm2(m: Herm2):
+    """Closed-form eigenvalues of a Herm2, returned as (high, low).
+
+    The pair always sums to the trace. The radicand (m00 - m11)^2 + 4|m01|^2
+    equals trace^2 - 4 det and is a sum of squares, so never negative. The
+    entries may be arrays of one shape: each matrix then gets the bits its
+    float entries would.
+    """
+    square, modulus, sqrt = _FLOAT_OPS if is_scalar(m.m00) else _ARRAY_OPS
+    half_trace = 0.5 * (m.m00 + m.m11)
+    radicand = square(m.m00 - m.m11) + 4.0 * square(modulus(m.m01))
+    half_gap = 0.5 * sqrt(radicand)
+    return half_trace + half_gap, half_trace - half_gap
 
 
 def binary_entropy(p):
@@ -112,18 +117,26 @@ def binary_entropy_into(q: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> 
     return out
 
 
-def von_neumann_entropy(m: Herm2) -> float:
+def von_neumann_entropy(m: Herm2):
     """Entropy of a density matrix in bits: H of the smaller eigenvalue.
 
     Eigenvalues are clamped to [0, 1] before the logarithm so that roundoff
-    from the parameterization cannot poison downstream convexity checks.
+    from the parameterization cannot poison downstream convexity checks. A Herm2
+    of arrays gives the array of entropies, each bit-equal to its float one.
     """
-    if abs(m.trace() - 1.0) > TOL_STATE:
-        raise DomainError(f"trace {m.trace()} deviates from 1 beyond {TOL_STATE}")
+    if is_scalar(m.m00):
+        if abs(m.trace() - 1.0) > TOL_STATE:
+            raise DomainError(f"trace {m.trace()} deviates from 1 beyond {TOL_STATE}")
+        hi, lo = eigenvalues_herm2(m)
+        if lo < -TOL_STATE or hi > 1.0 + TOL_STATE:
+            raise DomainError(f"eigenvalues ({hi}, {lo}) outside [0, 1]")
+        return binary_entropy(min(max(lo, 0.0), 1.0))
+    if np.any(np.abs(m.trace() - 1.0) > TOL_STATE):
+        raise DomainError(f"a trace deviates from 1 beyond {TOL_STATE}")
     hi, lo = eigenvalues_herm2(m)
-    if lo < -TOL_STATE or hi > 1.0 + TOL_STATE:
-        raise DomainError(f"eigenvalues ({hi}, {lo}) outside [0, 1]")
-    return binary_entropy(min(max(lo, 0.0), 1.0))
+    if np.any((lo < -TOL_STATE) | (hi > 1.0 + TOL_STATE)):
+        raise DomainError("eigenvalues outside [0, 1]")
+    return binary_entropy(np.clip(lo, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -507,6 +507,32 @@ def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch
     assert gathers
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "channel, pair", [(AmplitudeDamping(0.5), [3, 4]), (AmplitudeDamping(0.1), [5, 6]),
+                      (Depolarizing(0.2), [3, 4])])
+def test_element_whose_bound_rounds_below_its_score_is_scored(channel, pair):
+    # An equal-weight mirror pair has a diagonal mean output. With sigma one ulp
+    # off it, chi = sum_k p_k D_k to second order, and in floats these pairs'
+    # bounds round 1-4 ulp below their scores. A pass started at exactly such a
+    # score must still score the element: a candidate that ties the incumbent
+    # wins over a later row that a probe slice scored first. Only the 1e-9
+    # margin keeps it; without it the element is pruned.
+    config = OracleConfig(n_states=2, a_grid=9, prob_grid=2)
+    _, tables = grid_tables(channel, config)
+    u, _, s, _ = tables[0]
+    comps = qchan.oracle._compositions(config.prob_grid, 2)
+    probs = comps / config.prob_grid
+    members = np.array([pair])
+    score = float(reference_scores(tables, members, probs)[0, 0])
+    divergences = [qchan.oracle._divergences(u, s, np.nextafter(u[pair[0]], 1.0))]
+    assert element_bounds(divergences, members, probs)[0, 0] < score
+    _, counts = qchan.oracle._search_pass(
+        tables, pair, 2, probs, comps, (score, None, None), divergences)
+    # No row pruned, one element scored, none pruned.
+    assert counts.tolist() == [0, 1, 0]
+
+
 CRITERION4 = dict(n_states=4, a_grid=201, prob_grid=20)
 
 

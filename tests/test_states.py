@@ -149,10 +149,29 @@ class TestVonNeumannEntropy:
     def test_rejects_bad_trace(self):
         with pytest.raises(DomainError):
             von_neumann_entropy(Herm2(0.7, 0.7))
+        with pytest.raises(DomainError):
+            von_neumann_entropy(Herm2(np.array([0.5, 0.7]), np.array([0.5, 0.7]), np.zeros(2, complex)))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError):
             von_neumann_entropy(Herm2(1.2, -0.2))
+        with pytest.raises(DomainError):
+            von_neumann_entropy(Herm2(np.array([0.5, 1.2]), np.array([0.5, -0.2]), np.zeros(2, complex)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_array_entries_match_float_entries(self, rng):
+        # Byte for byte, eigenvalues and entropy, on mixed and pure states and on
+        # the edges where the smaller eigenvalue rounds to or below 0.
+        states = [random_state(rng) for _ in range(2000)]
+        states += [pure_state(a, np.exp(2j * np.pi * rng.uniform())) for a in rng.uniform(size=2000)]
+        states += [QubitState(a) for a in (0.0, 1.0, 0.5, 1e-300)] + [pure_state(0.5), pure_state(1e-16)]
+        m = Herm2(np.array([s.a for s in states]), np.array([1.0 - s.a for s in states]),
+                  np.array([s.b for s in states]))
+        scalar = [s.to_herm2() for s in states]
+        for got, want in zip(eigenvalues_herm2(m), zip(*map(eigenvalues_herm2, scalar))):
+            assert got.tobytes() == np.array(want).tobytes()
+        assert von_neumann_entropy(m).tobytes() == np.array(
+            [von_neumann_entropy(h) for h in scalar]).tobytes()
 
 
 class TestQubitState:
