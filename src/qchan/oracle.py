@@ -62,11 +62,11 @@ An element's own bound is sum_k p_k D_k, summed like a mean from per-pass
 tables D[state] * p_k. A row of n states on the grid G = prob_grid has p_i in
 [1/G, (G - n + 1)/G], so the largest of its elements' bounds is the row bound
 ((sum_i D_i) + (G - n) max_i D_i) / G. A row is scored only if its row bound
-reaches the incumbent, and once the size has an incumbent, the elements of the
-rows scored are bounded one by one. The elements that survive are scored from
-gathers of their own entries, and the other elements are not computed. Only a
-slice where too many survive for that to pay scores every element of its rows
-from row gathers instead.
+reaches the incumbent, and once the size has an incumbent or a floor (below),
+the elements of the rows scored are bounded one by one. The elements that
+survive are scored from gathers of their own entries, and the other elements
+are not computed. Only a slice where too many survive for that to pay scores
+every element of its rows from row gathers instead.
 
 A prefix is bounded before its rows are built: the row formula, in the same
 float steps, with the last state's D replaced by the largest D of the states
@@ -83,6 +83,21 @@ size, which meets no incumbent, prunes its other rows against genuine scores of
 its own. The winner is still the first maximal candidate of the unpruned pass:
 each slice is scored in row-major order, and a later slice wins a tie only with
 an earlier row.
+
+The first pass of each size from 2 on also starts from a floor. Before its
+first block, it scores every weighting of a few seed rows of its own states:
+for size 2, every mirror pair, the states (a, b) and (a, -b), of which the
+damping maximizer is one at equal weights; for a larger size, the previous
+size's best, each state moved to the nearest unused state of the pass with its
+phase and completed by each other state. The largest finite seed score is the floor,
+and every prefix, row and element bound is held against the larger of the
+incumbent and the floor. The floor is a genuine score of an element of the
+pass, so it is at most the pass's maximum, and the margin argument above holds
+for it as for the incumbent: an element that ties or beats that maximum has a
+bound within ~1e-15 of its score and is scored. The floor never becomes the
+incumbent, so the winner and the bits stay those of the pass without one. A
+seed passed in as the incoming best would not keep them: mirror rows score
+bit-identically, and the incoming best wins ties against every later row.
 """
 
 from __future__ import annotations
@@ -173,26 +188,20 @@ class OracleConfig:
 
 
 def _grid_states(config: OracleConfig):
-    """Pure grid states as parallel arrays (a, b, index into the a-grid)."""
+    """Pure grid states as parallel arrays (a, b, index into the a-grid): each a
+    with a coherence takes every phase in order, a = 0 and a = 1 the first only."""
     avals = np.linspace(0.0, 1.0, config.a_grid)
     if config.restrict_real_b:
-        phases = (1.0 + 0j, -1.0 + 0j)
+        phases = np.array((1.0 + 0j, -1.0 + 0j))
     else:
-        phases = tuple(
-            np.exp(2j * np.pi * k / config.phase_grid) for k in range(config.phase_grid)
+        phases = np.array(
+            [np.exp(2j * np.pi * k / config.phase_grid) for k in range(config.phase_grid)]
         )
-    a_out, b_out, idx_out = [], [], []
-    for i, a in enumerate(avals):
-        mag = math.sqrt(max(a * (1.0 - a), 0.0))
-        for phase in phases if mag > 0.0 else phases[:1]:
-            a_out.append(a)
-            b_out.append(mag * phase)
-            idx_out.append(i)
-    return (
-        np.array(a_out),
-        np.array(b_out, dtype=complex),
-        np.array(idx_out, dtype=np.int64),
-    )
+    mag = np.sqrt(np.maximum(avals * (1.0 - avals), 0.0))
+    counts = np.where(mag > 0.0, phases.shape[0], 1)
+    index = np.repeat(np.arange(config.a_grid, dtype=np.int64), counts)
+    phase = np.arange(index.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    return avals[index], mag[index] * phases[phase], index
 
 
 def _channel_table(channel: Channel, a, b):
@@ -493,28 +502,47 @@ def _element_means(members, live, p_count):
     return lambda table, out, scratch: _gather_into(table, index, out, scratch)
 
 
-def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
+def _seed_floor(products, seeds, buffers):
+    """The largest finite score of the elements of the rows ``seeds``, or -inf
+    if none is finite, scored slice by slice in ``buffers``."""
+    score_buf, *work_buf, _ = buffers
+    step = score_buf.shape[0]
+    floor = -math.inf
+    for start in range(0, seeds.shape[0], step):
+        members = seeds[start:start + step]
+        h = members.shape[0]
+        score = score_buf[:h]
+        _chi_into(products, _row_means(members), [w[:h] for w in work_buf], score)
+        floor = float(np.max(score, where=np.isfinite(score), initial=floor))
+    return floor
+
+
+def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     """Exhaustive max over distinct sorted n-subsets of state_ids x compositions.
 
     ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
     score is the minimum chi across channels. ``best`` is the running
     (value, state id tuple, composition tuple) and ties keep the incumbent.
     ``divergences`` holds the per-channel _divergences tables that bound a row's
-    and an element's score. Returns the new best and an int64 array of three
-    counts: the rows skipped by their bounds, the elements scored and the
-    elements of the other rows skipped by theirs.
+    and an element's score. ``seeds`` holds rows of n increasing positions in
+    state_ids: the largest finite score of their elements is the pass's floor,
+    which prunes beside the incumbent but never becomes it. Returns the new
+    best; an int64 array of three counts: the rows skipped by their bounds, the
+    elements scored and the elements of the other rows skipped by theirs; and
+    the seed elements scored with the floor.
     """
     counts = np.zeros(3, dtype=np.int64)
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
     if m < n:
-        return best, counts
+        return best, counts, (0, -math.inf)
     p_count = probs.shape[0]
     prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
     products = _product_tables(tables, ids, probs.T)
     shape = (max(1, _SLICE_ELEMENTS // p_count), p_count)
     buffers = [*np.empty((4, *shape)), np.empty(shape, dtype=bool)]
+    floor = _seed_floor(products, seeds, buffers)
     d_at = [table[ids] for table in divergences]  # D at each position of ids
     bound_tables = [_position_tables(d, probs.T) for d in d_at]
     suffix_max = _suffix_max(d_at)
@@ -523,8 +551,8 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
             prefix_bound = _prefix_bounds(d_at, suffix_max, prefixes, prob_grid)
         threshold = None
         while prefixes.shape[0]:
-            if best[0] != threshold:
-                threshold = best[0]
+            if max(best[0], floor) != threshold:
+                threshold = max(best[0], floor)
                 with np.errstate(invalid="ignore"):
                     # Written so that a NaN bound keeps its prefix.
                     keep = ~(prefix_bound + 1e-9 < threshold)
@@ -539,18 +567,20 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences):
             prefixes, prefix_bound, ends = prefixes[take:], prefix_bound[take:], ends[take:]
             best, block_counts = _block_pass(
                 products, d_at, bound_tables, _complete(block, m, n, n), ids, comps, best,
-                prob_grid, buffers)
+                floor, prob_grid, buffers)
             counts += block_counts
-    return best, counts
+    return best, counts, (seeds.shape[0] * p_count, floor)
 
 
-def _block_pass(products, divergences, bound_tables, local, ids, comps, best, prob_grid, buffers):
+def _block_pass(products, divergences, bound_tables, local, ids, comps, best, floor, prob_grid,
+                buffers):
     """_search_pass over one block of rows ``local``, positions in ids in row order.
 
     ``bound_tables`` holds per channel the (n, m, P) table D * p_k of the element
-    bounds; ``buffers`` holds the score and work arrays of one slice and a
-    boolean array of its shape. Returns the new best and _search_pass's three
-    counts for the block.
+    bounds; bounds are held against the larger of the incumbent and ``floor``.
+    ``buffers`` holds the score and work arrays of one slice and a boolean array
+    of its shape. Returns the new best and _search_pass's three counts for the
+    block.
     """
     score_buf, *work_buf, dropped_buf = buffers
     step, p_count = score_buf.shape
@@ -568,8 +598,8 @@ def _block_pass(products, divergences, bound_tables, local, ids, comps, best, pr
     threshold = None
     rows_scored = elements_scored = 0
     while True:
-        if top_value != threshold:
-            threshold = top_value
+        if max(top_value, floor) != threshold:
+            threshold = max(top_value, floor)
             with np.errstate(invalid="ignore"):
                 # Written so that a NaN bound keeps its row.
                 rest = rest[~(bound[rest] + 1e-9 < threshold)]
@@ -581,7 +611,7 @@ def _block_pass(products, divergences, bound_tables, local, ids, comps, best, pr
         members = local[rows]
         row_means = _row_means(members)
         live = None
-        # No element bound falls short of an incumbent of -inf.
+        # No element bound falls short of a threshold of -inf.
         if threshold > -math.inf:
             with np.errstate(invalid="ignore"):
                 element_bound, dropped = score_buf[:h], dropped_buf[:h]
@@ -619,6 +649,40 @@ def _block_pass(products, divergences, bound_tables, local, ids, comps, best, pr
         )
     return best, np.array(
         [local.shape[0] - rows_scored, elements_scored, rows_scored * p_count - elements_scored])
+
+
+def _seed_rows(ids, n, winner, a_index, phase, phase_grid):
+    """Rows of n increasing positions in ``ids`` whose best score is the floor of
+    the first pass of size n.
+
+    Size 2 takes every mirror pair: the two states at one a whose phases are half
+    a turn apart, so their coherences are b and -b. A larger size takes the
+    states of ``winner``, the previous size's best, each moved to the nearest
+    unused state of ids with its phase, completed by each other state of ids.
+    ``phase`` is each grid state's phase index, 0 at a = 0 and a = 1.
+    """
+    m = ids.shape[0]
+    none = np.zeros((0, n), dtype=np.int64)
+    if n == 2:
+        if phase_grid % 2:
+            return none
+        half = phase_grid // 2
+        first = np.flatnonzero(a_index[ids[:max(m - half, 0)]] == a_index[ids[half:]])
+        return np.column_stack((first, first + half))
+    if winner is None or m < n:
+        return none
+    moved = []
+    for sid in winner:
+        distance = np.abs(a_index[ids] - a_index[sid]).astype(float)
+        distance[phase[ids] != phase[sid]] = math.inf
+        distance[moved] = math.inf
+        j = int(np.argmin(distance))
+        if distance[j] == math.inf:
+            return none
+        moved.append(j)
+    others = np.delete(np.arange(m, dtype=np.int64), moved)
+    rows = np.column_stack((np.broadcast_to(moved, (others.shape[0], n - 1)), others))
+    return np.sort(rows, axis=1)
 
 
 def _subgrid_indices(a_grid: int, stride: int):
@@ -692,7 +756,10 @@ def _search(channels, config: OracleConfig, budget: float):
         tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
 
     all_ids = np.arange(a.shape[0], dtype=np.int64)
+    # The states at one a are adjacent, in phase order.
+    phase = all_ids - np.searchsorted(a_index, a_index)
     best = (-math.inf, None, None)
+    winner = None  # the states of the previous size's best
     centre = [_radius_centre(u, s) for u, _, s, _ in tables]
     for n, schedule in plans:
         comps = _compositions(config.prob_grid, n)
@@ -709,7 +776,8 @@ def _search(channels, config: OracleConfig, budget: float):
             sigma0 = [float(weights @ u[list(best[1])]) for u, *_ in tables]
         divergences = [_divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma0)]
         incumbent = (-math.inf, None, None)
-        rows = 0
+        rows = seed_elements = 0
+        floor = -math.inf
         # Rows pruned, elements scored, elements pruned.
         counts = np.zeros(3, dtype=np.int64)
         for round_no, stride in enumerate(schedule):
@@ -724,15 +792,23 @@ def _search(channels, config: OracleConfig, budget: float):
                         if 0 <= candidate < config.a_grid:
                             keep.add(candidate)
             ids = all_ids[np.isin(a_index, sorted(keep))]
-            incumbent, pass_counts = _search_pass(
-                tables, ids, n, probs, comps, incumbent, divergences)
+            if round_no == 0:
+                seeds = _seed_rows(ids, n, winner, a_index, phase, config.phase_grid)
+            else:
+                seeds = np.zeros((0, n), dtype=np.int64)
+            incumbent, pass_counts, (seeded, pass_floor) = _search_pass(
+                tables, ids, n, probs, comps, incumbent, divergences, seeds)
+            seed_elements += seeded
+            floor = max(floor, pass_floor)
             rows += math.comb(ids.shape[0], n)
             counts += pass_counts
             if incumbent[1] is None:
                 break
         pruned, scored, skipped = (int(c) for c in counts)
         log.debug("oracle size %d: %d rows scored, %d rows pruned, %d elements scored, "
-                  "%d elements pruned", n, rows - pruned, pruned, scored, skipped)
+                  "%d elements pruned, %d seed elements scored, floor %r",
+                  n, rows - pruned, pruned, scored, skipped, seed_elements, floor)
+        winner = incumbent[1]
         if incumbent[0] > best[0]:
             best = incumbent
 

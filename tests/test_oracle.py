@@ -249,12 +249,12 @@ def reference_scores(tables, members, probs, mean=chain_mean):
     return score
 
 
-def reference_pass(tables, state_ids, n, probs, comps, best, divergences):
-    """The search pass block by block, unpruned: it ignores ``divergences``."""
+def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
+    """The search pass block by block, unpruned: it ignores ``divergences`` and ``seeds``."""
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
     if m < n:
-        return best, 0
+        return best, 0, (0, -math.inf)
     p_count = probs.shape[0]
     chunk = max(1, qchan.oracle._CHUNK_ELEMENTS // p_count)
     combo_iter = itertools.combinations(range(m), n)
@@ -266,7 +266,12 @@ def reference_pass(tables, state_ids, n, probs, comps, best, divergences):
         if value > best[0]:
             row, col = divmod(flat, p_count)
             best = (value, tuple(int(x) for x in members[row]), tuple(int(k) for k in comps[col]))
-    return best, 0
+    return best, 0, (0, -math.inf)
+
+
+def no_seeds(n):
+    """An empty seed set for a pass of size n: the pass has no floor."""
+    return np.zeros((0, n), dtype=np.int64)
 
 
 SMALL = dict(a_grid=9, prob_grid=5)
@@ -491,7 +496,7 @@ def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch
     for n in (2, 3):
         comps = qchan.oracle._compositions(config.prob_grid, n)
         probs = comps / config.prob_grid
-        best, _ = reference_pass(tables, ids, n, probs, comps, (-math.inf, None, None), None)
+        best, *_ = reference_pass(tables, ids, n, probs, comps, (-math.inf, None, None), None, no_seeds(n))
         weights = np.array(best[2]) / config.prob_grid
         own = [float(weights @ u[list(best[1])]) for u, *_ in tables]
         centre = [qchan.oracle._radius_centre(u, s) for u, _, s, _ in tables]
@@ -503,7 +508,7 @@ def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch
             for below in (best[0] - 1e-2, best[0] - 1e-6, best[0] - 1e-12, np.nextafter(best[0], 0.0)):
                 start = (float(below), None, None)
                 assert qchan.oracle._search_pass(
-                    tables, ids, n, probs, comps, start, divergences)[0] == best
+                    tables, ids, n, probs, comps, start, divergences, no_seeds(n))[0] == best
     assert gathers
 
 
@@ -527,10 +532,105 @@ def test_element_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     score = float(reference_scores(tables, members, probs)[0, 0])
     divergences = [qchan.oracle._divergences(u, s, np.nextafter(u[pair[0]], 1.0))]
     assert element_bounds(divergences, members, probs)[0, 0] < score
-    _, counts = qchan.oracle._search_pass(
-        tables, pair, 2, probs, comps, (score, None, None), divergences)
+    _, counts, _ = qchan.oracle._search_pass(
+        tables, pair, 2, probs, comps, (score, None, None), divergences, no_seeds(2))
     # No row pruned, one element scored, none pruned.
     assert counts.tolist() == [0, 1, 0]
+
+
+def run_pass(tables, ids, n, prob_grid, divergences, seeds):
+    """(best, seed elements scored, floor) of a pass from -inf over ``ids`` with ``seeds``."""
+    comps = qchan.oracle._compositions(prob_grid, n)
+    best, _, (seeded, floor) = qchan.oracle._search_pass(
+        tables, ids, n, comps / prob_grid, comps, (-math.inf, None, None), divergences, seeds)
+    return best, seeded, floor
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk, slice_", [(None, None), (60, 7)])
+def test_seed_floor_keeps_the_pass_winner(monkeypatch, chunk, slice_):
+    # A floor is the best score of genuine elements of the pass: it prunes, but
+    # the winner stays the first maximal element of the pass without one.
+    if chunk is not None:
+        monkeypatch.setattr(qchan.oracle, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(qchan.oracle, "_SLICE_ELEMENTS", slice_)
+    config = OracleConfig(n_states=2, **SMALL)
+    a, b, a_index = qchan.oracle._grid_states(config)
+    _, tables = grid_tables(AmplitudeDamping(0.3), config)
+    u, v, s, _ = tables[0]
+    ids = np.arange(a.shape[0])
+    divergences = [qchan.oracle._divergences(u, s, qchan.oracle._radius_centre(u, s))]
+    p_count = config.prob_grid - 1
+    best, *no_floor = run_pass(tables, ids, 2, config.prob_grid, divergences, no_seeds(2))
+    assert no_floor == [0, -math.inf]
+
+    # A mirror-twin tie: the twin of the best row, each coherence negated, scores
+    # bit-identically and comes later. As the seed it sets the floor, not the winner.
+    twin = sorted(int(np.flatnonzero((a_index == a_index[x]) & (b == -b[x]))[0]) for x in best[1])
+    assert tuple(twin) > best[1]
+    assert run_pass(tables, ids, 2, config.prob_grid, divergences, np.array([twin])) == (
+        best, p_count, best[0])
+
+    # A NaN seed score leaves the floor at -inf.
+    nan_s = s.copy()
+    nan_s[best[1][0]] = np.nan
+    nan_tables = [(u, v, nan_s, False)]
+    seeds = np.array([[best[1][0], x] for x in range(best[1][0] + 1, ids.shape[0])])
+    nan_best = run_pass(nan_tables, ids, 2, config.prob_grid, divergences, no_seeds(2))[0]
+    assert run_pass(nan_tables, ids, 2, config.prob_grid, divergences, seeds) == (
+        nan_best, seeds.shape[0] * p_count, -math.inf)
+
+    # An empty seed set, as in a pass with fewer states than its size. (An odd
+    # phase grid has no mirror pair either: test_seed_rows, and the COMPLEX
+    # searches of REFERENCE_CASES.)
+    assert run_pass(tables, ids[:1], 2, config.prob_grid, divergences, no_seeds(2)) == (
+        (-math.inf, None, None), 0, -math.inf)
+
+    # A floor at a score whose element bound rounds below it (the mirror pair of
+    # test_element_whose_bound_rounds_below_its_score_is_scored): only the 1e-9
+    # margin keeps that element.
+    pair_config = OracleConfig(n_states=2, a_grid=9, prob_grid=2)
+    _, pair_tables = grid_tables(AmplitudeDamping(0.5), pair_config)
+    pair_u, _, pair_s, _ = pair_tables[0]
+    pair = np.array([3, 4])
+    pair_divergences = [qchan.oracle._divergences(pair_u, pair_s, np.nextafter(pair_u[3], 1.0))]
+    score = float(reference_scores(pair_tables, pair[None, :], np.array([[0.5, 0.5]]))[0, 0])
+    assert element_bounds(pair_divergences, pair[None, :], np.array([[0.5, 0.5]]))[0, 0] < score
+    assert run_pass(pair_tables, pair, 2, 2, pair_divergences, np.array([[0, 1]])) == (
+        (score, (3, 4), (1, 1)), 1, score)
+
+
+def test_seed_rows():
+    for grid, pairs_per_a in ((dict(a_grid=9), 1),
+                              (dict(a_grid=9, phase_grid=8, restrict_real_b=False), 4),
+                              (dict(a_grid=9, phase_grid=5, restrict_real_b=False), 0)):
+        config = OracleConfig(**grid)
+        _, b, a_index = qchan.oracle._grid_states(config)
+        all_ids = np.arange(b.shape[0])
+        phase = all_ids - np.searchsorted(a_index, a_index)
+        # A strided subgrid, with two points that carry a coherence.
+        ids = all_ids[np.isin(a_index, [0, 3, 6, 8])]
+        rows = qchan.oracle._seed_rows(ids, 2, None, a_index, phase, config.phase_grid)
+        # Size 2: the mirror pairs of the subgrid's states, b and -b at one a.
+        assert rows.shape == (2 * pairs_per_a, 2)
+        first, second = ids[rows.T]
+        assert np.all(a_index[first] == a_index[second])
+        assert np.all(b[first] != 0.0)
+        assert np.allclose(b[first], -b[second], rtol=0.0, atol=1e-15)
+        if not config.restrict_real_b:
+            continue
+        # Size 3 from the previous size's best: each of its states moved to the
+        # nearest unused subgrid state of its sign, the lower a on a tie, then
+        # every other subgrid state added. The subgrid holds states 0, 5, 6, 11,
+        # 12 and 15 (a = 0, 3/8 +-, 6/8 +-, 1).
+        assert ids.tolist() == [0, 5, 6, 11, 12, 15]
+        for winner, moved in (((5, 6), [1, 2]), ((7, 8), [1, 2]), ((5, 7), [1, 3]),
+                              ((3, 15), [1, 5]), ((0, 1), [0, 1])):
+            rows = qchan.oracle._seed_rows(ids, 3, winner, a_index, phase, config.phase_grid)
+            others = [j for j in range(6) if j not in moved]
+            assert rows.tolist() == [sorted(moved + [j]) for j in others]
+        assert qchan.oracle._seed_rows(ids, 3, None, a_index, phase, 2).shape == (0, 3)
+        assert qchan.oracle._seed_rows(ids[:2], 3, (5, 6), a_index, phase, 2).shape == (0, 3)
 
 
 CRITERION4 = dict(n_states=4, a_grid=201, prob_grid=20)
@@ -580,6 +680,32 @@ def test_damping_and_depolarizing_tables_equal_the_loop(grid):
             for new, old in zip(table, loop_table(channel, a, b)):
                 assert new.dtype == old.dtype
                 assert new.tobytes() == old.tobytes()
+
+
+def loop_grid_states(config):
+    """The grid states one a at a time, as _grid_states listed them before it took whole arrays."""
+    if config.restrict_real_b:
+        phases = (1.0 + 0j, -1.0 + 0j)
+    else:
+        phases = tuple(np.exp(2j * np.pi * k / config.phase_grid) for k in range(config.phase_grid))
+    a_out, b_out, idx_out = [], [], []
+    for i, a in enumerate(np.linspace(0.0, 1.0, config.a_grid)):
+        mag = math.sqrt(max(a * (1.0 - a), 0.0))
+        for phase in phases if mag > 0.0 else phases[:1]:
+            a_out.append(a)
+            b_out.append(mag * phase)
+            idx_out.append(i)
+    return np.array(a_out), np.array(b_out, dtype=complex), np.array(idx_out, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "grid", [dict(a_grid=201), dict(a_grid=201, phase_grid=5, restrict_real_b=False),
+             dict(a_grid=201, phase_grid=8, restrict_real_b=False), dict(a_grid=2), dict(a_grid=3)])
+def test_grid_states_equal_the_loop(grid):
+    config = OracleConfig(**grid)
+    for new, old in zip(qchan.oracle._grid_states(config), loop_grid_states(config)):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -656,13 +782,13 @@ def test_no_row_with_a_nan_or_inf_bound_sits_under_a_pruned_prefix(monkeypatch, 
     passes = []
     search_pass = qchan.oracle._search_pass
 
-    def recording_pass(tables, state_ids, n, probs, comps, best, divergences):
+    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
         ids = np.asarray(state_ids)
-        result = search_pass(tables, state_ids, n, probs, comps, best, divergences)
+        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
         passes.append((ids, n, int(comps[0].sum()), divergences))
         for x in (0.0, 1.0):
             fed = [qchan.oracle._divergences(u, s, x) for u, _, s, _ in tables]
-            assert search_pass(tables, state_ids, n, probs, comps, best, fed)[0] == result[0]
+            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds)[0] == result[0]
             passes.append((ids, n, int(comps[0].sum()), fed))
         return result
 
@@ -712,8 +838,8 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
         comps = qchan.oracle._compositions(4, 4)
         tracemalloc.start()
         try:
-            _, (pruned, *_) = qchan.oracle._search_pass(
-                tables, ids, 4, comps / 4, comps, (value - 0.01, None, None), divergences)
+            _, (pruned, *_), _ = qchan.oracle._search_pass(
+                tables, ids, 4, comps / 4, comps, (value - 0.01, None, None), divergences, no_seeds(4))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -722,9 +848,10 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
 
 
 def logged_sizes(monkeypatch, caplog, channel, config, budget):
-    """The logged (n, rows scored, rows pruned, elements scored, elements pruned)
-    of a search; the rows each size's passes hold and their composition count;
-    and the elements actually scored, counted per size."""
+    """The logged (n, rows scored, rows pruned, elements scored, elements pruned,
+    seed elements scored, floor) of a search; the rows each size's passes hold
+    and their composition count; and the elements actually scored, seeds
+    included, counted per size."""
     rows, columns, scored = {}, {}, {}
     search_pass, chi_into = qchan.oracle._search_pass, qchan.oracle._chi_into
 
@@ -753,19 +880,25 @@ def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
     sizes = full[0]
     assert [n for n, *_ in sizes] == [1, 2, 3]
     # The default budget enumerates every 3-subset of the grid states in one pass.
-    _, scored, pruned, _, elements_pruned = sizes[-1]
+    _, scored, pruned, *_ = sizes[-1]
     assert scored + pruned == math.comb(qchan.oracle._total_states(config), 3)
     assert pruned > 0
-    assert elements_pruned > 0
+    # There the seed floor prunes every row before an element bound runs; at the
+    # criterion-4 shape the n = 3 element bounds still prune under the floor.
+    criterion4 = logged_sizes(
+        monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
+    assert criterion4[0][2][4] > 0
     # Coarse-to-fine rounds at n = 4, where whole prefixes are pruned before
     # their rows are built: rows pruned that way still count as pruned.
     zoom = logged_sizes(
         monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**dict(ZOOM, n_states=4)), 1e6)
     assert [n for n, *_ in zoom[0]] == [1, 2, 3, 4]
     assert zoom[0][-1][2] > 0
-    for sizes, rows, columns, scored in (full, zoom):
-        for n, rows_scored, rows_pruned, elements_scored, elements_pruned in sizes:
-            assert elements_scored == scored[n]
+    for sizes, rows, columns, scored in (full, criterion4, zoom):
+        for n, rows_scored, rows_pruned, elements_scored, elements_pruned, seeded, floor in sizes:
+            # Sizes from 2 on seed their first pass with a genuine score.
+            assert (seeded > 0 and math.isfinite(floor)) == (n > 1)
+            assert elements_scored + seeded == scored[n]
             assert elements_scored + elements_pruned == rows_scored * columns[n]
             assert rows_scored + rows_pruned == rows[n]
 
