@@ -24,18 +24,18 @@ A pass enumerates its combination rows by prefix, the first n - 1 states of
 a row, in itertools.combinations order: numpy extends a block of prefixes by
 every later state at once, and prefixes come in blocks, so no array grows with
 the number of prefixes. It scores its candidates in blocks of combination rows
-x probability columns, and a block in slices of rows. It builds, once per pass,
-the tables part[state] * p_k of each part u, Re v, (Im v,) s at each position
-k, each a C-contiguous (n, m, P) array of n positions x m states x P
-compositions, so a state's row of one position is P adjacent floats and an
-element (row, composition) reads entry member * P + column of each position.
-The mean of a part over an element is the sum of its n table entries in k
-order, each step rounded, with no BLAS call; rows that share their prefix
-share that partial sum. The radius, the entropy, chi and the minimum over
-channels are computed in place on buffers the size of one slice. Every score
-depends on its own element only, so neither the block nor the slice size moves
-a bit, and every score is bit-equal to the formula on fresh arrays that
-tests/test_oracle.py keeps as its reference.
+x probability columns, and a block in slices of rows. The mean of a part u, Re
+v, (Im v,) s over an element is the sum of the products part[member k] * p_k
+in k order, each step rounded, with no BLAS call. A pass tabulates only the
+last position: per part, one C-contiguous (m, P) table part[state] * p_{n-1}
+of m states x P compositions, so a row's last products are a copy of P
+adjacent floats. Rows that share their prefix share its partial sum, built
+from the per-state part and the weight rows; an element scored alone
+multiplies its members' parts by its weight column. The radius, the entropy,
+chi and the minimum over channels are computed in place on buffers the size of
+one slice. Every score depends on its own element only, so neither the block
+nor the slice size moves a bit, and every score is bit-equal to the formula on
+fresh arrays that tests/test_oracle.py keeps as its reference.
 
 A pass skips the candidates that provably cannot beat the incumbent. For any
 state sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and
@@ -58,15 +58,14 @@ inside the margin, and is scored. So the bits, and the first maximal candidate
 that wins, are those of the unpruned pass. A NaN bound, which a degenerate
 sigma yields, prunes nothing.
 
-An element's own bound is sum_k p_k D_k, summed like a mean from per-pass
-tables D[state] * p_k. A row of n states on the grid G = prob_grid has p_i in
-[1/G, (G - n + 1)/G], so the largest of its elements' bounds is the row bound
-((sum_i D_i) + (G - n) max_i D_i) / G. A row is scored only if its row bound
-reaches the incumbent, and once the size has an incumbent or a floor (below),
-the elements of the rows scored are bounded one by one. The elements that
-survive are scored from gathers of their own entries, and the other elements
-are not computed. Only a slice where too many survive for that to pay scores
-every element of its rows from row gathers instead.
+An element's own bound is sum_k p_k D_k, summed like a mean of a part D. A row
+of n states on the grid G = prob_grid has p_i in [1/G, (G - n + 1)/G], so the
+largest of its elements' bounds is the row bound ((sum_i D_i) + (G - n) max_i
+D_i) / G. A row is scored only if its row bound reaches the incumbent, and once
+the size has an incumbent or a floor (below), the elements of the rows scored
+are bounded one by one. The elements that survive are scored alone, and the
+other elements are not computed. Only a slice where too many survive for that
+to pay scores every element of its rows instead.
 
 A prefix is bounded before its rows are built: the row formula, in the same
 float steps, with the last state's D replaced by the largest D of the states
@@ -394,19 +393,10 @@ def _prefix_bounds(divergences, suffix_max, prefixes, prob_grid):
     )
 
 
-def _position_tables(column, weights):
-    """The C-contiguous (n, m, P) table column[i] * weights[k, c]."""
-    out = np.empty((weights.shape[0], column.shape[0], weights.shape[1]))
-    return np.multiply(column[None, :, None], weights[:, None, :], out=out)
-
-
-def _product_tables(tables, ids, weights):
-    """Per channel, the (n, m, P) tables part[ids][i] * weights[k] of u, Re v, (Im v,) s."""
-    products = []
-    for u, v, s, has_imag in tables:
-        parts = (u, v.real, v.imag, s) if has_imag else (u, v.real, s)
-        products.append([_position_tables(part[ids], weights) for part in parts])
-    return products
+def _pass_tables(columns, weights):
+    """Each column, a part at the states of a pass, with its C-contiguous (m, P)
+    table column[i] * weights[n - 1, c], the last position of every row."""
+    return [(column, np.multiply(column[:, None], weights[-1])) for column in columns]
 
 
 def _runs(members):
@@ -417,37 +407,41 @@ def _runs(members):
     return members[first, :-1], np.cumsum(first) - 1
 
 
-def _mean_into(table, members, runs, out, scratch):
-    """out[r] = table[0][members[r, 0]] + ... + table[n - 1][members[r, n - 1]], in k order.
-
-    Each run of ``runs`` sums its first n - 1 positions once; adding the last
-    position after that is the same float sum, as float addition commutes.
-    """
+def _mean_into(table, weights, members, runs, out, scratch):
+    """out[r, c] = sum_k column[members[r, k]] * weights[k, c] in k order, for the
+    _pass_tables pair (column, last), whose last position is a row copy. Each run
+    of ``runs`` sums its first n - 1 products once, in ``out``; adding the last
+    after that is the same float sum, as float addition commutes."""
+    column, last = table
     n = members.shape[1]
-    np.take(table[n - 1], members[:, n - 1], axis=0, out=out, mode="clip")
-    if n == 1:
-        return
-    heads, run_of_row = runs
-    partial = table[0][heads[:, 0]]
-    for k in range(1, n - 1):
-        partial += table[k][heads[:, k]]
-    np.take(partial, run_of_row, axis=0, out=scratch, mode="clip")
-    np.add(scratch, out, out=out)
+    if n > 1:
+        heads, run_of_row = runs
+        partial, product = out[:heads.shape[0]], scratch[:heads.shape[0]]
+        np.multiply(column[heads[:, 0], None], weights[0], out=partial)
+        for k in range(1, n - 1):
+            np.multiply(column[heads[:, k], None], weights[k], out=product)
+            np.add(partial, product, out=partial)
+        np.take(partial, run_of_row, axis=0, out=scratch, mode="clip")
+    np.take(last, members[:, n - 1], axis=0, out=out, mode="clip")
+    if n > 1:
+        np.add(scratch, out, out=out)
 
 
-def _gather_into(table, index, out, scratch):
-    """out[j] = table[0].flat[index[0, j]] + ... + table[n - 1].flat[index[n - 1, j]],
-    in k order: for index[k] = member k * P + column, _mean_into's sum of that element."""
-    flat = table.reshape(table.shape[0], -1)
-    np.take(flat[0], index[0], out=out, mode="clip")
-    for k in range(1, flat.shape[0]):
-        np.take(flat[k], index[k], out=scratch, mode="clip")
+def _gather_into(table, members, weight, out, scratch):
+    """out[j] = sum_k column[members[k, j]] * weight[k, j] in k order: _mean_into's sum
+    of the element whose weight column is weight[:, j], from the pair's column alone."""
+    column = table[0]
+    np.take(column, members[0], out=out, mode="clip")
+    np.multiply(out, weight[0], out=out)
+    for k in range(1, members.shape[0]):
+        np.take(column, members[k], out=scratch, mode="clip")
+        np.multiply(scratch, weight[k], out=scratch)
         np.add(out, scratch, out=out)
 
 
 def _bound_into(bound_tables, mean_into, out, scratch, other):
     """Writes into ``out`` the smallest over channels of sum_k p_k D_k, each sum
-    filled by mean_into(table, out, scratch) from one channel's table of D * p_k."""
+    filled by mean_into(table, out, scratch) from one channel's _pass_tables pair of D."""
     for index, table in enumerate(bound_tables):
         if index:
             mean_into(table, other, scratch)
@@ -488,21 +482,24 @@ def _chi_into(products, mean_into, work, score):
             np.minimum(score, chi, out=score)
 
 
-def _row_means(members):
+def _row_means(members, weights):
     """mean_into for every element of the rows ``members``, through _mean_into."""
     runs = _runs(members)
-    return lambda table, out, scratch: _mean_into(table, members, runs, out, scratch)
+    return lambda table, out, scratch: _mean_into(table, weights, members, runs, out, scratch)
 
 
-def _element_means(members, live, p_count):
+def _element_means(members, live, weights):
     """mean_into for the elements ``live``, flat indices into the rows ``members`` x
-    p_count composition columns in row-major order, through _gather_into."""
-    of_row, col = np.divmod(live, p_count)
-    index = members[of_row].T * p_count + col
-    return lambda table, out, scratch: _gather_into(table, index, out, scratch)
+    the composition columns of ``weights`` in row-major order, through _gather_into.
+    Their members and weight columns are gathered once for every part, by np.take,
+    which unlike fancy indexing is fast here and returns C-contiguous arrays."""
+    of_row, col = np.divmod(live, weights.shape[1])
+    element_members = np.take(members.T, of_row, axis=1)
+    weight = np.take(weights, col, axis=1)
+    return lambda table, out, scratch: _gather_into(table, element_members, weight, out, scratch)
 
 
-def _seed_floor(products, seeds, buffers):
+def _seed_floor(products, weights, seeds, buffers):
     """The largest finite score of the elements of the rows ``seeds``, or -inf
     if none is finite, scored slice by slice in ``buffers``."""
     score_buf, *work_buf, _ = buffers
@@ -512,7 +509,7 @@ def _seed_floor(products, seeds, buffers):
         members = seeds[start:start + step]
         h = members.shape[0]
         score = score_buf[:h]
-        _chi_into(products, _row_means(members), [w[:h] for w in work_buf], score)
+        _chi_into(products, _row_means(members, weights), [w[:h] for w in work_buf], score)
         floor = float(np.max(score, where=np.isfinite(score), initial=floor))
     return floor
 
@@ -539,12 +536,14 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     p_count = probs.shape[0]
     prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
-    products = _product_tables(tables, ids, probs.T)
+    weights = np.ascontiguousarray(probs.T)  # weights[k] is p_k of every composition
+    parts = [(u, v.real, v.imag, s) if has_imag else (u, v.real, s) for u, v, s, has_imag in tables]
+    products = [_pass_tables([part[ids] for part in channel], weights) for channel in parts]
     shape = (max(1, _SLICE_ELEMENTS // p_count), p_count)
     buffers = [*np.empty((4, *shape)), np.empty(shape, dtype=bool)]
-    floor = _seed_floor(products, seeds, buffers)
+    floor = _seed_floor(products, weights, seeds, buffers)
     d_at = [table[ids] for table in divergences]  # D at each position of ids
-    bound_tables = [_position_tables(d, probs.T) for d in d_at]
+    bound_tables = _pass_tables(d_at, weights)
     suffix_max = _suffix_max(d_at)
     for prefixes in _prefix_blocks(m, n, chunk):
         with np.errstate(invalid="ignore"):
@@ -566,17 +565,17 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
             block, done = prefixes[:take], ends[take - 1]
             prefixes, prefix_bound, ends = prefixes[take:], prefix_bound[take:], ends[take:]
             best, block_counts = _block_pass(
-                products, d_at, bound_tables, _complete(block, m, n, n), ids, comps, best,
-                floor, prob_grid, buffers)
+                products, d_at, bound_tables, weights, _complete(block, m, n, n), ids, comps,
+                best, floor, prob_grid, buffers)
             counts += block_counts
     return best, counts, (seeds.shape[0] * p_count, floor)
 
 
-def _block_pass(products, divergences, bound_tables, local, ids, comps, best, floor, prob_grid,
-                buffers):
+def _block_pass(products, divergences, bound_tables, weights, local, ids, comps, best, floor,
+                prob_grid, buffers):
     """_search_pass over one block of rows ``local``, positions in ids in row order.
 
-    ``bound_tables`` holds per channel the (n, m, P) table D * p_k of the element
+    ``bound_tables`` holds per channel the _pass_tables pair of D, for the element
     bounds; bounds are held against the larger of the incumbent and ``floor``.
     ``buffers`` holds the score and work arrays of one slice and a boolean array
     of its shape. Returns the new best and _search_pass's three counts for the
@@ -608,8 +607,8 @@ def _block_pass(products, divergences, bound_tables, local, ids, comps, best, fl
         rows, rest, size = np.sort(rest[:size]), rest[size:], step
         h = rows.shape[0]
         rows_scored += h
-        members = local[rows]
-        row_means = _row_means(members)
+        members = np.take(local, rows, axis=0)
+        row_means = _row_means(members, weights)
         live = None
         # No element bound falls short of a threshold of -inf.
         if threshold > -math.inf:
@@ -632,7 +631,7 @@ def _block_pass(products, divergences, bound_tables, local, ids, comps, best, fl
             # Sparse: only the elements whose bound can reach the incumbent, one
             # gather per element and position, in row-major order.
             score, *work = (buf.reshape(-1)[:live.shape[0]] for buf in (score_buf, *work_buf))
-            _chi_into(products, _element_means(members, live, p_count), work, score)
+            _chi_into(products, _element_means(members, live, weights), work, score)
             elements_scored += score.size
             top = int(np.argmax(score))
             flat, value = int(live[top]), score[top]
@@ -741,8 +740,8 @@ def plan_search_size(config: OracleConfig, budget: float = DEFAULT_BUDGET) -> in
 
 
 def _search(channels, config: OracleConfig, budget: float):
-    # Gate before building the per-state tables. They are built one state at a time,
-    # so every tabulated state counts against the budget beside the planned search.
+    # Gate before building the per-state tables: every tabulated state counts
+    # against the budget beside the planned search.
     plans, total = _plan(config, budget)
     states = _total_states(config)
     if total + states * len(channels) > budget:

@@ -1,7 +1,9 @@
 import itertools
+import json
 import logging
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +338,33 @@ def test_search_does_not_depend_on_block_or_slice_size(monkeypatch, channel, gri
     assert results[0] == results[1]
 
 
+# Searches at the benchmark's shapes, beyond the reach of the unpruned reference:
+# criterion 4 at three gammas, the separation pair at the criterion-8 shape and
+# the complex-phase shape. Each ensemble row is (a index, phase index, weight
+# numerator). The value is compared within 1e-12, not by its bits, which depend
+# on the platform's log2.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "oracle_golden.json").read_text())
+
+
+@pytest.mark.parametrize("shape", GOLDEN["shapes"], ids=lambda shape: shape["channel"])
+def test_search_matches_golden_at_benchmark_shapes(shape):
+    kinds = {"ad": AmplitudeDamping, "dep": Depolarizing}
+    channels = [kinds[kind](float(x)) for kind, x in (c.split(":") for c in shape["channel"].split("+"))]
+    config = OracleConfig(**shape["config"])
+    if len(channels) == 2:
+        value, ensemble = oracle_minimax(MixedChannelPair(*channels), config, GOLDEN["budget"])
+    else:
+        value, ensemble = oracle_capacity(channels[0], config, GOLDEN["budget"])
+    a, b, a_index = qchan.oracle._grid_states(config)
+    first = np.searchsorted(a_index, a_index)  # the first state at each state's a
+    rows = []
+    for p, state in ensemble:
+        sid = int(np.flatnonzero((a == state.a) & (b == state.b))[0])
+        rows.append([int(a_index[sid]), int(sid - first[sid]), round(p * config.prob_grid)])
+    assert rows == shape["ensemble"]
+    assert abs(value - shape["value"]) <= 1e-12
+
+
 def grid_tables(channel, config):
     """The search's channels and their (u, v, s, has_imag) tables on the config's grid."""
     channels = [channel.ch1, channel.ch2] if isinstance(channel, MixedChannelPair) else [channel]
@@ -374,6 +403,15 @@ def test_sum_in_k_order_moves_means_by_at_most_2_ulp(channel, grid):
         assert np.max(np.abs(new.max(axis=1) - old.max(axis=1))) <= 1e-15
 
 
+def pass_products(tables, ids, weights):
+    """Per channel, the _pass_tables pairs of u, Re v, (Im v,) s at ``ids``, as a pass builds them."""
+    return [
+        qchan.oracle._pass_tables(
+            [part[ids] for part in ((u, v.real, v.imag, s) if has_imag else (u, v.real, s))], weights)
+        for u, v, s, has_imag in tables
+    ]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("order", ["lexicographic", "shuffled"])
 @pytest.mark.parametrize(
@@ -389,15 +427,15 @@ def test_pass_scores_equal_reference_scores(channel, grid, order):
         members = np.array(list(itertools.combinations(ids, n)))
         if order == "shuffled":
             members = members[np.random.default_rng(n).permutation(members.shape[0])]
-        products = qchan.oracle._product_tables(tables, ids, probs.T)
+        products = pass_products(tables, ids, probs.T)
         score, *work = np.empty((4, members.shape[0], probs.shape[0]))
-        qchan.oracle._chi_into(products, qchan.oracle._row_means(members), work, score)
+        qchan.oracle._chi_into(products, qchan.oracle._row_means(members, probs.T), work, score)
         reference = reference_scores(tables, members, probs)
         assert score.tobytes() == reference.tobytes()
         # A seeded third of the elements, each gathered on its own.
         live = np.flatnonzero(np.random.default_rng(n + 10).random(score.size) < 1 / 3)
         gathered, *work = np.empty((4, live.shape[0]))
-        means = qchan.oracle._element_means(members, live, probs.shape[0])
+        means = qchan.oracle._element_means(members, live, probs.T)
         qchan.oracle._chi_into(products, means, work, gathered)
         assert gathered.tobytes() == reference.ravel()[live].tobytes()
 
@@ -431,9 +469,9 @@ def test_row_bound_is_above_every_score_in_its_row(channel, grid):
 def element_bounds(divergences, members, probs):
     """The bound sum_k p_k D_k of every row of members x column of probs, the
     smallest over the tables, as the pass computes it."""
-    bound_tables = [qchan.oracle._position_tables(d, probs.T) for d in divergences]
+    bound_tables = qchan.oracle._pass_tables(divergences, probs.T)
     bound, scratch, other = np.empty((3, members.shape[0], probs.shape[0]))
-    qchan.oracle._bound_into(bound_tables, qchan.oracle._row_means(members), bound, scratch, other)
+    qchan.oracle._bound_into(bound_tables, qchan.oracle._row_means(members, probs.T), bound, scratch, other)
     return bound
 
 
@@ -847,6 +885,33 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
     assert peaks[1] < 1.5 * peaks[0]
 
 
+def test_pass_tables_grow_with_states_times_compositions(monkeypatch):
+    # The first n = 4 round of criterion 4: 40 states (stride 10 of 201 points)
+    # and P = C(19, 3) = 969 compositions. A pass tabulates one (m, P) table per
+    # part, for the last position of its rows, so its peak stays below the 4 (n,
+    # m, P) tables of u, Re v, s and D that a table per position would take.
+    calls = []
+    search_pass = qchan.oracle._search_pass
+
+    def first_pass_of_four(tables, state_ids, n, *args):
+        if n == 4 and not calls:
+            calls.append((tables, state_ids, n, *args))
+        return search_pass(tables, state_ids, n, *args)
+
+    monkeypatch.setattr(qchan.oracle, "_search_pass", first_pass_of_four)
+    oracle_capacity(AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
+    (tables, state_ids, n, probs, *rest), = calls
+    m, p_count = len(state_ids), probs.shape[0]
+    assert (m, p_count) == (40, 969)
+    tracemalloc.start()
+    try:
+        search_pass(tables, state_ids, n, probs, *rest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * m * p_count * 8
+
+
 def logged_sizes(monkeypatch, caplog, channel, config, budget):
     """The logged (n, rows scored, rows pruned, elements scored, elements pruned,
     seed elements scored, floor) of a search; the rows each size's passes hold
@@ -854,14 +919,16 @@ def logged_sizes(monkeypatch, caplog, channel, config, budget):
     included, counted per size."""
     rows, columns, scored = {}, {}, {}
     search_pass, chi_into = qchan.oracle._search_pass, qchan.oracle._chi_into
+    size = [None]  # the n of the pass running
 
     def counting_pass(tables, state_ids, n, probs, *args):
         rows[n] = rows.get(n, 0) + math.comb(len(state_ids), n)
         columns[n] = probs.shape[0]
+        size[0] = n
         return search_pass(tables, state_ids, n, probs, *args)
 
     def counting_chi(products, mean_into, work, score):
-        n = products[0][0].shape[0]  # the tables are (n, m, P)
+        n = size[0]
         scored[n] = scored.get(n, 0) + score.size
         return chi_into(products, mean_into, work, score)
 
