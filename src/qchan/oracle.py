@@ -74,8 +74,10 @@ each step (a sum, a max, a product with G - n >= 0, a division by G, a min over
 channels) is then monotone in each input, and so is rounding to nearest, so
 the prefix bound is >= the float bound of every row under it, with no slack,
 and NaN wherever one of those is NaN: a prefix that holds a row a NaN bound
-keeps is never dropped. A prefix whose bound + 1e-9 is below the incumbent is
-dropped with all its rows, which counts them as pruned. The surviving prefixes
+keeps is never dropped. Each block of prefixes is filtered once: a prefix whose
+bound + 1e-9 is below the incumbent as the block starts is dropped with all its
+rows, which counts them as pruned, and a row under a prefix that survives meets
+the incumbent of its own block through its row bound. The surviving prefixes
 are built into blocks of rows in order, and each block scores first a probe
 slice of its rows with the largest bounds, so that even the first block of a
 size, which meets no incumbent, prunes its other rows against genuine scores of
@@ -84,19 +86,24 @@ each slice is scored in row-major order, and a later slice wins a tie only with
 an earlier row.
 
 The first pass of each size from 2 on also starts from a floor. Before its
-first block, it scores every weighting of a few seed rows of its own states:
-for size 2, every mirror pair, the states (a, b) and (a, -b), of which the
-damping maximizer is one at equal weights; for a larger size, the previous
-size's best, each state moved to the nearest unused state of the pass with its
-phase and completed by each other state. The largest finite seed score is the floor,
-and every prefix, row and element bound is held against the larger of the
-incumbent and the floor. The floor is a genuine score of an element of the
-pass, so it is at most the pass's maximum, and the margin argument above holds
-for it as for the incumbent: an element that ties or beats that maximum has a
-bound within ~1e-15 of its score and is scored. The floor never becomes the
-incumbent, so the winner and the bits stay those of the pass without one. A
-seed passed in as the incoming best would not keep them: mirror rows score
-bit-identically, and the incoming best wins ties against every later row.
+first block, it scores a few seed rows of its own states as a block of their
+own, from an incumbent of -inf: for size 2, every mirror pair, the states (a,
+b) and (a, -b), of which the damping maximizer is one at equal weights; for a
+larger size, the previous size's best, each state moved to the nearest unused
+state of the pass with its phase and completed by each other state. That
+block's best is the floor, -inf if it has none. Its row and element bounds are
+held against its own best only, and by the margin argument an element they
+skip scores below that best, so the floor is the best score of all the seed
+elements, bit for bit, unless a slice's scores hold a NaN, which as in every
+block hides that slice's other scores. Every prefix, row and element bound of the pass is then
+held against the larger of the incumbent and the floor. The floor is a genuine
+score of an element of the pass, so it is at most the pass's maximum, and the
+margin argument holds for it as for the incumbent: an element that ties or
+beats that maximum has a bound within ~1e-15 of its score and is scored. The
+floor never becomes the incumbent, so the winner and the bits stay those of the
+pass without one. A seed passed in as the incoming best would not keep them:
+mirror rows score bit-identically, and the incoming best wins ties against
+every later row.
 """
 
 from __future__ import annotations
@@ -499,21 +506,6 @@ def _element_means(members, live, weights):
     return lambda table, out, scratch: _gather_into(table, element_members, weight, out, scratch)
 
 
-def _seed_floor(products, weights, seeds, buffers):
-    """The largest finite score of the elements of the rows ``seeds``, or -inf
-    if none is finite, scored slice by slice in ``buffers``."""
-    score_buf, *work_buf, _ = buffers
-    step = score_buf.shape[0]
-    floor = -math.inf
-    for start in range(0, seeds.shape[0], step):
-        members = seeds[start:start + step]
-        h = members.shape[0]
-        score = score_buf[:h]
-        _chi_into(products, _row_means(members, weights), [w[:h] for w in work_buf], score)
-        floor = float(np.max(score, where=np.isfinite(score), initial=floor))
-    return floor
-
-
 def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     """Exhaustive max over distinct sorted n-subsets of state_ids x compositions.
 
@@ -522,11 +514,11 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     (value, state id tuple, composition tuple) and ties keep the incumbent.
     ``divergences`` holds the per-channel _divergences tables that bound a row's
     and an element's score. ``seeds`` holds rows of n increasing positions in
-    state_ids: the largest finite score of their elements is the pass's floor,
-    which prunes beside the incumbent but never becomes it. Returns the new
-    best; an int64 array of three counts: the rows skipped by their bounds, the
-    elements scored and the elements of the other rows skipped by theirs; and
-    the seed elements scored with the floor.
+    state_ids, scored first as a block that starts from -inf: its best value is
+    the pass's floor, which prunes beside the incumbent but never becomes it.
+    Returns the new best; an int64 array of three counts: the rows skipped by
+    their bounds, the elements scored and the elements of the other rows
+    skipped by theirs; and the elements the seed block scored with the floor.
     """
     counts = np.zeros(3, dtype=np.int64)
     ids = np.asarray(state_ids, dtype=np.int64)
@@ -541,34 +533,29 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     products = [_pass_tables([part[ids] for part in channel], weights) for channel in parts]
     shape = (max(1, _SLICE_ELEMENTS // p_count), p_count)
     buffers = [*np.empty((4, *shape)), np.empty(shape, dtype=bool)]
-    floor = _seed_floor(products, weights, seeds, buffers)
     d_at = [table[ids] for table in divergences]  # D at each position of ids
     bound_tables = _pass_tables(d_at, weights)
+    floor, seeded = -math.inf, 0
+    if seeds.shape[0]:
+        (floor, *_), (_, seeded, _) = _block_pass(
+            products, d_at, bound_tables, weights, seeds, ids, comps, (-math.inf, None, None),
+            -math.inf, prob_grid, buffers)
     suffix_max = _suffix_max(d_at)
     for prefixes in _prefix_blocks(m, n, chunk):
         with np.errstate(invalid="ignore"):
             prefix_bound = _prefix_bounds(d_at, suffix_max, prefixes, prob_grid)
-        threshold = None
-        while prefixes.shape[0]:
-            if max(best[0], floor) != threshold:
-                threshold = max(best[0], floor)
-                with np.errstate(invalid="ignore"):
-                    # Written so that a NaN bound keeps its prefix.
-                    keep = ~(prefix_bound + 1e-9 < threshold)
-                row_counts = m - _first_free(prefixes)
-                counts[0] += row_counts.sum() - row_counts[keep].sum()
-                prefixes, prefix_bound = prefixes[keep], prefix_bound[keep]
-                ends, done = np.cumsum(row_counts[keep]), 0
-                continue
-            # The next prefixes, in order, whose rows fit a block, or one prefix.
-            take = max(1, int(np.searchsorted(ends, done + chunk, side="right")))
-            block, done = prefixes[:take], ends[take - 1]
-            prefixes, prefix_bound, ends = prefixes[take:], prefix_bound[take:], ends[take:]
+            # Written so that a NaN bound keeps its prefix.
+            keep = ~(prefix_bound + 1e-9 < max(best[0], floor))
+        row_counts = m - _first_free(prefixes)
+        counts[0] += row_counts.sum() - row_counts[keep].sum()
+        prefixes, row_counts = prefixes[keep], row_counts[keep]
+        # Runs of prefixes, in order, whose rows fit a block, or one prefix.
+        for start, stop in _groups(row_counts, chunk):
             best, block_counts = _block_pass(
-                products, d_at, bound_tables, weights, _complete(block, m, n, n), ids, comps,
-                best, floor, prob_grid, buffers)
+                products, d_at, bound_tables, weights, _complete(prefixes[start:stop], m, n, n),
+                ids, comps, best, floor, prob_grid, buffers)
             counts += block_counts
-    return best, counts, (seeds.shape[0] * p_count, floor)
+    return best, counts, (seeded, floor)
 
 
 def _block_pass(products, divergences, bound_tables, weights, local, ids, comps, best, floor,

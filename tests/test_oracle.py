@@ -676,6 +676,48 @@ CRITERION4 = dict(n_states=4, a_grid=201, prob_grid=20)
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
+    "channel, grid, budget, seeded_sizes, pruned_sizes",
+    [(AmplitudeDamping(0.3), dict(SMALL, n_states=2), 1e8, {2}, set()),
+     (PAIR, dict(SMALL, n_states=3), 1e8, {2, 3}, set()),
+     (AmplitudeDamping(0.5), dict(ZOOM, n_states=4), 1e6, {2, 3, 4}, set()),
+     (PAIR, ZOOM, 1e5, {2, 3}, set()),
+     # An odd phase grid has no mirror pair, so size 2 has no seeds.
+     (AmplitudeDamping(0.6), dict(COMPLEX, n_states=4), 1e8, {3, 4}, set()),
+     # The seed block's own bounds skip seed elements that cannot reach its best.
+     (AmplitudeDamping(0.5), CRITERION4, 1e9, {2, 3, 4}, {3})],
+)
+def test_floor_is_the_best_seed_score(monkeypatch, channel, grid, budget, seeded_sizes, pruned_sizes):
+    # Mirror pairs seed size 2, the moved previous winner sizes 3 and 4. The seed
+    # rows are scored as a pruned block, yet the floor is the best of all their
+    # scores, bit for bit.
+    passes = []
+    search_pass = qchan.oracle._search_pass
+
+    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
+        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
+        passes.append((tables, np.asarray(state_ids), n, probs, seeds, *result[2]))
+        return result
+
+    monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    search(channel, OracleConfig(**grid), budget)
+    seeded, pruned = set(), set()
+    for tables, ids, n, probs, seeds, seed_elements, floor in passes:
+        if seeds.shape[0] == 0:
+            assert (seed_elements, floor) == (0, -math.inf)
+            continue
+        seeded.add(n)
+        assert seed_elements <= seeds.shape[0] * probs.shape[0]
+        if seed_elements < seeds.shape[0] * probs.shape[0]:
+            pruned.add(n)
+        score = reference_scores(tables, ids[seeds], probs)
+        assert floor.hex() == float(np.max(score[np.isfinite(score)])).hex()
+    assert seeded == seeded_sizes
+    assert pruned >= pruned_sizes
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
     "channel, grid, budget",
     [c for c in REFERENCE_CASES if not isinstance(c[0], MixedChannelPair)]
     + [(AmplitudeDamping(round(0.1 * k, 1)), CRITERION4, 1e9) for k in range(1, 10)],
