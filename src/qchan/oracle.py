@@ -40,18 +40,21 @@ fresh arrays that tests/test_oracle.py keeps as its reference.
 A pass skips the candidates that provably cannot beat the incumbent. For any
 state sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and
 the last term is >= 0 (Schumacher-Westmoreland, "Optimal signal ensembles",
-2001), so chi(E) <= sum_i p_i D_i; with several channels the score is bounded
-by the smallest per-channel bound. sigma is diagonal, so D comes from the u and
-s columns of the tables. Sizes 1 and 2 take, per channel, the divergence-radius
-centre: the sigma0 that minimizes the largest D over all grid states, where
-the bound is tightest. Each D_i is convex in sigma0, so it is bisected on the
-sign of the slope of the largest D_i. Later sizes take the mean output of the
-best ensemble so far, which prunes more for a pair of channels, where each
-channel's centre bounds its own capacity rather than the sup-min (timings at
-the branch in _search). Any sigma is valid; the choice moves only how much gets
-pruned. A candidate is skipped only if its bound + 1e-9 is below the incumbent
-of the current size as it stands before the candidate's slice: the bound is
-within ~1e-15 of a sum that is >= the candidate's score, so such a candidate
+2001), so chi(E) <= sum_i p_i D_i. sigma is diagonal, so D comes from the u and
+s columns of the tables. A search computes its D tables once, and every size
+and round uses them. Each channel has one at its divergence-radius centre: the
+sigma0 that minimizes the largest D over all grid states, where the bound on
+that channel's chi is tightest. Each D_i is convex in sigma0, so it is bisected
+on the sign of the slope of the largest D_i. A centre bounds only its own
+channel's chi, not the sup-min of a pair, so a pair also has a weighted table
+t D_1(. || sigma_1) + (1 - t) D_2(. || sigma_2): min(chi_1, chi_2) <= t chi_1 +
+(1 - t) chi_2 for every t in [0, 1]. (t, sigma_1, sigma_2) is a saddle point
+found on the grid tables alone (_saddle); a single channel is the case t = 1 at
+its centre. A candidate's bound is the smallest over the tables. Any t and
+sigma are valid; the choice moves only how much gets pruned. A candidate is
+skipped only if its bound + 1e-9 is below the incumbent of the current size as
+it stands before the candidate's slice: the bound is within ~1e-15 of a sum
+that is >= the candidate's score, so such a candidate
 scores strictly below a genuine score and can neither win nor tie, while one
 that ties or beats the incumbent has a bound at most ~1e-15 below it, far
 inside the margin, and is scored. So the bits, and the first maximal candidate
@@ -71,7 +74,7 @@ A prefix is bounded before its rows are built: the row formula, in the same
 float steps, with the last state's D replaced by the largest D of the states
 that can follow the prefix. D is finite, +inf or NaN. Order NaN above +inf:
 each step (a sum, a max, a product with G - n >= 0, a division by G, a min over
-channels) is then monotone in each input, and so is rounding to nearest, so
+tables) is then monotone in each input, and so is rounding to nearest, so
 the prefix bound is >= the float bound of every row under it, with no slack,
 and NaN wherever one of those is NaN: a prefix that holds a row a NaN bound
 keeps is never dropped. Each block of prefixes is filtered once: a prefix whose
@@ -94,9 +97,10 @@ state of the pass with its phase and completed by each other state. That
 block's best is the floor, -inf if it has none. Its row and element bounds are
 held against its own best only, and by the margin argument an element they
 skip scores below that best, so the floor is the best score of all the seed
-elements, bit for bit, unless a slice's scores hold a NaN, which as in every
-block hides that slice's other scores. Every prefix, row and element bound of the pass is then
-held against the larger of the incumbent and the floor. The floor is a genuine
+elements, bit for bit; a NaN score, as in every block, is passed over for the
+first maximal score of its slice that is not NaN. Every state, prefix, row and
+element bound of the pass is then held against the larger of the incumbent and
+the floor. The floor is a genuine
 score of an element of the pass, so it is at most the pass's maximum, and the
 margin argument holds for it as for the incumbent: an element that ties or
 beats that maximum has a bound within ~1e-15 of its score and is scored. The
@@ -104,6 +108,19 @@ floor never becomes the incumbent, so the winner and the bits stay those of the
 pass without one. A seed passed in as the incoming best would not keep them:
 mirror rows score bit-identically, and the incoming best wins ties against
 every later row.
+
+Once a pass has that threshold, after its seed block or, in a refinement round,
+from the incoming incumbent, it bounds each state before it builds any prefix:
+the row formula, in the same float steps, with the state's D at one position
+and the largest D of the pass, NaN if one is, at each other position, the
+largest over the n positions. By the monotone rounding above, this is >= the
+float bound of every row that holds the state, with no slack, and NaN wherever
+one of those is NaN. A state whose bound + 1e-9 is below the threshold is
+dropped with all its rows, which count as pruned: each of them would have been
+pruned by its own row bound against the same threshold or a higher one. The
+pass tabulates and enumerates only the states it keeps, and their rows keep
+their order, so the winner and its ties are those of the pass without the
+state bounds.
 """
 
 from __future__ import annotations
@@ -348,11 +365,79 @@ def _radius_centre(u, s):
     return bisect_sign_change(falling, 0.0, 1.0, 0.0)[0]
 
 
+def _weight(first, second):
+    """The t in [0, 1] that minimizes max_i (t first_i + (1 - t) second_i), and the
+    argmax i at each end of the final bracket: the max is convex in t, so t is
+    bisected on the sign of first_i - second_i."""
+    gap = first - second
+
+    def top(t):
+        return int(np.argmax(second + t * gap))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if gap[top(mid)] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    i_lo, i_hi = top(lo), top(hi)
+    return (hi if gap[i_hi] <= 0.0 else lo), i_lo, i_hi
+
+
+def _saddle(tables, a):
+    """(t, [sigma0_1, sigma0_2]) whose weighted table t D_1 + (1 - t) D_2 bounds the
+    sup-min of a pair of channels with populations u and entropies s in ``tables``
+    at the grid states of populations ``a``.
+
+    The ensemble of every phase at one a, at equal weights, has the mean input
+    diag(a, 1 - a), whose output population sigma0_j(a) is affine in a: the mix
+    of those of the states at a = 0 and a = 1, the first and last. Each state's
+    D_j at sigma0_j of its own a is chi_j of that ensemble, or 0 where its output
+    is pure. Where the max over states of t chi_1 + (1 - t) chi_2 is least, two
+    such ensembles tie; mixed in the weights that equalize chi_1 and chi_2, their
+    a gives sigma0. (At t = 0 or 1 the ensemble at the argmax gives it.) With
+    sigma0 fixed, t is then where the largest t D_1 + (1 - t) D_2 over all states
+    is least.
+    """
+    affine = [(u[0], u[-1] - u[0]) for u, _, _, _ in tables]
+    with np.errstate(invalid="ignore"):
+        chi = [np.nan_to_num(_divergences(u, s, low + a * rise), nan=0.0, posinf=0.0)
+               for (u, _, s, _), (low, rise) in zip(tables, affine)]
+        _, i_lo, i_hi = _weight(*chi)
+        gap_lo, gap_hi = (chi[0][i] - chi[1][i] for i in (i_lo, i_hi))
+        if gap_lo >= 0.0:
+            x = a[i_lo]
+        elif gap_hi <= 0.0:
+            x = a[i_hi]
+        else:
+            x = a[i_lo] + gap_lo / (gap_lo - gap_hi) * (a[i_hi] - a[i_lo])
+        sigma0 = [float(low + x * rise) for low, rise in affine]
+        t = _weight(*(_divergences(u, s, y) for (u, _, s, _), y in zip(tables, sigma0)))[0]
+    return t, sigma0
+
+
+def _search_divergences(tables, a):
+    """The D tables whose smallest element bound bounds each score of a search over
+    the channels of ``tables``: each channel's table at its radius centre, and for
+    a pair the weighted table of the _saddle before them."""
+    centre = [_radius_centre(u, s) for u, _, s, _ in tables]
+    divergences = [_divergences(u, s, x) for (u, _, s, _), x in zip(tables, centre)]
+    t, sigma0 = 1.0, centre
+    if len(tables) == 2:
+        t, sigma0 = _saddle(tables, a)
+        first, second = (_divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma0))
+        with np.errstate(invalid="ignore"):
+            divergences.insert(0, t * first + (1.0 - t) * second)
+    log.debug("oracle bound: t %r, sigma0 %r", t, sigma0)
+    return divergences
+
+
 def _bound(columns, prob_grid):
-    """The smallest over channels of ((sum D_i) + (G - n) max D_i) / G, the largest
+    """The smallest over D tables of ((sum D_i) + (G - n) max D_i) / G, the largest
     sum_k p_k D_k over the compositions of a row.
 
-    ``columns`` holds, per channel, the n (table, index) pairs whose table[index]
+    ``columns`` holds, per table, the n (table, index) pairs whose table[index]
     are the columns of D of the rows bounded; they are summed and maxed in
     column order, one column at a time. The bound is NaN where a column is NaN,
     or inf when G == n.
@@ -376,7 +461,7 @@ def _bound(columns, prob_grid):
 def _row_bounds(divergences, members, prob_grid):
     """Upper bound on the score of every composition of each row of ``members``.
 
-    ``divergences`` holds one _divergences table per scored channel.
+    ``divergences`` holds the D tables of the search (_search_divergences).
     """
     return _bound(
         [[(table, col) for col in members.T] for table in divergences], prob_grid)
@@ -398,6 +483,25 @@ def _prefix_bounds(divergences, suffix_max, prefixes, prob_grid):
          for table, top in zip(divergences, suffix_max)],
         prob_grid,
     )
+
+
+def _state_bounds(divergences, n, prob_grid):
+    """Upper bound on _row_bounds of every row of n states that holds each state:
+    _bound with the state's D at one position and the table's largest D, NaN if
+    one is, at the others, the largest over the n positions. Rounding is
+    monotone, so this is >= each such row's bound in floats too."""
+    m = divergences[0].shape[0]
+    states, peak_at = np.arange(m), np.zeros(m, dtype=np.int64)
+    peaks = [np.max(d, keepdims=True) for d in divergences]
+    bound = None
+    for j in range(n):
+        at_j = _bound(
+            [[(peak, peak_at)] * j + [(d, states)] + [(peak, peak_at)] * (n - 1 - j)
+             for d, peak in zip(divergences, peaks)],
+            prob_grid,
+        )
+        bound = at_j if bound is None else np.maximum(bound, at_j, out=bound)
+    return bound
 
 
 def _pass_tables(columns, weights):
@@ -447,8 +551,8 @@ def _gather_into(table, members, weight, out, scratch):
 
 
 def _bound_into(bound_tables, mean_into, out, scratch, other):
-    """Writes into ``out`` the smallest over channels of sum_k p_k D_k, each sum
-    filled by mean_into(table, out, scratch) from one channel's _pass_tables pair of D."""
+    """Writes into ``out`` the smallest over D tables of sum_k p_k D_k, each sum
+    filled by mean_into(table, out, scratch) from one table's _pass_tables pair."""
     for index, table in enumerate(bound_tables):
         if index:
             mean_into(table, other, scratch)
@@ -512,17 +616,20 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
     score is the minimum chi across channels. ``best`` is the running
     (value, state id tuple, composition tuple) and ties keep the incumbent.
-    ``divergences`` holds the per-channel _divergences tables that bound a row's
+    ``divergences`` holds the _divergences tables that bound a state's, a row's
     and an element's score. ``seeds`` holds rows of n increasing positions in
     state_ids, scored first as a block that starts from -inf: its best value is
     the pass's floor, which prunes beside the incumbent but never becomes it.
-    Returns the new best; an int64 array of three counts: the rows skipped by
-    their bounds, the elements scored and the elements of the other rows
-    skipped by theirs; and the elements the seed block scored with the floor.
+    Once the pass has an incumbent or a floor, the states whose bound cannot
+    reach it are dropped before any prefix is built. Returns the new best; an
+    int64 array of four counts: the rows skipped by their bounds or with their
+    states, the elements scored, the elements of the other rows skipped by
+    their bounds, and the states kept; and the elements the seed block scored
+    with the floor.
     """
-    counts = np.zeros(3, dtype=np.int64)
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
+    counts = np.array([0, 0, 0, m], dtype=np.int64)
     if m < n:
         return best, counts, (0, -math.inf)
     p_count = probs.shape[0]
@@ -530,16 +637,31 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
     weights = np.ascontiguousarray(probs.T)  # weights[k] is p_k of every composition
     parts = [(u, v.real, v.imag, s) if has_imag else (u, v.real, s) for u, v, s, has_imag in tables]
-    products = [_pass_tables([part[ids] for part in channel], weights) for channel in parts]
     shape = (max(1, _SLICE_ELEMENTS // p_count), p_count)
     buffers = [*np.empty((4, *shape)), np.empty(shape, dtype=bool)]
     d_at = [table[ids] for table in divergences]  # D at each position of ids
-    bound_tables = _pass_tables(d_at, weights)
+
+    def tabulate():  # at the states of ids as it stands
+        products = [_pass_tables([part[ids] for part in channel], weights) for channel in parts]
+        return products, _pass_tables(d_at, weights)
+
+    products = None
     floor, seeded = -math.inf, 0
     if seeds.shape[0]:
+        products, bound_tables = tabulate()
         (floor, *_), (_, seeded, _) = _block_pass(
             products, d_at, bound_tables, weights, seeds, ids, comps, (-math.inf, None, None),
             -math.inf, prob_grid, buffers)
+    if max(best[0], floor) > -math.inf:
+        with np.errstate(invalid="ignore"):
+            # Written so that a NaN bound keeps its state.
+            keep = ~(_state_bounds(d_at, n, prob_grid) + 1e-9 < max(best[0], floor))
+        if not keep.all():
+            ids, d_at, products = ids[keep], [d[keep] for d in d_at], None
+            counts[0] += math.comb(m, n) - math.comb(ids.shape[0], n)
+            m = counts[3] = ids.shape[0]
+    if products is None:
+        products, bound_tables = tabulate()
     suffix_max = _suffix_max(d_at)
     for prefixes in _prefix_blocks(m, n, chunk):
         with np.errstate(invalid="ignore"):
@@ -554,7 +676,7 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
             best, block_counts = _block_pass(
                 products, d_at, bound_tables, weights, _complete(prefixes[start:stop], m, n, n),
                 ids, comps, best, floor, prob_grid, buffers)
-            counts += block_counts
+            counts[:3] += block_counts
     return best, counts, (seeded, floor)
 
 
@@ -562,7 +684,7 @@ def _block_pass(products, divergences, bound_tables, weights, local, ids, comps,
                 prob_grid, buffers):
     """_search_pass over one block of rows ``local``, positions in ids in row order.
 
-    ``bound_tables`` holds per channel the _pass_tables pair of D, for the element
+    ``bound_tables`` holds per D table its _pass_tables pair, for the element
     bounds; bounds are held against the larger of the incumbent and ``floor``.
     ``buffers`` holds the score and work arrays of one slice and a boolean array
     of its shape. Returns the new best and _search_pass's three counts for the
@@ -612,7 +734,7 @@ def _block_pass(products, divergences, bound_tables, weights, local, ids, comps,
             score = score_buf[:h]
             _chi_into(products, row_means, [w[:h] for w in work_buf], score)
             elements_scored += score.size
-            flat = int(np.argmax(score))
+            flat = _first_max(score)
             value = score.flat[flat]
         elif live.shape[0]:
             # Sparse: only the elements whose bound can reach the incumbent, one
@@ -620,7 +742,7 @@ def _block_pass(products, divergences, bound_tables, weights, local, ids, comps,
             score, *work = (buf.reshape(-1)[:live.shape[0]] for buf in (score_buf, *work_buf))
             _chi_into(products, _element_means(members, live, weights), work, score)
             elements_scored += score.size
-            top = int(np.argmax(score))
+            top = _first_max(score)
             flat, value = int(live[top]), score[top]
         else:
             continue
@@ -635,6 +757,14 @@ def _block_pass(products, divergences, bound_tables, weights, local, ids, comps,
         )
     return best, np.array(
         [local.shape[0] - rows_scored, elements_scored, rows_scored * p_count - elements_scored])
+
+
+def _first_max(score):
+    """The flat index of the first maximal score that is not NaN, or of a NaN if all are."""
+    flat = int(np.argmax(score))
+    if math.isnan(score.flat[flat]):  # argmax stops at the first NaN
+        flat = int(np.argmax(np.where(np.isnan(score), -math.inf, score)))
+    return flat
 
 
 def _seed_rows(ids, n, winner, a_index, phase, phase_grid):
@@ -746,26 +876,15 @@ def _search(channels, config: OracleConfig, budget: float):
     phase = all_ids - np.searchsorted(a_index, a_index)
     best = (-math.inf, None, None)
     winner = None  # the states of the previous size's best
-    centre = [_radius_centre(u, s) for u, _, s, _ in tables]
+    divergences = _search_divergences(tables, a)
     for n, schedule in plans:
         comps = _compositions(config.prob_grid, n)
         probs = comps.astype(float) / config.prob_grid
-        if n <= 2 or best[1] is None:
-            sigma0 = centre
-        else:
-            # The diagonal of the best ensemble's mean output. With the centre at
-            # every size instead, in 16 alternating in-process pairs on a 2-vCPU
-            # x86-64 host, the criterion-4 searches ran x0.98, AD 0.4 + dep 0.2 at
-            # the criterion-8 shape x0.84, but the separation pair x1.43 and three
-            # AD + dep pairs near the branch crossing x1.15.
-            weights = np.array(best[2]) / config.prob_grid
-            sigma0 = [float(weights @ u[list(best[1])]) for u, *_ in tables]
-        divergences = [_divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma0)]
         incumbent = (-math.inf, None, None)
-        rows = seed_elements = 0
+        rows = states_in = seed_elements = 0
         floor = -math.inf
-        # Rows pruned, elements scored, elements pruned.
-        counts = np.zeros(3, dtype=np.int64)
+        # Rows pruned, elements scored, elements pruned, states kept.
+        counts = np.zeros(4, dtype=np.int64)
         for round_no, stride in enumerate(schedule):
             if round_no == 0:
                 keep = set(_subgrid_indices(config.a_grid, stride))
@@ -787,12 +906,16 @@ def _search(channels, config: OracleConfig, budget: float):
             seed_elements += seeded
             floor = max(floor, pass_floor)
             rows += math.comb(ids.shape[0], n)
+            states_in += ids.shape[0]
             counts += pass_counts
             if incumbent[1] is None:
                 break
-        pruned, scored, skipped = (int(c) for c in counts)
+        pruned, scored, skipped, kept = (int(c) for c in counts)
+        # The state counts are part of the message, so its arguments stay the
+        # seven that tests/test_oracle.py unpacks.
         log.debug("oracle size %d: %d rows scored, %d rows pruned, %d elements scored, "
-                  "%d elements pruned, %d seed elements scored, floor %r",
+                  "%d elements pruned, %d seed elements scored, floor %r, "
+                  f"{kept} of {states_in} states kept by the state bounds",
                   n, rows - pruned, pruned, scored, skipped, seed_elements, floor)
         winner = incumbent[1]
         if incumbent[0] > best[0]:

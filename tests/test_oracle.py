@@ -263,7 +263,8 @@ def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
     while block := list(itertools.islice(combo_iter, chunk)):
         members = ids[np.array(block, dtype=np.int64)]
         score = reference_scores(tables, members, probs)
-        flat = int(np.argmax(score))
+        # The first maximal score that is not NaN, as the pass takes it.
+        flat = int(np.argmax(np.where(np.isnan(score), -math.inf, score)))
         value = float(score.flat[flat])
         if value > best[0]:
             row, col = divmod(flat, p_count)
@@ -445,21 +446,23 @@ def test_pass_scores_equal_reference_scores(channel, grid, order):
     [(AmplitudeDamping(0.3), SMALL), (Depolarizing(0.4), SMALL), (KRAUS, COMPLEX), (PAIR, SMALL)],
 )
 def test_row_bound_is_above_every_score_in_its_row(channel, grid):
-    # Every row of a full search, with sigma from the search and from seeded random diagonals.
+    # Every row of a full search, with sigma the best ensemble's mean output, seeded
+    # random diagonals, and the search's own tables.
     config = OracleConfig(n_states=3, **grid)
     channels, tables = grid_tables(channel, config)
     search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
     _, ensemble = search(channel, config)
     sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
     sigmas += np.random.default_rng(5).uniform(size=(4, len(channels))).tolist()
+    table_sets = [[qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+                  for sigma in sigmas]
+    # The search's own tables: for a pair, the weighted table of its saddle first.
+    table_sets.append(qchan.oracle._search_divergences(tables, qchan.oracle._grid_states(config)[0]))
     for n in (1, 2, 3):
         comps = qchan.oracle._compositions(config.prob_grid, n)
         members = np.array(list(itertools.combinations(range(tables[0][0].shape[0]), n)))
         best_in_row = reference_scores(tables, members, comps / config.prob_grid).max(axis=1)
-        for sigma in sigmas:
-            divergences = [
-                qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)
-            ]
+        for divergences in table_sets:
             bound = qchan.oracle._row_bounds(divergences, members, config.prob_grid)
             assert np.all(np.isfinite(bound))
             # Float error on either side is ~1e-15, far inside the pass's 1e-9 margin.
@@ -483,9 +486,10 @@ def element_bounds(divergences, members, probs):
 )
 def test_element_bound_is_above_its_score(channel, grid):
     # Every (row, composition) of a full n = 1..4 search, with sigma the radius
-    # centre, the search's own and four seeded random diagonals: chi(E) <= sum_k
-    # p_k D(N psi_k || sigma) for any sigma, and float error on either side is
-    # ~1e-15, far inside the pass's 1e-9 margin.
+    # centre, the best ensemble's mean output, four seeded random diagonals, and
+    # the search's own tables: chi(E) <= sum_k p_k D(N psi_k || sigma) for any
+    # sigma, for a pair min(chi_1, chi_2) <= t chi_1 + (1 - t) chi_2 for any t,
+    # and float error on either side is ~1e-15, far inside the pass's 1e-9 margin.
     config = OracleConfig(n_states=4, **grid)
     channels, tables = grid_tables(channel, config)
     search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
@@ -493,14 +497,14 @@ def test_element_bound_is_above_its_score(channel, grid):
     sigmas = [[qchan.oracle._radius_centre(u, s) for u, _, s, _ in tables]]
     sigmas += [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
     sigmas += np.random.default_rng(11).uniform(size=(4, len(channels))).tolist()
+    table_sets = [[qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+                  for sigma in sigmas]
+    table_sets.append(qchan.oracle._search_divergences(tables, qchan.oracle._grid_states(config)[0]))
     for n in (1, 2, 3, 4):
         probs = qchan.oracle._compositions(config.prob_grid, n) / config.prob_grid
         members = np.array(list(itertools.combinations(range(tables[0][0].shape[0]), n)))
         score = reference_scores(tables, members, probs)
-        for sigma in sigmas:
-            divergences = [
-                qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)
-            ]
+        for divergences in table_sets:
             bound = element_bounds(divergences, members, probs)
             assert np.all(np.isfinite(bound))
             assert np.all(score <= bound + 1e-12)
@@ -572,8 +576,8 @@ def test_element_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     assert element_bounds(divergences, members, probs)[0, 0] < score
     _, counts, _ = qchan.oracle._search_pass(
         tables, pair, 2, probs, comps, (score, None, None), divergences, no_seeds(2))
-    # No row pruned, one element scored, none pruned.
-    assert counts.tolist() == [0, 1, 0]
+    # No row pruned, one element scored, none pruned, both states kept.
+    assert counts.tolist() == [0, 1, 0, 2]
 
 
 def run_pass(tables, ids, n, prob_grid, divergences, seeds):
@@ -636,6 +640,30 @@ def test_seed_floor_keeps_the_pass_winner(monkeypatch, chunk, slice_):
     assert element_bounds(pair_divergences, pair[None, :], np.array([[0.5, 0.5]]))[0, 0] < score
     assert run_pass(pair_tables, pair, 2, 2, pair_divergences, np.array([[0, 1]])) == (
         (score, (3, 4), (1, 1)), 1, score)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_score_hides_no_finite_score_of_its_slice():
+    # argmax stops at the first NaN, and a NaN loses every comparison: the pass
+    # takes the first maximal score that is not NaN instead. Here the seed rows
+    # are one slice, and the NaN scores of row (3, 4) come first.
+    config = OracleConfig(n_states=2, **SMALL)
+    _, tables = grid_tables(AmplitudeDamping(0.3), config)
+    u, v, s, _ = tables[0]
+    nan_s = s.copy()
+    nan_s[3] = np.nan
+    nan_tables = [(u, v, nan_s, False)]
+    divergences = [qchan.oracle._divergences(u, s, qchan.oracle._radius_centre(u, s))]
+    seeds = np.array([[3, 4], [5, 6], [1, 2]])
+    _, _, floor = run_pass(nan_tables, np.arange(u.shape[0]), 2, config.prob_grid, divergences, seeds)
+    comps = qchan.oracle._compositions(config.prob_grid, 2)
+    score = reference_scores(nan_tables, seeds, comps / config.prob_grid)
+    assert np.isnan(score[0]).all() and np.isfinite(score[1:]).all()
+    assert floor == np.max(score[1:])
+    assert round(floor, 4) == 0.5326
+    for scores, first in (([np.nan, 1.0, 3.0, 3.0], 2), ([2.0, np.nan, 3.0], 2), ([np.nan, np.nan], 0),
+                          ([[1.0, 2.0], [2.0, np.nan]], 1)):
+        assert qchan.oracle._first_max(np.array(scores)) == first
 
 
 def test_seed_rows():
@@ -735,6 +763,34 @@ def test_radius_centre_bounds_every_grid_ensemble(channel, grid, budget):
     assert radius + 1e-12 >= value
     for x in np.linspace(1e-6, 1 - 1e-6, 1001):
         assert radius <= np.max(qchan.oracle._divergences(u, s, x)) + 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pair, depolarizing_saddle",
+    [(separation_pair(), None),
+     (MixedChannelPair(AmplitudeDamping(0.55), Depolarizing(0.27)), None),
+     # Pairs whose sup-min is the depolarizing capacity: the saddle puts all the
+     # weight on that channel, at its centre 1/2.
+     (MixedChannelPair(AmplitudeDamping(0.4), Depolarizing(0.2)), (0.0, 1)),
+     (MixedChannelPair(Depolarizing(0.2), AmplitudeDamping(0.4)), (1.0, 0))],
+)
+def test_saddle_table_bounds_every_grid_ensemble_and_is_tight(pair, depolarizing_saddle):
+    # The weighted table bounds the sup-min for any t and sigma, so its largest D is
+    # at least the search's value; at the saddle it is within 1e-6 bits of the
+    # solver's sup-min, so no table can prune much more.
+    config = OracleConfig(n_states=2, a_grid=201, prob_grid=20)
+    _, tables = grid_tables(pair, config)
+    a = qchan.oracle._grid_states(config)[0]
+    t, sigma0 = qchan.oracle._saddle(tables, a)
+    weighted, *centres = qchan.oracle._search_divergences(tables, a)
+    assert 0.0 <= t <= 1.0 and len(centres) == 2
+    value, _ = oracle_minimax(pair, config, 1e9)
+    assert value <= np.max(weighted) + 1e-12
+    assert np.max(weighted) <= minimax_capacity(pair).capacity_bits + 1e-6
+    if depolarizing_saddle is not None:
+        weight, channel = depolarizing_saddle
+        assert (t, sigma0[channel]) == (weight, 0.5)
 
 
 def loop_table(channel, a, b):
@@ -899,6 +955,92 @@ def test_prefix_bound_is_nan_or_inf_over_a_row_bound_that_is():
                         assert np.all(np.isnan(prefix) | (row <= prefix))
 
 
+def state_and_row_bounds(divergences, m, n, prob_grid):
+    """The bound of each member of every n-subset of range(m), one column per
+    member, and the bound of every such row as a column, rows in itertools order."""
+    rows = np.array(list(itertools.combinations(range(m), n)), dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        state = qchan.oracle._state_bounds(divergences, n, prob_grid)
+        row = qchan.oracle._row_bounds(divergences, rows, prob_grid)
+    return state[rows], row[:, None]
+
+
+@pytest.mark.parametrize(
+    "channel, grid",
+    [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL),
+     (PAIR, COMPLEX), (KRAUS, SMALL), (KRAUS, COMPLEX)],
+)
+def test_state_bound_is_above_every_row_bound_holding_it(channel, grid):
+    # With no slack: a state's bound takes the same float steps as a row bound,
+    # on the state's own D and, for the other members, on the table's largest D.
+    config = OracleConfig(n_states=4, **grid)
+    channels, tables = grid_tables(channel, config)
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    _, ensemble = search(channel, config)
+    sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
+    sigmas += np.random.default_rng(17).uniform(size=(4, len(channels))).tolist()
+    table_sets = [[qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+                  for sigma in sigmas]
+    table_sets.append(qchan.oracle._search_divergences(tables, qchan.oracle._grid_states(config)[0]))
+    m = tables[0][0].shape[0]
+    for divergences in table_sets:
+        for n in (1, 2, 3, 4):
+            state, row = state_and_row_bounds(divergences, m, n, config.prob_grid)
+            assert np.all(np.isfinite(state))
+            assert np.all(row <= state)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "channel, grid, budget",
+    [c for c in REFERENCE_CASES if c[0] in (AmplitudeDamping(0.0), AmplitudeDamping(1.0),
+                                               Depolarizing(0.0), Depolarizing(1.0))],
+)
+def test_no_row_with_a_nan_or_inf_bound_loses_a_state(monkeypatch, channel, grid, budget):
+    # Every pass of the search, with the divergence tables it used and with those
+    # of sigma0 = 0 and sigma0 = 1 fed to it, which hold inf or NaN entries. A
+    # state that can be dropped has a finite bound, so it must sit in no row whose
+    # bound is NaN or inf; and a pass fed such tables finds the same best.
+    passes = []
+    search_pass = qchan.oracle._search_pass
+
+    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
+        ids = np.asarray(state_ids)
+        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
+        passes.append((ids, n, int(comps[0].sum()), divergences))
+        for x in (0.0, 1.0):
+            fed = [qchan.oracle._divergences(u, s, x) for u, _, s, _ in tables]
+            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds)[0] == result[0]
+            passes.append((ids, n, int(comps[0].sum()), fed))
+        return result
+
+    monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
+    oracle_capacity(channel, OracleConfig(**grid), budget)
+    if channel != Depolarizing(1.0):  # whose every output, and so sigma, is I / 2
+        assert not all(np.isfinite(d).all() for *_, divergences in passes for d in divergences)
+    for ids, n, prob_grid, divergences in passes:
+        state, row = state_and_row_bounds([d[ids] for d in divergences], ids.shape[0], n, prob_grid)
+        assert np.all(np.isnan(state) | (state == np.inf) | np.isfinite(row))
+        assert np.all(np.isnan(state) | (row <= state))
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_bound_is_nan_or_inf_over_a_row_bound_that_is():
+    # One NaN or inf entry among finite ones, in one table of one or two, at
+    # either end or inside: every state of a NaN or inf row stays unprunable.
+    finite = np.random.default_rng(19).uniform(size=12)
+    for bad in (np.nan, np.inf):
+        for at in (0, 5, 11):
+            table = finite.copy()
+            table[at] = bad
+            for divergences in ([table], [finite, table]):
+                for n in (1, 2, 3, 4):
+                    for prob_grid in (n, n + 3):
+                        state, row = state_and_row_bounds(divergences, 12, n, prob_grid)
+                        assert np.all(np.isnan(state) | (state == np.inf) | np.isfinite(row))
+                        assert np.all(np.isnan(state) | (row <= state))
+
+
 def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
     # At n = 4 and prob_grid 4 a row has one composition, so a block holds at most
     # _CHUNK_ELEMENTS rows and a prefix block as many prefixes. The larger grid has
@@ -1013,8 +1155,9 @@ def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
 
 
 def test_first_block_of_a_size_prunes_itself(caplog):
-    # At n = 2 the default grid is a single block, which meets an incumbent of -inf:
-    # the scores of its first rows are what prune the rest.
+    # At n = 2 the default grid is a single block. The best score of its mirror-pair
+    # seeds is the floor, and the state bounds held against it drop all but 4 of the
+    # 100 states before any row is built; their rows count as pruned too.
     config = OracleConfig(n_states=2)
     states = qchan.oracle._total_states(config)
     assert math.comb(states, 2) * (config.prob_grid - 1) <= qchan.oracle._CHUNK_ELEMENTS
