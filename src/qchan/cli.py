@@ -417,7 +417,9 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phase-grid", type=int, dest="phase_grid",
                         help="coherence phases per a; 2 (default) searches the real signs")
     parser.add_argument("--prob-grid", type=int, dest="prob_grid")
-    parser.add_argument("--budget", type=float, help="maximum planned oracle evaluations")
+    parser.add_argument("--budget", type=float,
+                        help="maximum oracle evaluations: the grid states tabulated, then per "
+                             "size its tables and the ensembles of the states its bounds keep")
     parser.add_argument("--bound", type=float,
                         help="declared grid-resolution bound for certification")
 

@@ -14,7 +14,7 @@ class SolverError(QchanError, RuntimeError):
 
 
 class BudgetExceededError(QchanError, RuntimeError):
-    """The planned brute-force search exceeds the evaluation budget."""
+    """The brute-force search would exceed its evaluation budget before its next step."""
 
 
 class CertificationError(QchanError, RuntimeError):

@@ -9,16 +9,23 @@ every ensemble size up to ``n_states``. Per-state channel outputs and output
 entropies are precomputed once, so each candidate ensemble costs a handful of
 vectorized flops.
 
-The evaluation budget counts the planned ensemble scores and the grid states
-tabulated per channel; a search over it stops before computing either. When
-the full product enumeration fits the budget it runs in a single exhaustive
-pass. Otherwise the pass runs coarse-to-fine: an exhaustive sweep over a
-strided a-subgrid, then exhaustive sweeps over neighborhoods of the incumbent
-ensemble while the stride halves down to 1. Every candidate is a genuine
-ensemble, so in either mode the returned value is a lower bound on the true
-capacity; the refinement rounds contain the incumbent, so the value never
-decreases across rounds. Iteration order is deterministic and ties keep
-the first ensemble encountered.
+The search runs one exhaustive pass per size over every grid state, so its
+value is the largest score of the grid ensembles of the sizes it searches. It
+stops before a size once the best score so far reaches P* - 1e-9, where P* is
+the grid's divergence peak: the smallest over the search's D tables (below) of
+the table's largest entry. Every grid ensemble scores at most its bound, which
+is at most P*, so the value is within 1e-9 of the grid maximum, plus float error
+(~1e-15). A NaN in any table, or +inf in every one, makes P* NaN or +inf, which
+no score reaches, so the search runs every size. Every candidate is a genuine
+ensemble, so the value is a lower bound on the true capacity. Iteration order
+is deterministic and ties keep the first ensemble encountered.
+
+The evaluation budget is one running total, charged before the work it counts:
+the grid states tabulated per channel, before any is tabulated; the m states x
+P compositions that each size tabulates, before its compositions are built; and
+the C(kept, n) P ensembles of the states that a size's state bounds keep,
+before its pass enumerates them. The first charge over the budget raises
+BudgetExceededError, which can come after smaller sizes have run.
 
 A pass enumerates its combination rows by prefix, the first n - 1 states of
 a row, in itertools.combinations order: numpy extends a block of prefixes by
@@ -42,8 +49,8 @@ state sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and
 the last term is >= 0 (Schumacher-Westmoreland, "Optimal signal ensembles",
 2001), so chi(E) <= sum_i p_i D_i. sigma is diagonal, so D comes from the u and
 s columns of the tables. A search computes its D tables once, and every size
-and round uses them. Each channel has one at its divergence-radius centre: the
-sigma0 that minimizes the largest D over all grid states, where the bound on
+uses them. Each channel has one at its divergence-radius centre: the sigma0
+that minimizes the largest D over all grid states, where the bound on
 that channel's chi is tightest. Each D_i is convex in sigma0, so it is bisected
 on the sign of the slope of the largest D_i. A centre bounds only its own
 channel's chi, not the sup-min of a pair, so a pair also has a weighted table
@@ -88,15 +95,14 @@ its own. The winner is still the first maximal candidate of the unpruned pass:
 each slice is scored in row-major order, and a later slice wins a tie only with
 an earlier row.
 
-The first pass of each size from 2 on also starts from a floor. Before its
-first block, it scores a few seed rows of its own states as a block of their
-own, from an incumbent of -inf: for size 2, every mirror pair, the states (a,
-b) and (a, -b), of which the damping maximizer is one at equal weights; for a
-larger size, the previous size's best, each state moved to the nearest unused
-state of the pass with its phase and completed by each other state. That
-block's best is the floor, -inf if it has none. Its row and element bounds are
-held against its own best only, and by the margin argument an element they
-skip scores below that best, so the floor is the best score of all the seed
+The pass of each size from 2 on also starts from a floor. Before its first
+block, it scores a few seed rows of its own states as a block of their own,
+from an incumbent of -inf: for size 2, every mirror pair, the states (a, b) and
+(a, -b), of which the damping maximizer is one at equal weights; for a larger
+size, the previous size's best completed by each other state. That block's
+best is the floor, -inf if it has none. Its row and element bounds are held
+against its own best only, and by the margin argument an element they skip
+scores below that best, so the floor is the best score of all the seed
 elements, bit for bit; a NaN score, as in every block, is passed over for the
 first maximal score of its slice that is not NaN. Every state, prefix, row and
 element bound of the pass is then held against the larger of the incumbent and
@@ -109,11 +115,11 @@ pass without one. A seed passed in as the incoming best would not keep them:
 mirror rows score bit-identically, and the incoming best wins ties against
 every later row.
 
-Once a pass has that threshold, after its seed block or, in a refinement round,
-from the incoming incumbent, it bounds each state before it builds any prefix:
-the row formula, in the same float steps, with the state's D at one position
-and the largest D of the pass, NaN if one is, at each other position, the
-largest over the n positions. By the monotone rounding above, this is >= the
+Once a pass has that threshold, after its seed block or from an incumbent
+passed in, it bounds each state before it builds any prefix: the row formula,
+in the same float steps, with the state's D at one position and the largest D
+of the pass, NaN if one is, at each other position, the largest over the n
+positions. By the monotone rounding above, this is >= the
 float bound of every row that holds the state, with no slack, and NaN wherever
 one of those is NaN. A state whose bound + 1e-9 is below the threshold is
 dropped with all its rows, which count as pruned: each of them would have been
@@ -125,7 +131,6 @@ state bounds.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 import operator
@@ -174,10 +179,6 @@ _SLICE_ELEMENTS = 65_536
 # 1/4, 1/2 and 1 (every slice gathers) on a 2-vCPU x86-64 host, that pair ran
 # fastest at 1/4: 2.20 s, against 2.29 s at 1/8, 2.46 s at 1/2 and 4.73 s at 1.
 _GATHER_SHARE = 0.25
-
-# Refinement rounds probe +-2 steps of the halved stride around every
-# incumbent state, which spans the previous round's full cell.
-_REFINE_SPAN = 2
 
 
 @dataclass(frozen=True)
@@ -610,7 +611,7 @@ def _element_means(members, live, weights):
     return lambda table, out, scratch: _gather_into(table, element_members, weight, out, scratch)
 
 
-def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
+def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
     """Exhaustive max over distinct sorted n-subsets of state_ids x compositions.
 
     ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
@@ -621,7 +622,9 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
     state_ids, scored first as a block that starts from -inf: its best value is
     the pass's floor, which prunes beside the incumbent but never becomes it.
     Once the pass has an incumbent or a floor, the states whose bound cannot
-    reach it are dropped before any prefix is built. Returns the new best; an
+    reach it are dropped before any prefix is built. The ensembles of the states
+    kept are charged against ``budget``, the evaluations left, before they are
+    tabulated and enumerated. Returns the new best; an
     int64 array of four counts: the rows skipped by their bounds or with their
     states, the elements scored, the elements of the other rows skipped by
     their bounds, and the states kept; and the elements the seed block scored
@@ -660,6 +663,7 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
             ids, d_at, products = ids[keep], [d[keep] for d in d_at], None
             counts[0] += math.comb(m, n) - math.comb(ids.shape[0], n)
             m = counts[3] = ids.shape[0]
+    _charge(0, math.comb(m, n) * p_count, budget, f"the size-{n} ensembles of {m} states")
     if products is None:
         products, bound_tables = tabulate()
     suffix_max = _suffix_max(d_at)
@@ -767,45 +771,26 @@ def _first_max(score):
     return flat
 
 
-def _seed_rows(ids, n, winner, a_index, phase, phase_grid):
-    """Rows of n increasing positions in ``ids`` whose best score is the floor of
-    the first pass of size n.
+def _seed_rows(n, winner, a_index, phase_grid):
+    """Rows of n increasing grid states whose best score is the floor of the pass
+    of size n.
 
     Size 2 takes every mirror pair: the two states at one a whose phases are half
     a turn apart, so their coherences are b and -b. A larger size takes the
-    states of ``winner``, the previous size's best, each moved to the nearest
-    unused state of ids with its phase, completed by each other state of ids.
-    ``phase`` is each grid state's phase index, 0 at a = 0 and a = 1.
+    states of ``winner``, the previous size's best, completed by each other state.
     """
-    m = ids.shape[0]
-    none = np.zeros((0, n), dtype=np.int64)
+    m = a_index.shape[0]
     if n == 2:
         if phase_grid % 2:
-            return none
+            return np.zeros((0, 2), dtype=np.int64)
         half = phase_grid // 2
-        first = np.flatnonzero(a_index[ids[:max(m - half, 0)]] == a_index[ids[half:]])
+        first = np.flatnonzero(a_index[:max(m - half, 0)] == a_index[half:])
         return np.column_stack((first, first + half))
-    if winner is None or m < n:
-        return none
-    moved = []
-    for sid in winner:
-        distance = np.abs(a_index[ids] - a_index[sid]).astype(float)
-        distance[phase[ids] != phase[sid]] = math.inf
-        distance[moved] = math.inf
-        j = int(np.argmin(distance))
-        if distance[j] == math.inf:
-            return none
-        moved.append(j)
-    others = np.delete(np.arange(m, dtype=np.int64), moved)
-    rows = np.column_stack((np.broadcast_to(moved, (others.shape[0], n - 1)), others))
+    if winner is None:
+        return np.zeros((0, n), dtype=np.int64)
+    others = np.delete(np.arange(m, dtype=np.int64), winner)
+    rows = np.column_stack((np.broadcast_to(winner, (others.shape[0], n - 1)), others))
     return np.sort(rows, axis=1)
-
-
-def _subgrid_indices(a_grid: int, stride: int):
-    idx = list(range(0, a_grid, stride))
-    if idx[-1] != a_grid - 1:
-        idx.append(a_grid - 1)
-    return idx
 
 
 def _total_states(config: OracleConfig) -> int:
@@ -813,58 +798,37 @@ def _total_states(config: OracleConfig) -> int:
     return config.phase_grid * (config.a_grid - 2) + 2
 
 
-def _states_for_points(config: OracleConfig, points: int) -> int:
-    """Upper bound on grid states covering ``points`` a-grid points."""
-    return min(config.phase_grid * points, _total_states(config))
+def _sizes(config: OracleConfig):
+    # No ensemble of more than prob_grid states has weights in steps of 1/prob_grid.
+    return range(1, min(config.n_states, config.prob_grid) + 1)
 
 
-def _plan(config: OracleConfig, budget: float):
-    """Per-size stride schedules and the total planned evaluation count (upper bound).
-
-    A size starts at the smallest a-grid stride whose subgrid pass fits the budget
-    slice, stride 1 being the full grid, then halves the stride down to 1. The pass
-    cost only falls as the stride grows, so that stride is found by bisection.
-    """
-    if math.isnan(budget):
-        raise DomainError("budget must be a number, got nan")
-    slice_budget = budget / 8.0
-    plans = []
-    total = 0.0
-    for n in range(1, min(config.n_states, config.prob_grid) + 1):
-        p_count = math.comb(config.prob_grid - 1, n - 1)
-
-        def pass_cost(stride):
-            points = (config.a_grid - 2) // stride + 2  # len(_subgrid_indices(...))
-            return math.comb(_states_for_points(config, points), n) * p_count
-
-        stride = 1 + bisect.bisect_left(
-            range(1, config.a_grid), True, key=lambda s: pass_cost(s) <= slice_budget
-        )
-        schedule = [stride]
-        while schedule[-1] > 1:
-            schedule.append((schedule[-1] + 1) // 2)
-        refine_states = _states_for_points(config, (2 * _REFINE_SPAN + 1) * n)
-        cost = pass_cost(stride) + (len(schedule) - 1) * math.comb(refine_states, n) * p_count
-        plans.append((n, schedule))
-        total += cost
-    return plans, total
+def _charge(spent, count, budget, what):
+    """spent + count, the evaluations charged so far; raises BudgetExceededError
+    if that exceeds the budget."""
+    if spent + count > budget:
+        raise BudgetExceededError(f"{what} bring the evaluations to {spent + count:.3g}, "
+                                  f"over the budget {budget:.3g}")
+    return spent + count
 
 
 def plan_search_size(config: OracleConfig, budget: float = DEFAULT_BUDGET) -> int:
-    """Planned evaluation count for the given configuration (per channel set)."""
-    _, total = _plan(config, budget)
-    return int(total)
+    """The ensembles of the full grid, summed over the sizes searched (per channel
+    set): the most a search can score, before its bounds prune and its stop skips
+    sizes."""
+    if math.isnan(budget):
+        raise DomainError("budget must be a number, got nan")
+    states = _total_states(config)
+    return sum(math.comb(states, n) * math.comb(config.prob_grid - 1, n - 1)
+               for n in _sizes(config))
 
 
 def _search(channels, config: OracleConfig, budget: float):
-    # Gate before building the per-state tables: every tabulated state counts
-    # against the budget beside the planned search.
-    plans, total = _plan(config, budget)
     states = _total_states(config)
-    if total + states * len(channels) > budget:
-        raise BudgetExceededError(f"planned {total + states * len(channels):.3g} "
-                                  f"evaluations exceed the budget {budget:.3g}")
-    log.info("oracle search: %d grid states, %d planned evaluations", states, int(total))
+    log.info("oracle search: %d grid states, %d ensembles on the full grid",
+             states, plan_search_size(config, budget))
+    # Charged before the per-state tables are built: on a large grid they take seconds.
+    spent = _charge(0, states * len(channels), budget, f"{states} grid states per channel")
     a, b, a_index = _grid_states(config)
     tables = []
     for channel in channels:
@@ -872,51 +836,34 @@ def _search(channels, config: OracleConfig, budget: float):
         tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
 
     all_ids = np.arange(a.shape[0], dtype=np.int64)
-    # The states at one a are adjacent, in phase order.
-    phase = all_ids - np.searchsorted(a_index, a_index)
     best = (-math.inf, None, None)
     winner = None  # the states of the previous size's best
     divergences = _search_divergences(tables, a)
-    for n, schedule in plans:
+    # No grid ensemble scores above P*, up to float error. np.min and np.max keep
+    # a NaN, where Python's min may drop it.
+    peak = float(np.min([np.max(d) for d in divergences]))
+    for n in _sizes(config):
+        if n > 1 and best[0] >= peak - 1e-9:
+            log.debug("oracle stop before size %d: best %r is within 1e-9 of the divergence "
+                      "peak %r", n, best[0], peak)
+            break
+        p_count = math.comb(config.prob_grid - 1, n - 1)
+        spent = _charge(spent, states * p_count, budget, f"the size-{n} tables")
         comps = _compositions(config.prob_grid, n)
         probs = comps.astype(float) / config.prob_grid
-        incumbent = (-math.inf, None, None)
-        rows = states_in = seed_elements = 0
-        floor = -math.inf
+        seeds = _seed_rows(n, winner, a_index, config.phase_grid)
+        incumbent, counts, (seeded, floor) = _search_pass(
+            tables, all_ids, n, probs, comps, (-math.inf, None, None), divergences, seeds,
+            budget - spent)
         # Rows pruned, elements scored, elements pruned, states kept.
-        counts = np.zeros(4, dtype=np.int64)
-        for round_no, stride in enumerate(schedule):
-            if round_no == 0:
-                keep = set(_subgrid_indices(config.a_grid, stride))
-            else:
-                keep = set()
-                for sid in incumbent[1]:
-                    center = int(a_index[sid])
-                    for k in range(-_REFINE_SPAN, _REFINE_SPAN + 1):
-                        candidate = center + k * stride
-                        if 0 <= candidate < config.a_grid:
-                            keep.add(candidate)
-            ids = all_ids[np.isin(a_index, sorted(keep))]
-            if round_no == 0:
-                seeds = _seed_rows(ids, n, winner, a_index, phase, config.phase_grid)
-            else:
-                seeds = np.zeros((0, n), dtype=np.int64)
-            incumbent, pass_counts, (seeded, pass_floor) = _search_pass(
-                tables, ids, n, probs, comps, incumbent, divergences, seeds)
-            seed_elements += seeded
-            floor = max(floor, pass_floor)
-            rows += math.comb(ids.shape[0], n)
-            states_in += ids.shape[0]
-            counts += pass_counts
-            if incumbent[1] is None:
-                break
         pruned, scored, skipped, kept = (int(c) for c in counts)
+        spent += math.comb(kept, n) * p_count
         # The state counts are part of the message, so its arguments stay the
         # seven that tests/test_oracle.py unpacks.
         log.debug("oracle size %d: %d rows scored, %d rows pruned, %d elements scored, "
                   "%d elements pruned, %d seed elements scored, floor %r, "
-                  f"{kept} of {states_in} states kept by the state bounds",
-                  n, rows - pruned, pruned, scored, skipped, seed_elements, floor)
+                  f"{kept} of {states} states kept by the state bounds",
+                  n, math.comb(states, n) - pruned, pruned, scored, skipped, seeded, floor)
         winner = incumbent[1]
         if incumbent[0] > best[0]:
             best = incumbent
@@ -932,10 +879,11 @@ def _search(channels, config: OracleConfig, budget: float):
 
 
 def oracle_capacity(channel: Channel, config: OracleConfig, budget: float = DEFAULT_BUDGET):
-    """Maximal Holevo chi over all grid ensembles, with the argmax ensemble.
+    """Maximal Holevo chi over all grid ensembles, within 1e-9 plus float error,
+    with the argmax ensemble.
 
-    Always a lower bound on the channel capacity; on nested grids a finer full
-    enumeration never returns less than a coarser one.
+    Always a lower bound on the channel capacity; on nested grids a finer grid
+    never returns more than that margin less than a coarser one.
     """
     return _search([channel], config, budget)
 

@@ -561,6 +561,38 @@ def test_budget_exceeded_writes_no_report(capsys, tmp_path, command):
     assert not out_path.exists()
 
 
+def test_budget_refusing_a_later_size_writes_no_report(capsys, tmp_path):
+    # Sizes 1 and 2 start, and the 400 states that size 2's state bounds keep
+    # carry C(400, 2) x 19 = 1.5e6 ensembles, over the budget left of 1e6.
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "certify", "--channel", "dep", "--lambda", "0.2",
+                         "--n-states", "2", "--a-grid", "201", "--prob-grid", "20",
+                         "--budget", "1e6", "--out", str(out_path))
+    assert code == 5
+    assert out == ""
+    assert "size-2 ensembles" in err
+    assert not out_path.exists()
+
+
+def test_budget_refuses_a_size_before_building_its_compositions(capsys, monkeypatch):
+    # Three-state compositions of a 10**5-step simplex would take 120 GB.
+    built = []
+    compositions = oracle._compositions
+
+    def small_compositions(total, parts):
+        assert parts < 3, "compositions built past the budget"
+        built.append(parts)
+        return compositions(total, parts)
+
+    monkeypatch.setattr(oracle, "_compositions", small_compositions)
+    code, out, err = run(capsys, "certify", "--channel", "ad", "--gamma", "0.5",
+                         "--n-states", "4", "--a-grid", "12", "--prob-grid", "100000")
+    assert code == 5
+    assert out == ""
+    assert "size-3 tables" in err
+    assert built == [1, 2]
+
+
 @pytest.mark.parametrize("command", CERTIFYING)
 def test_wall_time_covers_the_oracle_search(capsys, monkeypatch, command):
     # wall_time_s is taken as the report is written, so it covers the oracle search.
@@ -579,12 +611,11 @@ def test_wall_time_covers_the_oracle_search(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", CERTIFYING)
 def test_budget_counts_the_tabulated_states(capsys, monkeypatch, command):
-    # A 10**9-point a-grid plans few evaluations but would tabulate 2e9 states first.
+    # A 10**9-point a-grid would tabulate 2e9 states before any size could be refused.
     def no_tables(*args):
         raise AssertionError("per-state tables built past the budget")
 
     monkeypatch.setattr(oracle, "_channel_table", no_tables)
-    assert plan_search_size(OracleConfig(a_grid=10**9)) <= oracle.DEFAULT_BUDGET
     code, out, err = run(capsys, *CERTIFYING[command], "--a-grid", "1000000000")
     assert code == 5
     assert out == ""

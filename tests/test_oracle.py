@@ -59,13 +59,12 @@ class TestConfig:
     def test_plan_size_reported(self):
         assert plan_search_size(OracleConfig(n_states=2, a_grid=11, prob_grid=4)) == 590
 
-    def test_plan_counts_subgrid_points_without_listing_them(self, monkeypatch):
-        # An over-budget plan on a huge grid used to build one index list per stride.
-        def no_lists(*args):
-            raise AssertionError("planner built a subgrid index list")
-
-        monkeypatch.setattr(qchan.oracle, "_subgrid_indices", no_lists)
-        assert plan_search_size(OracleConfig(n_states=4, a_grid=10**7), 1) == 187791646
+    def test_plan_counts_the_full_grid_in_closed_form(self):
+        # C(states, n) x C(prob_grid - 1, n - 1) per size, on a grid whose ensembles
+        # could never be listed.
+        states = 2 * (10**7 - 2) + 2
+        assert plan_search_size(OracleConfig(n_states=4, a_grid=10**7), 1) == sum(
+            math.comb(states, n) * math.comb(9, n - 1) for n in (1, 2, 3, 4))
 
 
 class TestOracleCapacity:
@@ -119,25 +118,76 @@ class TestOracleCapacity:
         assert phased <= real + 1e-12
 
     def test_budget_exceeded(self, monkeypatch):
-        # The gate runs first: on a large grid the per-state tables take seconds.
+        # The states gate runs first: on a large grid the per-state tables take seconds.
+        # 400 states fit a budget of 500 for one channel, not for a pair's two.
         def no_tables(*args):
             raise AssertionError("per-state tables built before the budget gate")
 
-        monkeypatch.setattr(qchan.oracle, "_channel_table", no_tables)
         config = OracleConfig(n_states=4, a_grid=201, prob_grid=20)
+        with monkeypatch.context() as patch:
+            patch.setattr(qchan.oracle, "_channel_table", no_tables)
+            with pytest.raises(BudgetExceededError):
+                oracle_capacity(AmplitudeDamping(0.5), config, budget=300)
+            with pytest.raises(BudgetExceededError):
+                oracle_minimax(separation_pair(), config, budget=500)
+
+    def test_budget_refuses_a_size_after_its_state_bounds(self, monkeypatch):
+        # Every depolarizing state reaches the size-2 floor, so the state bounds keep
+        # all 400, and their C(400, 2) x 19 = 1.5e6 ensembles exceed what is left of
+        # 1e6 after size 1 and the size-2 seed block have run.
+        passes = []
+        search_pass = qchan.oracle._search_pass
+
+        def recording_pass(tables, state_ids, n, *args):
+            passes.append(n)
+            return search_pass(tables, state_ids, n, *args)
+
+        monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
+        config = OracleConfig(n_states=2, a_grid=201, prob_grid=20)
+        with pytest.raises(BudgetExceededError, match="size-2 ensembles of 400 states"):
+            oracle_capacity(Depolarizing(0.2), config, budget=1e6)
+        assert passes == [1, 2]
+        # One running total: the 400 tabulated states, then per size m P and the
+        # C(kept, n) P ensembles of the kept states.
+        total = 400 + (400 + 400) + (400 * 19 + math.comb(400, 2) * 19)
         with pytest.raises(BudgetExceededError):
-            oracle_capacity(AmplitudeDamping(0.5), config, budget=1e6)
-        with pytest.raises(BudgetExceededError):
-            oracle_minimax(separation_pair(), config, budget=1e6)
+            oracle_capacity(Depolarizing(0.2), config, budget=total - 1)
+        assert oracle_capacity(Depolarizing(0.2), config, budget=total)[0] > 0.53
+
+    def test_budget_charges_the_states_each_size_keeps(self):
+        # The criterion-4 shape has 1.0e12 ensembles on the full grid, but its state
+        # bounds keep 4 of 400 states from size 2 on, so it fits a budget of 1e6.
+        config = OracleConfig(**CRITERION4)
+        assert plan_search_size(config) > 1e12
+        assert oracle_capacity(AmplitudeDamping(0.5), config, budget=1e6) == oracle_capacity(
+            AmplitudeDamping(0.5), config, budget=1e9)
+
+    def test_budget_refuses_a_size_before_its_compositions(self, monkeypatch):
+        # C(99999, 2) = 5.0e9 three-state compositions of a 10**5-step simplex would
+        # take 120 GB: the size's m x P charge refuses it before they are built.
+        built = []
+        compositions = qchan.oracle._compositions
+
+        def small_compositions(total, parts):
+            assert parts < 3, "compositions built past the budget"
+            built.append(parts)
+            return compositions(total, parts)
+
+        monkeypatch.setattr(qchan.oracle, "_compositions", small_compositions)
+        # On this grid the best pair of size 2 stays below the divergence peak, so
+        # the search does not stop before size 3.
+        config = OracleConfig(n_states=4, a_grid=12, prob_grid=10**5)
+        with pytest.raises(BudgetExceededError, match="size-3 tables"):
+            oracle_capacity(AmplitudeDamping(0.5), config)
+        assert built == [1, 2]
 
     def test_budget_counts_tabulated_states(self, monkeypatch):
-        # The plan fits the budget, but the tables would hold 2e9 states per channel.
+        # The tables would hold 2e9 states per channel, over the budget before any size runs.
         def no_tables(*args):
             raise AssertionError("per-state tables built past the budget")
 
         monkeypatch.setattr(qchan.oracle, "_channel_table", no_tables)
         config = OracleConfig(a_grid=10**9)
-        assert plan_search_size(config, 1e8) <= 1e8
         with pytest.raises(BudgetExceededError):
             oracle_capacity(AmplitudeDamping(0.5), config, budget=1e8)
         with pytest.raises(BudgetExceededError):
@@ -179,15 +229,6 @@ class TestOracleCapacity:
                 AmplitudeDamping(0.5), two)
             assert oracle_minimax(separation_pair(), config) == oracle_minimax(
                 separation_pair(), two)
-
-    def test_zoom_matches_full_enumeration(self):
-        channel = AmplitudeDamping(0.5)
-        config = OracleConfig(n_states=2, a_grid=101, prob_grid=10)
-        full_value, _ = oracle_capacity(channel, config, budget=1e8)
-        # a tight budget forces the coarse-to-fine path on the same grid
-        zoom_value, _ = oracle_capacity(channel, config, budget=3e5)
-        assert zoom_value <= full_value + 1e-12
-        assert zoom_value >= full_value - 1e-9
 
 
 class TestOracleMinimax:
@@ -251,12 +292,14 @@ def reference_scores(tables, members, probs, mean=chain_mean):
     return score
 
 
-def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
-    """The search pass block by block, unpruned: it ignores ``divergences`` and ``seeds``."""
+def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
+    """The search pass block by block, unpruned: it ignores ``divergences``, ``seeds``
+    and ``budget``, and reports every state kept."""
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
+    counts = np.array([0, 0, 0, m])
     if m < n:
-        return best, 0, (0, -math.inf)
+        return best, counts, (0, -math.inf)
     p_count = probs.shape[0]
     chunk = max(1, qchan.oracle._CHUNK_ELEMENTS // p_count)
     combo_iter = itertools.combinations(range(m), n)
@@ -269,7 +312,7 @@ def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
         if value > best[0]:
             row, col = divmod(flat, p_count)
             best = (value, tuple(int(x) for x in members[row]), tuple(int(k) for k in comps[col]))
-    return best, 0, (0, -math.inf)
+    return best, counts, (0, -math.inf)
 
 
 def no_seeds(n):
@@ -279,18 +322,23 @@ def no_seeds(n):
 
 SMALL = dict(a_grid=9, prob_grid=5)
 COMPLEX = dict(a_grid=7, prob_grid=4, phase_grid=5, restrict_real_b=False)
-# Budgets below the full enumeration, so the search runs coarse-to-fine rounds.
-ZOOM = dict(n_states=3, a_grid=31, prob_grid=5)
+MEDIUM = dict(n_states=3, a_grid=31, prob_grid=5)
 KRAUS = GeneralKraus(tuple(kraus_amplitude_damping(0.3)))
 PAIR = MixedChannelPair(AmplitudeDamping(0.5), Depolarizing(0.24))
+# Each size is charged for the ensembles of the states its bounds keep, so the
+# damping searches fit budgets below their full enumeration. The pair's bounds
+# keep 50 of the 60 states at n = 3, over 1e5.
+LARGER = [
+    (AmplitudeDamping(0.5), MEDIUM, 1e5),
+    (PAIR, MEDIUM, 1e8),
+    (AmplitudeDamping(0.5), dict(n_states=4, a_grid=31, prob_grid=5), 1e6),
+]
 REFERENCE_CASES = [
     *[(AmplitudeDamping(0.3), dict(SMALL, n_states=k), 1e8) for k in (1, 2, 3, 4)],
     *[(AmplitudeDamping(0.6), dict(COMPLEX, n_states=k), 1e8) for k in (1, 2, 3)],
     (PAIR, dict(SMALL, n_states=3), 1e8),
     (PAIR, dict(COMPLEX, n_states=2), 1e8),
-    (AmplitudeDamping(0.5), ZOOM, 1e5),
-    (PAIR, ZOOM, 1e5),
-    (AmplitudeDamping(0.5), dict(n_states=4, a_grid=31, prob_grid=5), 1e6),
+    *LARGER,
     (KRAUS, dict(SMALL, n_states=3), 1e8),
     (KRAUS, dict(COMPLEX, n_states=2), 1e8),
     # Channels at or next to the ends of their range. At gamma 0, gamma 1 and
@@ -321,13 +369,108 @@ def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chu
     config = OracleConfig(**grid)
     fused = search(channel, config, budget)
     monkeypatch.setattr(qchan.oracle, "_search_pass", reference_pass)
-    assert fused == search(channel, config, budget)
+    # The reference keeps every state, which the LARGER budgets do not fit.
+    assert fused == search(channel, config, math.inf)
 
 
-# The exhaustive cases; the coarse-to-fine ones take seconds at a slice of 7
-# elements and meet the reference at both partitions above.
+def nan_divergences(monkeypatch, at=None):
+    """Patches the search's D tables with NaN at the state ``at``, or everywhere:
+    a NaN prunes nothing and, anywhere, blocks the stop."""
+    search_divergences = qchan.oracle._search_divergences
+
+    def patched(tables, a):
+        divergences = search_divergences(tables, a)
+        for d in divergences:
+            d[slice(None) if at is None else at] = np.nan
+        return divergences
+
+    monkeypatch.setattr(qchan.oracle, "_search_divergences", patched)
+
+
+# Depolarizing outputs all have the same D at sigma = 1/2, so the grid's peak is
+# the capacity, which an antipodal pair at equal weights reaches within ulps.
+STOPPING = [(Depolarizing(0.2), dict(n_states=k, a_grid=9, prob_grid=4), 1e8) for k in (3, 4)]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("channel, grid, budget", [c for c in REFERENCE_CASES if c[2] == 1e8])
+@pytest.mark.parametrize("channel, grid, budget", REFERENCE_CASES + STOPPING)
+def test_stopped_search_is_within_the_margin_of_the_full_enumeration(monkeypatch, channel, grid, budget):
+    # The reference is neither pruned nor stopped: the unpruned pass, with NaN
+    # tables. The search stops only before sizes that cannot beat its best by more
+    # than 1e-9, and the sizes it runs keep their bits.
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    config = OracleConfig(**grid)
+    value, _ = search(channel, config, budget)
+    nan_divergences(monkeypatch)
+    monkeypatch.setattr(qchan.oracle, "_search_pass", reference_pass)
+    reference, _ = search(channel, config, math.inf)
+    assert reference - 1e-9 <= value <= reference
+
+
+def logged_stops(caplog, search, *args):
+    """The sizes a search logs, and the sizes before which it logs a stop."""
+    with caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
+        result = search(*args)
+    sizes = [r.args[0] for r in caplog.records if r.msg.startswith("oracle size")]
+    stops = [r.args[0] for r in caplog.records if r.msg.startswith("oracle stop")]
+    caplog.clear()
+    return result, sizes, stops
+
+
+def ensemble_rows(config, ensemble):
+    """Each (weight, state) of ``ensemble`` as (a index, phase index, weight numerator)."""
+    a, b, a_index = qchan.oracle._grid_states(config)
+    first = np.searchsorted(a_index, a_index)  # the first state at each state's a
+    rows = []
+    for p, state in ensemble:
+        sid = int(np.flatnonzero((a == state.a) & (b == state.b))[0])
+        rows.append([int(a_index[sid]), int(sid - first[sid]), round(p * config.prob_grid)])
+    return rows
+
+
+@pytest.mark.parametrize("channel, value, rows", [
+    # The bits of the search before the stop: an antipodal pair, and the identity
+    # channel's basis states.
+    (Depolarizing(0.2), "0x1.0fdfcf3f21c1cp-1", [[24, 0, 10], [176, 1, 10]]),
+    (AmplitudeDamping(0.0), "0x1.0000000000000p+0", [[0, 0, 10], [200, 0, 10]]),
+])
+def test_search_stops_at_the_divergence_peak(caplog, channel, value, rows):
+    # Nothing prunes on these shapes: every state's bound reaches the size-2
+    # floor. The stop skips sizes 3 and 4 of the criterion-4 shape.
+    config = OracleConfig(**CRITERION4)
+    (found, ensemble), sizes, stops = logged_stops(caplog, oracle_capacity, channel, config)
+    assert (sizes, stops) == ([1, 2], [3])
+    assert found.hex() == value
+    assert ensemble_rows(config, ensemble) == rows
+
+
+def test_fully_damped_channel_scores_zero(caplog):
+    # Every output is |0><0|: a single state reaches the grid's peak of 1.6e-16,
+    # where larger ensembles scored float noise up to 6.0e-15.
+    (value, ensemble), sizes, stops = logged_stops(
+        caplog, oracle_capacity, AmplitudeDamping(1.0), OracleConfig(**CRITERION4))
+    assert (sizes, stops) == ([1], [2])
+    assert value == 0.0
+    assert len(ensemble) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("at", [0, 5, None])
+def test_nan_table_entry_blocks_the_stop(monkeypatch, caplog, at):
+    channel, grid, _ = STOPPING[0]
+    config = OracleConfig(**grid)
+    stopped, sizes, stops = logged_stops(caplog, oracle_capacity, channel, config)
+    assert (sizes, stops) == ([1, 2], [3])
+    nan_divergences(monkeypatch, at)
+    (value, _), sizes, stops = logged_stops(caplog, oracle_capacity, channel, config)
+    assert (sizes, stops) == ([1, 2, 3], [])
+    assert stopped[0] - 1e-9 <= value
+
+
+# The LARGER cases take seconds at a slice of 7 elements and meet the reference
+# at both partitions above.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("channel, grid, budget", [c for c in REFERENCE_CASES if c not in LARGER])
 def test_search_does_not_depend_on_block_or_slice_size(monkeypatch, channel, grid, budget):
     # Every score depends on its own row only, so the partition cannot move a bit.
     search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
@@ -356,13 +499,7 @@ def test_search_matches_golden_at_benchmark_shapes(shape):
         value, ensemble = oracle_minimax(MixedChannelPair(*channels), config, GOLDEN["budget"])
     else:
         value, ensemble = oracle_capacity(channels[0], config, GOLDEN["budget"])
-    a, b, a_index = qchan.oracle._grid_states(config)
-    first = np.searchsorted(a_index, a_index)  # the first state at each state's a
-    rows = []
-    for p, state in ensemble:
-        sid = int(np.flatnonzero((a == state.a) & (b == state.b))[0])
-        rows.append([int(a_index[sid]), int(sid - first[sid]), round(p * config.prob_grid)])
-    assert rows == shape["ensemble"]
+    assert ensemble_rows(config, ensemble) == shape["ensemble"]
     assert abs(value - shape["value"]) <= 1e-12
 
 
@@ -538,7 +675,8 @@ def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch
     for n in (2, 3):
         comps = qchan.oracle._compositions(config.prob_grid, n)
         probs = comps / config.prob_grid
-        best, *_ = reference_pass(tables, ids, n, probs, comps, (-math.inf, None, None), None, no_seeds(n))
+        best, *_ = reference_pass(
+            tables, ids, n, probs, comps, (-math.inf, None, None), None, no_seeds(n), math.inf)
         weights = np.array(best[2]) / config.prob_grid
         own = [float(weights @ u[list(best[1])]) for u, *_ in tables]
         centre = [qchan.oracle._radius_centre(u, s) for u, _, s, _ in tables]
@@ -550,7 +688,7 @@ def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch
             for below in (best[0] - 1e-2, best[0] - 1e-6, best[0] - 1e-12, np.nextafter(best[0], 0.0)):
                 start = (float(below), None, None)
                 assert qchan.oracle._search_pass(
-                    tables, ids, n, probs, comps, start, divergences, no_seeds(n))[0] == best
+                    tables, ids, n, probs, comps, start, divergences, no_seeds(n), math.inf)[0] == best
     assert gathers
 
 
@@ -575,7 +713,7 @@ def test_element_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     divergences = [qchan.oracle._divergences(u, s, np.nextafter(u[pair[0]], 1.0))]
     assert element_bounds(divergences, members, probs)[0, 0] < score
     _, counts, _ = qchan.oracle._search_pass(
-        tables, pair, 2, probs, comps, (score, None, None), divergences, no_seeds(2))
+        tables, pair, 2, probs, comps, (score, None, None), divergences, no_seeds(2), math.inf)
     # No row pruned, one element scored, none pruned, both states kept.
     assert counts.tolist() == [0, 1, 0, 2]
 
@@ -584,7 +722,7 @@ def run_pass(tables, ids, n, prob_grid, divergences, seeds):
     """(best, seed elements scored, floor) of a pass from -inf over ``ids`` with ``seeds``."""
     comps = qchan.oracle._compositions(prob_grid, n)
     best, _, (seeded, floor) = qchan.oracle._search_pass(
-        tables, ids, n, comps / prob_grid, comps, (-math.inf, None, None), divergences, seeds)
+        tables, ids, n, comps / prob_grid, comps, (-math.inf, None, None), divergences, seeds, math.inf)
     return best, seeded, floor
 
 
@@ -667,36 +805,32 @@ def test_nan_score_hides_no_finite_score_of_its_slice():
 
 
 def test_seed_rows():
-    for grid, pairs_per_a in ((dict(a_grid=9), 1),
-                              (dict(a_grid=9, phase_grid=8, restrict_real_b=False), 4),
-                              (dict(a_grid=9, phase_grid=5, restrict_real_b=False), 0)):
+    for grid, pairs_per_a in ((dict(a_grid=5), 1),
+                              (dict(a_grid=5, phase_grid=8, restrict_real_b=False), 4),
+                              (dict(a_grid=5, phase_grid=5, restrict_real_b=False), 0)):
         config = OracleConfig(**grid)
         _, b, a_index = qchan.oracle._grid_states(config)
-        all_ids = np.arange(b.shape[0])
-        phase = all_ids - np.searchsorted(a_index, a_index)
-        # A strided subgrid, with two points that carry a coherence.
-        ids = all_ids[np.isin(a_index, [0, 3, 6, 8])]
-        rows = qchan.oracle._seed_rows(ids, 2, None, a_index, phase, config.phase_grid)
-        # Size 2: the mirror pairs of the subgrid's states, b and -b at one a.
-        assert rows.shape == (2 * pairs_per_a, 2)
-        first, second = ids[rows.T]
+        rows = qchan.oracle._seed_rows(2, None, a_index, config.phase_grid)
+        # Size 2: the mirror pairs of the grid, b and -b at one a; the three a
+        # inside (0, 1) carry a coherence.
+        assert rows.shape == (3 * pairs_per_a, 2)
+        first, second = rows.T
         assert np.all(a_index[first] == a_index[second])
         assert np.all(b[first] != 0.0)
         assert np.allclose(b[first], -b[second], rtol=0.0, atol=1e-15)
         if not config.restrict_real_b:
             continue
-        # Size 3 from the previous size's best: each of its states moved to the
-        # nearest unused subgrid state of its sign, the lower a on a tie, then
-        # every other subgrid state added. The subgrid holds states 0, 5, 6, 11,
-        # 12 and 15 (a = 0, 3/8 +-, 6/8 +-, 1).
-        assert ids.tolist() == [0, 5, 6, 11, 12, 15]
-        for winner, moved in (((5, 6), [1, 2]), ((7, 8), [1, 2]), ((5, 7), [1, 3]),
-                              ((3, 15), [1, 5]), ((0, 1), [0, 1])):
-            rows = qchan.oracle._seed_rows(ids, 3, winner, a_index, phase, config.phase_grid)
-            others = [j for j in range(6) if j not in moved]
-            assert rows.tolist() == [sorted(moved + [j]) for j in others]
-        assert qchan.oracle._seed_rows(ids, 3, None, a_index, phase, 2).shape == (0, 3)
-        assert qchan.oracle._seed_rows(ids[:2], 3, (5, 6), a_index, phase, 2).shape == (0, 3)
+        # Size 3 from the previous size's best: its states, completed by every
+        # other grid state in order. The grid holds states 0 to 7 (a = 0, 1/4 +-,
+        # 1/2 +-, 3/4 +-, 1).
+        assert b.shape == (8,)
+        for winner in ((1, 2), (3, 6), (0, 7)):
+            rows = qchan.oracle._seed_rows(3, winner, a_index, config.phase_grid)
+            others = [j for j in range(8) if j not in winner]
+            assert rows.dtype == np.int64
+            assert rows.tolist() == [sorted([*winner, j]) for j in others]
+        assert qchan.oracle._seed_rows(3, None, a_index, 2).shape == (0, 3)
+        assert qchan.oracle._seed_rows(4, (0, 1, 2), a_index[:3], 2).shape == (0, 4)
 
 
 CRITERION4 = dict(n_states=4, a_grid=201, prob_grid=20)
@@ -707,8 +841,8 @@ CRITERION4 = dict(n_states=4, a_grid=201, prob_grid=20)
     "channel, grid, budget, seeded_sizes, pruned_sizes",
     [(AmplitudeDamping(0.3), dict(SMALL, n_states=2), 1e8, {2}, set()),
      (PAIR, dict(SMALL, n_states=3), 1e8, {2, 3}, set()),
-     (AmplitudeDamping(0.5), dict(ZOOM, n_states=4), 1e6, {2, 3, 4}, set()),
-     (PAIR, ZOOM, 1e5, {2, 3}, set()),
+     (AmplitudeDamping(0.5), dict(MEDIUM, n_states=4), 1e6, {2, 3, 4}, set()),
+     (PAIR, MEDIUM, 1e8, {2, 3}, set()),
      # An odd phase grid has no mirror pair, so size 2 has no seeds.
      (AmplitudeDamping(0.6), dict(COMPLEX, n_states=4), 1e8, {3, 4}, set()),
      # The seed block's own bounds skip seed elements that cannot reach its best.
@@ -721,8 +855,8 @@ def test_floor_is_the_best_seed_score(monkeypatch, channel, grid, budget, seeded
     passes = []
     search_pass = qchan.oracle._search_pass
 
-    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
-        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
+    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
+        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
         passes.append((tables, np.asarray(state_ids), n, probs, seeds, *result[2]))
         return result
 
@@ -918,13 +1052,13 @@ def test_no_row_with_a_nan_or_inf_bound_sits_under_a_pruned_prefix(monkeypatch, 
     passes = []
     search_pass = qchan.oracle._search_pass
 
-    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
+    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
         ids = np.asarray(state_ids)
-        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
+        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
         passes.append((ids, n, int(comps[0].sum()), divergences))
         for x in (0.0, 1.0):
             fed = [qchan.oracle._divergences(u, s, x) for u, _, s, _ in tables]
-            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds)[0] == result[0]
+            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds, budget)[0] == result[0]
             passes.append((ids, n, int(comps[0].sum()), fed))
         return result
 
@@ -1004,13 +1138,13 @@ def test_no_row_with_a_nan_or_inf_bound_loses_a_state(monkeypatch, channel, grid
     passes = []
     search_pass = qchan.oracle._search_pass
 
-    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds):
+    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
         ids = np.asarray(state_ids)
-        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds)
+        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
         passes.append((ids, n, int(comps[0].sum()), divergences))
         for x in (0.0, 1.0):
             fed = [qchan.oracle._divergences(u, s, x) for u, _, s, _ in tables]
-            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds)[0] == result[0]
+            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds, budget)[0] == result[0]
             passes.append((ids, n, int(comps[0].sum()), fed))
         return result
 
@@ -1061,7 +1195,8 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
         tracemalloc.start()
         try:
             _, (pruned, *_), _ = qchan.oracle._search_pass(
-                tables, ids, 4, comps / 4, comps, (value - 0.01, None, None), divergences, no_seeds(4))
+                tables, ids, 4, comps / 4, comps, (value - 0.01, None, None), divergences, no_seeds(4),
+                math.inf)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1070,23 +1205,24 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
 
 
 def test_pass_tables_grow_with_states_times_compositions(monkeypatch):
-    # The first n = 4 round of criterion 4: 40 states (stride 10 of 201 points)
-    # and P = C(19, 3) = 969 compositions. A pass tabulates one (m, P) table per
-    # part, for the last position of its rows, so its peak stays below the 4 (n,
-    # m, P) tables of u, Re v, s and D that a table per position would take.
+    # The n = 4 pass of criterion 4: all 400 grid states and P = C(19, 3) = 969
+    # compositions, which its seed block tabulates before the state bounds. A pass
+    # tabulates one (m, P) table per part, for the last position of its rows, so
+    # its peak stays below the 4 (n, m, P) tables of u, Re v, s and D that a table
+    # per position would take.
     calls = []
     search_pass = qchan.oracle._search_pass
 
-    def first_pass_of_four(tables, state_ids, n, *args):
-        if n == 4 and not calls:
+    def pass_of_four(tables, state_ids, n, *args):
+        if n == 4:
             calls.append((tables, state_ids, n, *args))
         return search_pass(tables, state_ids, n, *args)
 
-    monkeypatch.setattr(qchan.oracle, "_search_pass", first_pass_of_four)
+    monkeypatch.setattr(qchan.oracle, "_search_pass", pass_of_four)
     oracle_capacity(AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
     (tables, state_ids, n, probs, *rest), = calls
     m, p_count = len(state_ids), probs.shape[0]
-    assert (m, p_count) == (40, 969)
+    assert (m, p_count) == (400, 969)
     tracemalloc.start()
     try:
         search_pass(tables, state_ids, n, probs, *rest)
@@ -1119,7 +1255,8 @@ def logged_sizes(monkeypatch, caplog, channel, config, budget):
     with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
         patch.setattr(qchan.oracle, "_search_pass", counting_pass)
         patch.setattr(qchan.oracle, "_chi_into", counting_chi)
-        oracle_capacity(channel, config, budget)
+        search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+        search(channel, config, budget)
     sizes = [r.args for r in caplog.records if r.msg.startswith("oracle size")]
     caplog.clear()
     return sizes, rows, columns, scored
@@ -1134,20 +1271,23 @@ def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
     _, scored, pruned, *_ = sizes[-1]
     assert scored + pruned == math.comb(qchan.oracle._total_states(config), 3)
     assert pruned > 0
-    # There the seed floor prunes every row before an element bound runs; at the
-    # criterion-4 shape the n = 3 element bounds still prune under the floor.
+    # There, and at the criterion-4 shape, the state bounds leave so few rows that
+    # their elements are all scored; for the separation pair at the criterion-8
+    # shape the n = 3 element bounds still prune under the floor.
     criterion4 = logged_sizes(
         monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
-    assert criterion4[0][2][4] > 0
-    # Coarse-to-fine rounds at n = 4, where whole prefixes are pruned before
-    # their rows are built: rows pruned that way still count as pruned.
-    zoom = logged_sizes(
-        monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**dict(ZOOM, n_states=4)), 1e6)
-    assert [n for n, *_ in zoom[0]] == [1, 2, 3, 4]
-    assert zoom[0][-1][2] > 0
-    for sizes, rows, columns, scored in (full, criterion4, zoom):
+    criterion8 = logged_sizes(
+        monkeypatch, caplog, separation_pair(), OracleConfig(**dict(CRITERION4, n_states=3)), 1e9)
+    assert criterion8[0][2][4] > 0
+    # An exhaustive n = 4 search, where whole prefixes are pruned before their
+    # rows are built: rows pruned that way still count as pruned.
+    four = logged_sizes(
+        monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**dict(MEDIUM, n_states=4)), 1e8)
+    assert [n for n, *_ in four[0]] == [1, 2, 3, 4]
+    assert four[0][-1][2] > 0
+    for sizes, rows, columns, scored in (full, criterion4, criterion8, four):
         for n, rows_scored, rows_pruned, elements_scored, elements_pruned, seeded, floor in sizes:
-            # Sizes from 2 on seed their first pass with a genuine score.
+            # Sizes from 2 on seed their pass with a genuine score.
             assert (seeded > 0 and math.isfinite(floor)) == (n > 1)
             assert elements_scored + seeded == scored[n]
             assert elements_scored + elements_pruned == rows_scored * columns[n]
