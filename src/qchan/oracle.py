@@ -21,30 +21,31 @@ ensemble, so the value is a lower bound on the true capacity. Iteration order
 is deterministic and ties keep the first ensemble encountered.
 
 The evaluation budget is one running total, charged before the work it counts:
-the grid states tabulated per channel, before any is tabulated; the m states x
-P compositions that each size tabulates, before its compositions are built; and
-the C(kept, n) P ensembles of the states that a size's state bounds keep,
-before its pass enumerates them. The first charge over the budget raises
-BudgetExceededError, which can come after smaller sizes have run.
+the grid states tabulated per channel, before any is tabulated; for each size,
+the m grid states x P compositions, the most its tables hold at once, before
+its compositions are built; and the C(kept, n) P ensembles of the states that
+its state bounds keep against its floor, before its pass enumerates them. The
+first charge over the budget raises BudgetExceededError, which can come after
+smaller sizes have run.
 
 A pass enumerates its combination rows by prefix, the first n - 1 states of
 a row, in itertools.combinations order: numpy extends a block of prefixes by
 every later state at once, and prefixes come in blocks, so no array grows with
 the number of prefixes. It scores its candidates in blocks of combination rows
-x probability columns, and a block in slices of rows. The mean of a part u, Re
-v, (Im v,) s over an element is the sum of the products part[member k] * p_k
-in k order, each step rounded, with no BLAS call. A pass tabulates only the
-last position: per part, one C-contiguous (m, P) table part[state] * p_{n-1}
-of m states x P compositions, so a row's last products are a copy of P
-adjacent floats. Rows that share their prefix share its partial sum, built
-from the per-state part and the weight rows; an element scored alone
-multiplies its members' parts by its weight column. The radius, the entropy,
-chi and the minimum over channels are computed in place on buffers the size of
-one slice. Every score depends on its own element only, so neither the block
-nor the slice size moves a bit, and every score is bit-equal to the formula on
-fresh arrays that tests/test_oracle.py keeps as its reference.
+x probability columns, and a block in slices of rows, every element of each
+row it scores. The mean of a part u, Re v, (Im v,) s over an element is the
+sum of the products part[member k] * p_k in k order, each step rounded, with
+no BLAS call. A pass tabulates only the last position: per part, one
+C-contiguous (m, P) table part[state] * p_{n-1} of the m states it keeps x P
+compositions, so a row's last products are a copy of P adjacent floats. Rows
+that share their prefix share its partial sum, built from the per-state part
+and the weight rows. The radius, the entropy, chi and the minimum over
+channels are computed in place on buffers the size of one slice. Every score
+depends on its own element only, so neither the block nor the slice size moves
+a bit, and every score is bit-equal to the formula on fresh arrays that
+tests/test_oracle.py keeps as its reference.
 
-A pass skips the candidates that provably cannot beat the incumbent. For any
+A pass skips the candidates that provably cannot beat the best so far. For any
 state sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and
 the last term is >= 0 (Schumacher-Westmoreland, "Optimal signal ensembles",
 2001), so chi(E) <= sum_i p_i D_i. sigma is diagonal, so D comes from the u and
@@ -58,75 +59,71 @@ t D_1(. || sigma_1) + (1 - t) D_2(. || sigma_2): min(chi_1, chi_2) <= t chi_1 +
 (1 - t) chi_2 for every t in [0, 1]. (t, sigma_1, sigma_2) is a saddle point
 found on the grid tables alone (_saddle); a single channel is the case t = 1 at
 its centre. A candidate's bound is the smallest over the tables. Any t and
-sigma are valid; the choice moves only how much gets pruned. A candidate is
-skipped only if its bound + 1e-9 is below the incumbent of the current size as
-it stands before the candidate's slice: the bound is within ~1e-15 of a sum
-that is >= the candidate's score, so such a candidate
-scores strictly below a genuine score and can neither win nor tie, while one
-that ties or beats the incumbent has a bound at most ~1e-15 below it, far
-inside the margin, and is scored. So the bits, and the first maximal candidate
-that wins, are those of the unpruned pass. A NaN bound, which a degenerate
-sigma yields, prunes nothing.
+sigma are valid; the choice moves only how much gets pruned.
 
-An element's own bound is sum_k p_k D_k, summed like a mean of a part D. A row
-of n states on the grid G = prob_grid has p_i in [1/G, (G - n + 1)/G], so the
-largest of its elements' bounds is the row bound ((sum_i D_i) + (G - n) max_i
-D_i) / G. A row is scored only if its row bound reaches the incumbent, and once
-the size has an incumbent or a floor (below), the elements of the rows scored
-are bounded one by one. The elements that survive are scored alone, and the
-other elements are not computed. Only a slice where too many survive for that
-to pay scores every element of its rows instead.
+A row of n states on the grid G = prob_grid has p_i in [1/G, (G - n + 1)/G],
+so the largest sum_k p_k D_k over its compositions is the row bound ((sum_i
+D_i) + (G - n) max_i D_i) / G. A row is skipped only if its bound + 1e-9 is
+below the threshold of its slice, the larger of the incumbent as it stands
+before the slice and the pass's floor (below): the bound is within ~1e-15 of a
+sum that is >= the score of each of the row's elements, so such a row scores
+strictly below a genuine score and can neither win nor tie, while a row with
+an element that ties or beats the threshold has a bound at most ~1e-15 below
+it, far inside the margin, and is scored whole. So the bits, and the first
+maximal candidate that wins, are those of the unpruned pass. A NaN bound,
+which a degenerate sigma yields, prunes nothing.
 
-A prefix is bounded before its rows are built: the row formula, in the same
-float steps, with the last state's D replaced by the largest D of the states
-that can follow the prefix. D is finite, +inf or NaN. Order NaN above +inf:
-each step (a sum, a max, a product with G - n >= 0, a division by G, a min over
-tables) is then monotone in each input, and so is rounding to nearest, so
-the prefix bound is >= the float bound of every row under it, with no slack,
-and NaN wherever one of those is NaN: a prefix that holds a row a NaN bound
-keeps is never dropped. Each block of prefixes is filtered once: a prefix whose
-bound + 1e-9 is below the incumbent as the block starts is dropped with all its
-rows, which counts them as pruned, and a row under a prefix that survives meets
-the incumbent of its own block through its row bound. The surviving prefixes
-are built into blocks of rows in order, and each block scores first a probe
-slice of its rows with the largest bounds, so that even the first block of a
-size, which meets no incumbent, prunes its other rows against genuine scores of
-its own. The winner is still the first maximal candidate of the unpruned pass:
-each slice is scored in row-major order, and a later slice wins a tie only with
-an earlier row.
+Two coarser bounds drop rows before they are built. Each is the row formula,
+in the same float steps, with a D replaced by one at least as large. A state's
+bound puts the state's D at one position and the largest D of the pass, NaN if
+one is, at each other position, and takes the largest over the n positions. A
+prefix's bound puts at the last position the largest D of the states that can
+follow the prefix. D is finite, +inf or NaN. Order NaN above +inf: each step
+(a sum, a max, a product with G - n >= 0, a division by G, a min over tables)
+is then monotone in each input, and so is rounding to nearest, so a state's or
+a prefix's bound is >= the float bound of every row that holds the state or
+starts with the prefix, with no slack, and NaN wherever one of those is NaN: a
+state or a prefix that holds a row a NaN bound keeps is never dropped. A state
+or a prefix whose bound + 1e-9 is below the threshold is dropped with all its
+rows, which count as pruned: each of them would have been pruned by its own
+row bound against the same threshold or a higher one.
 
-The pass of each size from 2 on also starts from a floor. Before its first
-block, it scores a few seed rows of its own states as a block of their own,
-from an incumbent of -inf: for size 2, every mirror pair, the states (a, b) and
-(a, -b), of which the damping maximizer is one at equal weights; for a larger
-size, the previous size's best completed by each other state. That block's
-best is the floor, -inf if it has none. Its row and element bounds are held
-against its own best only, and by the margin argument an element they skip
-scores below that best, so the floor is the best score of all the seed
-elements, bit for bit; a NaN score, as in every block, is passed over for the
-first maximal score of its slice that is not NaN. Every state, prefix, row and
-element bound of the pass is then held against the larger of the incumbent and
-the floor. The floor is a genuine
-score of an element of the pass, so it is at most the pass's maximum, and the
-margin argument holds for it as for the incumbent: an element that ties or
-beats that maximum has a bound within ~1e-15 of its score and is scored. The
-floor never becomes the incumbent, so the winner and the bits stay those of the
-pass without one. A seed passed in as the incoming best would not keep them:
-mirror rows score bit-identically, and the incoming best wins ties against
-every later row.
+The pass of a size is handed the best so far, of the smaller sizes, as row -1
+of each of its blocks: it comes before the pass, so it wins ties, and a larger
+size takes over only with a higher score. The pass first drops the states
+whose bound cannot reach that best, and tabulates the others. It then scores a
+few seed rows of the states it kept as a block of their own, from a threshold
+of -inf: for size 2, every mirror pair, the states (a, b) and (a, -b), of
+which the damping maximizer is one at equal weights; for a larger size, the
+states of the best so far completed by each other state, when the best has
+n - 1 states. That block's best is the floor, -inf if it has none. Its row
+bounds are held against its own best only, and by the margin argument a row
+they skip scores below that best, so the floor is the best score of the seed
+elements of the states kept, bit for bit; a NaN score, as in every
+block, is passed over for the first maximal score of its slice that is not
+NaN. A seed row with a dropped state scores below the best so far, so if it
+holds the best seed score, the floor is below the best so far too and prunes
+nothing more. The pass then drops the states whose bound cannot reach the
+floor, and tabulates again only if one went. Only then is the size charged,
+and the rows of the states kept are enumerated in their order, so the winner
+and its ties are those of the pass without the state bounds.
 
-Once a pass has that threshold, after its seed block or from an incumbent
-passed in, it bounds each state before it builds any prefix: the row formula,
-in the same float steps, with the state's D at one position and the largest D
-of the pass, NaN if one is, at each other position, the largest over the n
-positions. By the monotone rounding above, this is >= the
-float bound of every row that holds the state, with no slack, and NaN wherever
-one of those is NaN. A state whose bound + 1e-9 is below the threshold is
-dropped with all its rows, which count as pruned: each of them would have been
-pruned by its own row bound against the same threshold or a higher one. The
-pass tabulates and enumerates only the states it keeps, and their rows keep
-their order, so the winner and its ties are those of the pass without the
-state bounds.
+Every prefix, row and slice is held against the larger of the incumbent and
+the floor. The floor is a genuine score of an element of the pass, so it is at
+most the pass's maximum, and the margin argument holds for it as for the
+incumbent: an element that ties or beats that maximum has a bound within
+~1e-15 of its score and is scored. The floor never becomes the incumbent, so
+the winner and the bits stay those of the pass without one. A seed passed in
+as the incumbent would not keep them: mirror rows score bit-identically, and
+the incumbent wins ties against every later row. Each block of prefixes is
+filtered once, against the incumbent as the block starts, and a row under a
+prefix that survives meets the incumbent of its own slice through its row
+bound. The surviving prefixes are built into blocks of rows in order, and each
+block scores first a probe slice of its rows with the largest bounds, so that
+even a block that meets a low threshold prunes its other rows against genuine
+scores of its own. The winner is still the first maximal candidate of the
+unpruned pass: each slice is scored in row-major order, and a later slice wins
+a tie only with an earlier row.
 """
 
 from __future__ import annotations
@@ -169,17 +166,6 @@ _CHUNK_ELEMENTS = 1_000_000
 # to 131,072 elements ran the criterion-8 searches equally fast, and smaller
 # ones slower, as more of the time goes to per-call overhead.
 _SLICE_ELEMENTS = 65_536
-
-# A slice where at most this share of the elements survive their bounds gathers
-# and scores only those; a slice with more scores every element of its rows from
-# row gathers. Scores do not depend on it. Of the shapes measured, the dense side
-# serves only AD 0.4 + dep 0.2 at the criterion-8 shape, a CI and test shape,
-# where 42% of the n = 3 elements survive; the benchmark's searches keep at most
-# 8% and run as fast at any share from 1/16 to 1. In a sweep over 1/16, 1/8,
-# 1/4, 1/2 and 1 (every slice gathers) on a 2-vCPU x86-64 host, that pair ran
-# fastest at 1/4: 2.20 s, against 2.29 s at 1/8, 2.46 s at 1/2 and 4.73 s at 1.
-_GATHER_SHARE = 0.25
-
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -419,7 +405,7 @@ def _saddle(tables, a):
 
 
 def _search_divergences(tables, a):
-    """The D tables whose smallest element bound bounds each score of a search over
+    """The D tables whose smallest sum_k p_k D_k bounds each score of a search over
     the channels of ``tables``: each channel's table at its radius centre, and for
     a pair the weighted table of the _saddle before them."""
     centre = [_radius_centre(u, s) for u, _, s, _ in tables]
@@ -539,46 +525,25 @@ def _mean_into(table, weights, members, runs, out, scratch):
         np.add(scratch, out, out=out)
 
 
-def _gather_into(table, members, weight, out, scratch):
-    """out[j] = sum_k column[members[k, j]] * weight[k, j] in k order: _mean_into's sum
-    of the element whose weight column is weight[:, j], from the pair's column alone."""
-    column = table[0]
-    np.take(column, members[0], out=out, mode="clip")
-    np.multiply(out, weight[0], out=out)
-    for k in range(1, members.shape[0]):
-        np.take(column, members[k], out=scratch, mode="clip")
-        np.multiply(scratch, weight[k], out=scratch)
-        np.add(out, scratch, out=out)
-
-
-def _bound_into(bound_tables, mean_into, out, scratch, other):
-    """Writes into ``out`` the smallest over D tables of sum_k p_k D_k, each sum
-    filled by mean_into(table, out, scratch) from one table's _pass_tables pair."""
-    for index, table in enumerate(bound_tables):
-        if index:
-            mean_into(table, other, scratch)
-            np.minimum(out, other, out=out)
-        else:
-            mean_into(table, out, scratch)
-
-
-def _chi_into(products, mean_into, work, score):
-    """Writes into ``score`` the minimum over channels of chi, each mean filled by
-    mean_into(table, out, scratch), for whichever elements those means hold.
+def _chi_into(products, weights, members, work, score):
+    """Writes into ``score`` the minimum over channels of chi of every element of
+    the rows ``members`` x the composition columns of ``weights``, each mean
+    summed by _mean_into from a _pass_tables pair of ``products``.
 
     ``work`` holds three arrays of score's shape: two work arrays and the chi of
     a later channel table.
     """
     t1, t2, chi = work
+    runs = _runs(members)
     for index, (mean_u, *mean_v, mean_s) in enumerate(products):
         out = chi if index else score
         # Output Bloch radius r of the mean state, sqrt((2<u> - 1)^2 + 4|<v>|^2)
-        mean_into(mean_u, t1, t2)
+        _mean_into(mean_u, weights, members, runs, t1, t2)
         np.multiply(t1, 2.0, out=t1)
         np.subtract(t1, 1.0, out=t1)
         np.square(t1, out=t1)
         for part in mean_v:
-            mean_into(part, t2, out)
+            _mean_into(part, weights, members, runs, t2, out)
             np.square(t2, out=t2)
             np.multiply(t2, 4.0, out=t2)
             np.add(t1, t2, out=t1)
@@ -588,27 +553,17 @@ def _chi_into(products, mean_into, work, score):
         np.subtract(1.0, t1, out=t1)
         np.multiply(t1, 0.5, out=t1)
         binary_entropy_into(t1, out, t2)
-        mean_into(mean_s, t1, t2)
+        _mean_into(mean_s, weights, members, runs, t1, t2)
         np.subtract(out, t1, out=out)
         if index:
             np.minimum(score, chi, out=score)
 
 
-def _row_means(members, weights):
-    """mean_into for every element of the rows ``members``, through _mean_into."""
-    runs = _runs(members)
-    return lambda table, out, scratch: _mean_into(table, weights, members, runs, out, scratch)
-
-
-def _element_means(members, live, weights):
-    """mean_into for the elements ``live``, flat indices into the rows ``members`` x
-    the composition columns of ``weights`` in row-major order, through _gather_into.
-    Their members and weight columns are gathered once for every part, by np.take,
-    which unlike fancy indexing is fast here and returns C-contiguous arrays."""
-    of_row, col = np.divmod(live, weights.shape[1])
-    element_members = np.take(members.T, of_row, axis=1)
-    weight = np.take(weights, col, axis=1)
-    return lambda table, out, scratch: _gather_into(table, element_members, weight, out, scratch)
+def _reaches(bound, threshold):
+    """Whether each bound + 1e-9 reaches ``threshold``, written so that a NaN bound
+    keeps its state, prefix or row."""
+    with np.errstate(invalid="ignore"):
+        return ~(bound + 1e-9 < threshold)
 
 
 def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
@@ -616,85 +571,80 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, b
 
     ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
     score is the minimum chi across channels. ``best`` is the running
-    (value, state id tuple, composition tuple) and ties keep the incumbent.
-    ``divergences`` holds the _divergences tables that bound a state's, a row's
-    and an element's score. ``seeds`` holds rows of n increasing positions in
-    state_ids, scored first as a block that starts from -inf: its best value is
-    the pass's floor, which prunes beside the incumbent but never becomes it.
-    Once the pass has an incumbent or a floor, the states whose bound cannot
-    reach it are dropped before any prefix is built. The ensembles of the states
-    kept are charged against ``budget``, the evaluations left, before they are
-    tabulated and enumerated. Returns the new best; an
-    int64 array of four counts: the rows skipped by their bounds or with their
-    states, the elements scored, the elements of the other rows skipped by
-    their bounds, and the states kept; and the elements the seed block scored
-    with the floor.
+    (value, state id tuple, composition tuple), the best so far, and ties keep
+    it. ``divergences`` holds the _divergences tables that bound a state's, a
+    prefix's and a row's score. ``seeds`` holds rows of n increasing positions
+    in state_ids. The pass drops the states whose bound cannot reach ``best``
+    and tabulates the others; it scores the seed rows whose states it kept as a
+    block that starts from -inf, whose best value is the pass's floor; and it
+    drops the states whose bound cannot reach the floor. The floor prunes beside
+    ``best`` but never becomes it. The ensembles of the states kept are charged
+    against ``budget``, the evaluations left, before they are enumerated.
+    Returns the new best; an int64 array of three counts: the rows skipped by
+    their bounds or with their states, the elements scored, and the states
+    kept; and the elements the seed block scored with the floor.
     """
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
-    counts = np.array([0, 0, 0, m], dtype=np.int64)
     if m < n:
-        return best, counts, (0, -math.inf)
+        return best, np.array([0, 0, m], dtype=np.int64), (0, -math.inf)
     p_count = probs.shape[0]
     prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
     chunk = max(1, _CHUNK_ELEMENTS // p_count)
     weights = np.ascontiguousarray(probs.T)  # weights[k] is p_k of every composition
     parts = [(u, v.real, v.imag, s) if has_imag else (u, v.real, s) for u, v, s, has_imag in tables]
-    shape = (max(1, _SLICE_ELEMENTS // p_count), p_count)
-    buffers = [*np.empty((4, *shape)), np.empty(shape, dtype=bool)]
-    d_at = [table[ids] for table in divergences]  # D at each position of ids
+    buffers = np.empty((4, max(1, _SLICE_ELEMENTS // p_count), p_count))
+    with np.errstate(invalid="ignore"):
+        state_bound = _state_bounds([table[ids] for table in divergences], n, prob_grid)
 
-    def tabulate():  # at the states of ids as it stands
-        products = [_pass_tables([part[ids] for part in channel], weights) for channel in parts]
-        return products, _pass_tables(d_at, weights)
+    def tabulate(at):  # the states at positions ``at``, their pass tables and their D
+        kept = ids[at]
+        products = [_pass_tables([part[kept] for part in channel], weights) for channel in parts]
+        return kept, products, [table[kept] for table in divergences]
 
-    products = None
+    # The states that can reach the incoming best, before anything is tabulated.
+    keep = _reaches(state_bound, best[0])
+    at = np.flatnonzero(keep)
+    kept, products, d_at = tabulate(at)
+    # The seed rows whose states were all kept, as positions among those states.
+    seeds = np.searchsorted(at, seeds[keep[seeds].all(axis=1)])
     floor, seeded = -math.inf, 0
     if seeds.shape[0]:
-        products, bound_tables = tabulate()
-        (floor, *_), (_, seeded, _) = _block_pass(
-            products, d_at, bound_tables, weights, seeds, ids, comps, (-math.inf, None, None),
-            -math.inf, prob_grid, buffers)
-    if max(best[0], floor) > -math.inf:
-        with np.errstate(invalid="ignore"):
-            # Written so that a NaN bound keeps its state.
-            keep = ~(_state_bounds(d_at, n, prob_grid) + 1e-9 < max(best[0], floor))
-        if not keep.all():
-            ids, d_at, products = ids[keep], [d[keep] for d in d_at], None
-            counts[0] += math.comb(m, n) - math.comb(ids.shape[0], n)
-            m = counts[3] = ids.shape[0]
+        (floor, *_), (_, seeded) = _block_pass(
+            products, d_at, weights, seeds, kept, comps, (-math.inf, None, None), -math.inf,
+            prob_grid, buffers)
+    floored = at[_reaches(state_bound[at], floor)]
+    if floored.shape[0] < at.shape[0]:
+        at = floored
+        kept, products, d_at = tabulate(at)
+    rows = math.comb(m, n)
+    m = at.shape[0]
+    counts = np.array([rows - math.comb(m, n), 0, m], dtype=np.int64)
     _charge(0, math.comb(m, n) * p_count, budget, f"the size-{n} ensembles of {m} states")
-    if products is None:
-        products, bound_tables = tabulate()
     suffix_max = _suffix_max(d_at)
     for prefixes in _prefix_blocks(m, n, chunk):
         with np.errstate(invalid="ignore"):
-            prefix_bound = _prefix_bounds(d_at, suffix_max, prefixes, prob_grid)
-            # Written so that a NaN bound keeps its prefix.
-            keep = ~(prefix_bound + 1e-9 < max(best[0], floor))
+            keep = _reaches(_prefix_bounds(d_at, suffix_max, prefixes, prob_grid), max(best[0], floor))
         row_counts = m - _first_free(prefixes)
         counts[0] += row_counts.sum() - row_counts[keep].sum()
         prefixes, row_counts = prefixes[keep], row_counts[keep]
         # Runs of prefixes, in order, whose rows fit a block, or one prefix.
         for start, stop in _groups(row_counts, chunk):
             best, block_counts = _block_pass(
-                products, d_at, bound_tables, weights, _complete(prefixes[start:stop], m, n, n),
-                ids, comps, best, floor, prob_grid, buffers)
-            counts[:3] += block_counts
+                products, d_at, weights, _complete(prefixes[start:stop], m, n, n), kept, comps,
+                best, floor, prob_grid, buffers)
+            counts[:2] += block_counts
     return best, counts, (seeded, floor)
 
 
-def _block_pass(products, divergences, bound_tables, weights, local, ids, comps, best, floor,
-                prob_grid, buffers):
+def _block_pass(products, divergences, weights, local, ids, comps, best, floor, prob_grid, buffers):
     """_search_pass over one block of rows ``local``, positions in ids in row order.
 
-    ``bound_tables`` holds per D table its _pass_tables pair, for the element
-    bounds; bounds are held against the larger of the incumbent and ``floor``.
-    ``buffers`` holds the score and work arrays of one slice and a boolean array
-    of its shape. Returns the new best and _search_pass's three counts for the
-    block.
+    Row bounds are held against the larger of the incumbent and ``floor``.
+    ``buffers`` holds the score and work arrays of one slice. Returns the new
+    best and the block's rows pruned by their bounds and elements scored.
     """
-    score_buf, *work_buf, dropped_buf = buffers
+    score_buf, *work_buf = buffers
     step, p_count = score_buf.shape
     probe = max(1, step // 8)
     with np.errstate(invalid="ignore"):
@@ -708,48 +658,20 @@ def _block_pass(products, divergences, bound_tables, weights, local, ids, comps,
     # Row -1 is the incoming best: it comes before the block, so it wins ties.
     top_value, top_row, top_col = best[0], -1, -1
     threshold = None
-    rows_scored = elements_scored = 0
+    rows_scored = 0
     while True:
         if max(top_value, floor) != threshold:
             threshold = max(top_value, floor)
-            with np.errstate(invalid="ignore"):
-                # Written so that a NaN bound keeps its row.
-                rest = rest[~(bound[rest] + 1e-9 < threshold)]
+            rest = rest[_reaches(bound[rest], threshold)]
         if rest.shape[0] == 0:
             break
         rows, rest, size = np.sort(rest[:size]), rest[size:], step
         h = rows.shape[0]
         rows_scored += h
-        members = np.take(local, rows, axis=0)
-        row_means = _row_means(members, weights)
-        live = None
-        # No element bound falls short of a threshold of -inf.
-        if threshold > -math.inf:
-            with np.errstate(invalid="ignore"):
-                element_bound, dropped = score_buf[:h], dropped_buf[:h]
-                _bound_into(bound_tables, row_means, element_bound, work_buf[0][:h], work_buf[1][:h])
-                element_bound += 1e-9
-                # Written so that a NaN bound keeps its element.
-                np.less(element_bound, threshold, out=dropped)
-                if dropped.size - np.count_nonzero(dropped) <= _GATHER_SHARE * dropped.size:
-                    live = np.flatnonzero(~dropped)
-        if live is None:
-            # Dense: every element of the rows, from row gathers.
-            score = score_buf[:h]
-            _chi_into(products, row_means, [w[:h] for w in work_buf], score)
-            elements_scored += score.size
-            flat = _first_max(score)
-            value = score.flat[flat]
-        elif live.shape[0]:
-            # Sparse: only the elements whose bound can reach the incumbent, one
-            # gather per element and position, in row-major order.
-            score, *work = (buf.reshape(-1)[:live.shape[0]] for buf in (score_buf, *work_buf))
-            _chi_into(products, _element_means(members, live, weights), work, score)
-            elements_scored += score.size
-            top = _first_max(score)
-            flat, value = int(live[top]), score[top]
-        else:
-            continue
+        score = score_buf[:h]
+        _chi_into(products, weights, np.take(local, rows, axis=0), [w[:h] for w in work_buf], score)
+        flat = _first_max(score)
+        value = score.flat[flat]
         row, col = divmod(flat, p_count)
         if value > top_value or (value == top_value and rows[row] < top_row):
             top_value, top_row, top_col = value, int(rows[row]), col
@@ -759,8 +681,7 @@ def _block_pass(products, divergences, bound_tables, weights, local, ids, comps,
             tuple(int(x) for x in ids[local[top_row]]),
             tuple(int(k) for k in comps[top_col]),
         )
-    return best, np.array(
-        [local.shape[0] - rows_scored, elements_scored, rows_scored * p_count - elements_scored])
+    return best, np.array([local.shape[0] - rows_scored, rows_scored * p_count])
 
 
 def _first_max(score):
@@ -777,7 +698,8 @@ def _seed_rows(n, winner, a_index, phase_grid):
 
     Size 2 takes every mirror pair: the two states at one a whose phases are half
     a turn apart, so their coherences are b and -b. A larger size takes the
-    states of ``winner``, the previous size's best, completed by each other state.
+    states of ``winner``, the best so far, completed by each other state, if
+    the winner has n - 1 states, and no rows otherwise.
     """
     m = a_index.shape[0]
     if n == 2:
@@ -786,7 +708,7 @@ def _seed_rows(n, winner, a_index, phase_grid):
         half = phase_grid // 2
         first = np.flatnonzero(a_index[:max(m - half, 0)] == a_index[half:])
         return np.column_stack((first, first + half))
-    if winner is None:
+    if winner is None or len(winner) != n - 1:
         return np.zeros((0, n), dtype=np.int64)
     others = np.delete(np.arange(m, dtype=np.int64), winner)
     rows = np.column_stack((np.broadcast_to(winner, (others.shape[0], n - 1)), others))
@@ -837,7 +759,6 @@ def _search(channels, config: OracleConfig, budget: float):
 
     all_ids = np.arange(a.shape[0], dtype=np.int64)
     best = (-math.inf, None, None)
-    winner = None  # the states of the previous size's best
     divergences = _search_divergences(tables, a)
     # No grid ensemble scores above P*, up to float error. np.min and np.max keep
     # a NaN, where Python's min may drop it.
@@ -851,22 +772,18 @@ def _search(channels, config: OracleConfig, budget: float):
         spent = _charge(spent, states * p_count, budget, f"the size-{n} tables")
         comps = _compositions(config.prob_grid, n)
         probs = comps.astype(float) / config.prob_grid
-        seeds = _seed_rows(n, winner, a_index, config.phase_grid)
-        incumbent, counts, (seeded, floor) = _search_pass(
-            tables, all_ids, n, probs, comps, (-math.inf, None, None), divergences, seeds,
-            budget - spent)
-        # Rows pruned, elements scored, elements pruned, states kept.
-        pruned, scored, skipped, kept = (int(c) for c in counts)
+        seeds = _seed_rows(n, best[1], a_index, config.phase_grid)
+        best, counts, (seeded, floor) = _search_pass(
+            tables, all_ids, n, probs, comps, best, divergences, seeds, budget - spent)
+        # Rows pruned, elements scored, states kept.
+        pruned, scored, kept = (int(c) for c in counts)
         spent += math.comb(kept, n) * p_count
         # The state counts are part of the message, so its arguments stay the
-        # seven that tests/test_oracle.py unpacks.
+        # six that tests/test_oracle.py unpacks.
         log.debug("oracle size %d: %d rows scored, %d rows pruned, %d elements scored, "
-                  "%d elements pruned, %d seed elements scored, floor %r, "
+                  "%d seed elements scored, floor %r, "
                   f"{kept} of {states} states kept by the state bounds",
-                  n, math.comb(states, n) - pruned, pruned, scored, skipped, seeded, floor)
-        winner = incumbent[1]
-        if incumbent[0] > best[0]:
-            best = incumbent
+                  n, math.comb(states, n) - pruned, pruned, scored, seeded, floor)
 
     value, state_ids, comp = best
     if state_ids is None:

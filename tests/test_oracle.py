@@ -292,16 +292,21 @@ def reference_scores(tables, members, probs, mean=chain_mean):
     return score
 
 
+# Elements per block of reference_pass. Its result does not depend on it, so it
+# ignores the block size a test sets for the pass.
+REFERENCE_BLOCK = 1_000_000
+
+
 def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
     """The search pass block by block, unpruned: it ignores ``divergences``, ``seeds``
     and ``budget``, and reports every state kept."""
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
-    counts = np.array([0, 0, 0, m])
+    counts = np.array([0, 0, m])
     if m < n:
         return best, counts, (0, -math.inf)
     p_count = probs.shape[0]
-    chunk = max(1, qchan.oracle._CHUNK_ELEMENTS // p_count)
+    chunk = max(1, REFERENCE_BLOCK // p_count)
     combo_iter = itertools.combinations(range(m), n)
     while block := list(itertools.islice(combo_iter, chunk)):
         members = ids[np.array(block, dtype=np.int64)]
@@ -567,15 +572,8 @@ def test_pass_scores_equal_reference_scores(channel, grid, order):
             members = members[np.random.default_rng(n).permutation(members.shape[0])]
         products = pass_products(tables, ids, probs.T)
         score, *work = np.empty((4, members.shape[0], probs.shape[0]))
-        qchan.oracle._chi_into(products, qchan.oracle._row_means(members, probs.T), work, score)
-        reference = reference_scores(tables, members, probs)
-        assert score.tobytes() == reference.tobytes()
-        # A seeded third of the elements, each gathered on its own.
-        live = np.flatnonzero(np.random.default_rng(n + 10).random(score.size) < 1 / 3)
-        gathered, *work = np.empty((4, live.shape[0]))
-        means = qchan.oracle._element_means(members, live, probs.T)
-        qchan.oracle._chi_into(products, means, work, gathered)
-        assert gathered.tobytes() == reference.ravel()[live].tobytes()
+        qchan.oracle._chi_into(products, probs.T, members, work, score)
+        assert score.tobytes() == reference_scores(tables, members, probs).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -606,47 +604,6 @@ def test_row_bound_is_above_every_score_in_its_row(channel, grid):
             assert np.all(best_in_row <= bound + 1e-12)
 
 
-def element_bounds(divergences, members, probs):
-    """The bound sum_k p_k D_k of every row of members x column of probs, the
-    smallest over the tables, as the pass computes it."""
-    bound_tables = qchan.oracle._pass_tables(divergences, probs.T)
-    bound, scratch, other = np.empty((3, members.shape[0], probs.shape[0]))
-    qchan.oracle._bound_into(bound_tables, qchan.oracle._row_means(members, probs.T), bound, scratch, other)
-    return bound
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "channel, grid",
-    [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL),
-     (PAIR, COMPLEX), (KRAUS, SMALL), (KRAUS, COMPLEX)],
-)
-def test_element_bound_is_above_its_score(channel, grid):
-    # Every (row, composition) of a full n = 1..4 search, with sigma the radius
-    # centre, the best ensemble's mean output, four seeded random diagonals, and
-    # the search's own tables: chi(E) <= sum_k p_k D(N psi_k || sigma) for any
-    # sigma, for a pair min(chi_1, chi_2) <= t chi_1 + (1 - t) chi_2 for any t,
-    # and float error on either side is ~1e-15, far inside the pass's 1e-9 margin.
-    config = OracleConfig(n_states=4, **grid)
-    channels, tables = grid_tables(channel, config)
-    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
-    _, ensemble = search(channel, config)
-    sigmas = [[qchan.oracle._radius_centre(u, s) for u, _, s, _ in tables]]
-    sigmas += [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
-    sigmas += np.random.default_rng(11).uniform(size=(4, len(channels))).tolist()
-    table_sets = [[qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
-                  for sigma in sigmas]
-    table_sets.append(qchan.oracle._search_divergences(tables, qchan.oracle._grid_states(config)[0]))
-    for n in (1, 2, 3, 4):
-        probs = qchan.oracle._compositions(config.prob_grid, n) / config.prob_grid
-        members = np.array(list(itertools.combinations(range(tables[0][0].shape[0]), n)))
-        score = reference_scores(tables, members, probs)
-        for divergences in table_sets:
-            bound = element_bounds(divergences, members, probs)
-            assert np.all(np.isfinite(bound))
-            assert np.all(score <= bound + 1e-12)
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("nan_at_best", [False, True])
 @pytest.mark.parametrize(
@@ -658,20 +615,15 @@ def test_element_bound_is_above_its_score(channel, grid):
      # with sigma that output, its bound is its score.
      (AmplitudeDamping(0.5), dict(a_grid=9, prob_grid=4))],
 )
-def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch, channel, grid, nan_at_best):
-    # A pass that starts just below its best bounds the elements of its first
-    # slice and gathers those that survive, so its best is found there; on these
-    # small grids the row bounds leave few rows, so the share is raised to make
-    # every such slice gather. With sigma the best ensemble's own mean output,
-    # that ensemble's bound is its score, within float error. A NaN D at one of
-    # its states makes its bound NaN, and a NaN bound must keep its element.
-    monkeypatch.setattr(qchan.oracle, "_GATHER_SHARE", 1.0)
+def test_pass_started_near_its_best_finds_it(channel, grid, nan_at_best):
+    # A pass of every size from 2 on starts from the best so far, which can sit
+    # just below its own best: its state, prefix and row bounds must keep that
+    # best. With sigma the best ensemble's own mean output, that ensemble's
+    # bound is close to its score. A NaN D at one of its states makes its
+    # bounds NaN, and a NaN bound must keep its state, prefix and row.
     config = OracleConfig(n_states=3, **grid)
     _, tables = grid_tables(channel, config)
     ids = np.arange(tables[0][0].shape[0])
-    gathers = []
-    gather_into = qchan.oracle._gather_into
-    monkeypatch.setattr(qchan.oracle, "_gather_into", lambda *args: gathers.append(1) or gather_into(*args))
     for n in (2, 3):
         comps = qchan.oracle._compositions(config.prob_grid, n)
         probs = comps / config.prob_grid
@@ -689,20 +641,19 @@ def test_pass_started_near_its_best_finds_it_among_gathered_elements(monkeypatch
                 start = (float(below), None, None)
                 assert qchan.oracle._search_pass(
                     tables, ids, n, probs, comps, start, divergences, no_seeds(n), math.inf)[0] == best
-    assert gathers
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "channel, pair", [(AmplitudeDamping(0.5), [3, 4]), (AmplitudeDamping(0.1), [5, 6]),
                       (Depolarizing(0.2), [3, 4])])
-def test_element_whose_bound_rounds_below_its_score_is_scored(channel, pair):
+def test_row_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     # An equal-weight mirror pair has a diagonal mean output. With sigma one ulp
     # off it, chi = sum_k p_k D_k to second order, and in floats these pairs'
-    # bounds round 1-4 ulp below their scores. A pass started at exactly such a
-    # score must still score the element: a candidate that ties the incumbent
-    # wins over a later row that a probe slice scored first. Only the 1e-9
-    # margin keeps it; without it the element is pruned.
+    # bounds, (D_1 + D_2) / 2 at prob_grid 2, round 1-4 ulp below their scores. A
+    # pass started at exactly such a score must still score the row: a candidate
+    # that ties the incumbent wins over a later row that a probe slice scored
+    # first. Only the 1e-9 margin keeps it; without it the state bounds drop it.
     config = OracleConfig(n_states=2, a_grid=9, prob_grid=2)
     _, tables = grid_tables(channel, config)
     u, _, s, _ = tables[0]
@@ -711,11 +662,11 @@ def test_element_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     members = np.array([pair])
     score = float(reference_scores(tables, members, probs)[0, 0])
     divergences = [qchan.oracle._divergences(u, s, np.nextafter(u[pair[0]], 1.0))]
-    assert element_bounds(divergences, members, probs)[0, 0] < score
+    assert qchan.oracle._row_bounds(divergences, members, config.prob_grid)[0] < score
     _, counts, _ = qchan.oracle._search_pass(
         tables, pair, 2, probs, comps, (score, None, None), divergences, no_seeds(2), math.inf)
-    # No row pruned, one element scored, none pruned, both states kept.
-    assert counts.tolist() == [0, 1, 0, 2]
+    # No row pruned, one element scored, both states kept.
+    assert counts.tolist() == [0, 1, 2]
 
 
 def run_pass(tables, ids, n, prob_grid, divergences, seeds):
@@ -766,16 +717,16 @@ def test_seed_floor_keeps_the_pass_winner(monkeypatch, chunk, slice_):
     assert run_pass(tables, ids[:1], 2, config.prob_grid, divergences, no_seeds(2)) == (
         (-math.inf, None, None), 0, -math.inf)
 
-    # A floor at a score whose element bound rounds below it (the mirror pair of
-    # test_element_whose_bound_rounds_below_its_score_is_scored): only the 1e-9
-    # margin keeps that element.
+    # A floor at a score whose row bound rounds below it (the mirror pair of
+    # test_row_whose_bound_rounds_below_its_score_is_scored): only the 1e-9
+    # margin keeps that row.
     pair_config = OracleConfig(n_states=2, a_grid=9, prob_grid=2)
     _, pair_tables = grid_tables(AmplitudeDamping(0.5), pair_config)
     pair_u, _, pair_s, _ = pair_tables[0]
     pair = np.array([3, 4])
     pair_divergences = [qchan.oracle._divergences(pair_u, pair_s, np.nextafter(pair_u[3], 1.0))]
     score = float(reference_scores(pair_tables, pair[None, :], np.array([[0.5, 0.5]]))[0, 0])
-    assert element_bounds(pair_divergences, pair[None, :], np.array([[0.5, 0.5]]))[0, 0] < score
+    assert qchan.oracle._row_bounds(pair_divergences, pair[None, :], 2)[0] < score
     assert run_pass(pair_tables, pair, 2, 2, pair_divergences, np.array([[0, 1]])) == (
         (score, (3, 4), (1, 1)), 1, score)
 
@@ -1206,10 +1157,10 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
 
 def test_pass_tables_grow_with_states_times_compositions(monkeypatch):
     # The n = 4 pass of criterion 4: all 400 grid states and P = C(19, 3) = 969
-    # compositions, which its seed block tabulates before the state bounds. A pass
-    # tabulates one (m, P) table per part, for the last position of its rows, so
-    # its peak stays below the 4 (n, m, P) tables of u, Re v, s and D that a table
-    # per position would take.
+    # compositions. A pass tabulates one (m, P) table per part, for the last
+    # position of its rows and only at the states its bounds keep, so its peak
+    # stays below the 4 (n, m, P) tables of u, Re v, s and D that a table per
+    # position of every state would take.
     calls = []
     search_pass = qchan.oracle._search_pass
 
@@ -1232,9 +1183,30 @@ def test_pass_tables_grow_with_states_times_compositions(monkeypatch):
     assert peak < 4 * n * m * p_count * 8
 
 
+def test_passes_tabulate_only_the_states_their_bounds_keep(monkeypatch):
+    # The n = 3 and 4 passes of criterion 4 start from the best so far, against
+    # which the state bounds keep 4 of the 400 grid states: neither pass tabulates
+    # any other state, not even for its seed rows.
+    lengths, size = {}, [None]
+    search_pass, pass_tables = qchan.oracle._search_pass, qchan.oracle._pass_tables
+
+    def recording_pass(tables, state_ids, n, *args):
+        size[0] = n
+        return search_pass(tables, state_ids, n, *args)
+
+    def recording_tables(columns, weights):
+        lengths.setdefault(size[0], set()).update(column.shape[0] for column in columns)
+        return pass_tables(columns, weights)
+
+    monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
+    monkeypatch.setattr(qchan.oracle, "_pass_tables", recording_tables)
+    oracle_capacity(AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
+    assert lengths[3] == lengths[4] == {4}
+
+
 def logged_sizes(monkeypatch, caplog, channel, config, budget):
-    """The logged (n, rows scored, rows pruned, elements scored, elements pruned,
-    seed elements scored, floor) of a search; the rows each size's passes hold
+    """The logged (n, rows scored, rows pruned, elements scored, seed elements
+    scored, floor) of a search; the rows each size's passes hold
     and their composition count; and the elements actually scored, seeds
     included, counted per size."""
     rows, columns, scored = {}, {}, {}
@@ -1247,10 +1219,10 @@ def logged_sizes(monkeypatch, caplog, channel, config, budget):
         size[0] = n
         return search_pass(tables, state_ids, n, probs, *args)
 
-    def counting_chi(products, mean_into, work, score):
+    def counting_chi(products, weights, members, work, score):
         n = size[0]
         scored[n] = scored.get(n, 0) + score.size
-        return chi_into(products, mean_into, work, score)
+        return chi_into(products, weights, members, work, score)
 
     with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="qchan.oracle"):
         patch.setattr(qchan.oracle, "_search_pass", counting_pass)
@@ -1271,14 +1243,11 @@ def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
     _, scored, pruned, *_ = sizes[-1]
     assert scored + pruned == math.comb(qchan.oracle._total_states(config), 3)
     assert pruned > 0
-    # There, and at the criterion-4 shape, the state bounds leave so few rows that
-    # their elements are all scored; for the separation pair at the criterion-8
-    # shape the n = 3 element bounds still prune under the floor.
+    # The criterion-4 shape, and the separation pair at the criterion-8 shape.
     criterion4 = logged_sizes(
         monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
     criterion8 = logged_sizes(
         monkeypatch, caplog, separation_pair(), OracleConfig(**dict(CRITERION4, n_states=3)), 1e9)
-    assert criterion8[0][2][4] > 0
     # An exhaustive n = 4 search, where whole prefixes are pruned before their
     # rows are built: rows pruned that way still count as pruned.
     four = logged_sizes(
@@ -1286,11 +1255,11 @@ def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
     assert [n for n, *_ in four[0]] == [1, 2, 3, 4]
     assert four[0][-1][2] > 0
     for sizes, rows, columns, scored in (full, criterion4, criterion8, four):
-        for n, rows_scored, rows_pruned, elements_scored, elements_pruned, seeded, floor in sizes:
+        for n, rows_scored, rows_pruned, elements_scored, seeded, floor in sizes:
             # Sizes from 2 on seed their pass with a genuine score.
             assert (seeded > 0 and math.isfinite(floor)) == (n > 1)
             assert elements_scored + seeded == scored[n]
-            assert elements_scored + elements_pruned == rows_scored * columns[n]
+            assert elements_scored == rows_scored * columns[n]
             assert rows_scored + rows_pruned == rows[n]
 
 
