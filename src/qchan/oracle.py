@@ -28,22 +28,23 @@ its state bounds keep against its floor, before its pass enumerates them. The
 first charge over the budget raises BudgetExceededError, which can come after
 smaller sizes have run.
 
-A pass enumerates its combination rows by prefix, the first n - 1 states of
-a row, in itertools.combinations order: numpy extends a block of prefixes by
-every later state at once, and prefixes come in blocks, so no array grows with
-the number of prefixes. It scores its candidates in blocks of combination rows
-x probability columns, and a block in slices of rows, every element of each
-row it scores. The mean of a part u, Re v, (Im v,) s over an element is the
+A pass enumerates its combination rows, n increasing states, in
+itertools.combinations order and in blocks: numpy completes a run of partial
+rows by every later state at once, and splits a partial row with more rows than
+a block holds on its next member, so no array grows with the number of rows. It
+scores its candidates in blocks of combination rows x probability columns, and
+a block in slices of rows, every element of each row it scores. The mean of a
+part u, Re v, (Im v,) s over an element is the
 sum of the products part[member k] * p_k in k order, each step rounded, with
 no BLAS call. A pass tabulates only the last position: per part, one
 C-contiguous (m, P) table part[state] * p_{n-1} of the m states it keeps x P
 compositions, so a row's last products are a copy of P adjacent floats. Rows
-that share their prefix share its partial sum, built from the per-state part
-and the weight rows. The radius, the entropy, chi and the minimum over
-channels are computed in place on buffers the size of one slice. Every score
-depends on its own element only, so neither the block nor the slice size moves
-a bit, and every score is bit-equal to the formula on fresh arrays that
-tests/test_oracle.py keeps as its reference.
+that share their first n - 1 states share their partial sum, built from the
+per-state part and the weight rows. The radius, the entropy, chi and the
+minimum over channels are computed in place on buffers the size of one slice.
+Every score depends on its own element only, so neither the block nor the
+slice size moves a bit, and every score is bit-equal to the formula on fresh
+arrays that tests/test_oracle.py keeps as its reference.
 
 A pass skips the candidates that provably cannot beat the best so far. For any
 state sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and
@@ -73,20 +74,18 @@ it, far inside the margin, and is scored whole. So the bits, and the first
 maximal candidate that wins, are those of the unpruned pass. A NaN bound,
 which a degenerate sigma yields, prunes nothing.
 
-Two coarser bounds drop rows before they are built. Each is the row formula,
-in the same float steps, with a D replaced by one at least as large. A state's
+A coarser bound drops states before any row is built. It is the row formula,
+in the same float steps, with a D replaced by one at least as large: a state's
 bound puts the state's D at one position and the largest D of the pass, NaN if
-one is, at each other position, and takes the largest over the n positions. A
-prefix's bound puts at the last position the largest D of the states that can
-follow the prefix. D is finite, +inf or NaN. Order NaN above +inf: each step
-(a sum, a max, a product with G - n >= 0, a division by G, a min over tables)
-is then monotone in each input, and so is rounding to nearest, so a state's or
-a prefix's bound is >= the float bound of every row that holds the state or
-starts with the prefix, with no slack, and NaN wherever one of those is NaN: a
-state or a prefix that holds a row a NaN bound keeps is never dropped. A state
-or a prefix whose bound + 1e-9 is below the threshold is dropped with all its
-rows, which count as pruned: each of them would have been pruned by its own
-row bound against the same threshold or a higher one.
+one is, at each other position, and takes the largest over the n positions. D
+is finite, +inf or NaN. Order NaN above +inf: each step (a sum, a max, a
+product with G - n >= 0, a division by G, a min over tables) is then monotone
+in each input, and so is rounding to nearest, so a state's bound is >= the
+float bound of every row that holds the state, with no slack, and NaN wherever
+one of those is NaN: a state that holds a row a NaN bound keeps is never
+dropped. A state whose bound + 1e-9 is below the threshold is dropped with all
+its rows, which count as pruned: each of them would have been pruned by its
+own row bound against the same threshold or a higher one.
 
 The pass of a size is handed the best so far, of the smaller sizes, as row -1
 of each of its blocks: it comes before the pass, so it wins ties, and a larger
@@ -108,22 +107,18 @@ floor, and tabulates again only if one went. Only then is the size charged,
 and the rows of the states kept are enumerated in their order, so the winner
 and its ties are those of the pass without the state bounds.
 
-Every prefix, row and slice is held against the larger of the incumbent and
-the floor. The floor is a genuine score of an element of the pass, so it is at
-most the pass's maximum, and the margin argument holds for it as for the
-incumbent: an element that ties or beats that maximum has a bound within
-~1e-15 of its score and is scored. The floor never becomes the incumbent, so
-the winner and the bits stay those of the pass without one. A seed passed in
-as the incumbent would not keep them: mirror rows score bit-identically, and
-the incumbent wins ties against every later row. Each block of prefixes is
-filtered once, against the incumbent as the block starts, and a row under a
-prefix that survives meets the incumbent of its own slice through its row
-bound. The surviving prefixes are built into blocks of rows in order, and each
-block scores first a probe slice of its rows with the largest bounds, so that
-even a block that meets a low threshold prunes its other rows against genuine
-scores of its own. The winner is still the first maximal candidate of the
-unpruned pass: each slice is scored in row-major order, and a later slice wins
-a tie only with an earlier row.
+Every row and slice is held against the larger of the incumbent and the floor.
+The floor is a genuine score of an element of the pass, so it is at most the
+pass's maximum, and the margin argument holds for it as for the incumbent: an
+element that ties or beats that maximum has a bound within ~1e-15 of its score
+and is scored. The floor never becomes the incumbent, so the winner and the
+bits stay those of the pass without one. A seed passed in as the incumbent
+would not keep them: mirror rows score bit-identically, and the incumbent wins
+ties against every later row. A block filters its rows by their bounds as it
+starts, and filters the rows left again whenever the threshold rises. Slices
+are scored in row order, so the first maximal element wins: a slice takes its
+first maximal score in row-major order, and a later slice holds only later
+rows, so it takes over only with a higher score.
 """
 
 from __future__ import annotations
@@ -153,18 +148,17 @@ log = logging.getLogger(__name__)
 DEFAULT_BUDGET = 10 ** 8
 
 # Elements per block (combination rows x probability columns): the rows whose
-# bounds are computed, ordered and pruned together. A block of prefixes holds as
-# many prefixes as a block holds rows; a block of rows holds the rows of whole
-# prefixes, or of one prefix with more, at most one per state. So a pass's
-# arrays are bounded by this and by the number of states, not by the number of
-# prefixes or rows. Scores do not depend on it.
+# bounds are computed and pruned together. A block holds at most
+# _CHUNK_ELEMENTS // P rows of P compositions, and one row where P is larger.
+# So a pass's arrays are bounded by this and by the number of states, not by the
+# number of rows. Scores do not depend on it.
 _CHUNK_ELEMENTS = 1_000_000
 
-# Elements per row slice of a block, the rows scored together; the probe slice
-# is an eighth of it. Scores do not depend on it. Its four work arrays take 512
-# KiB each; on a 2-vCPU x86-64 host with 2 MiB of L2 per core, slices of 32,768
-# to 131,072 elements ran the criterion-8 searches equally fast, and smaller
-# ones slower, as more of the time goes to per-call overhead.
+# Elements per row slice of a block, the rows scored together. Scores do not
+# depend on it. Its four work arrays take 512 KiB each; on a 2-vCPU x86-64 host
+# with 2 MiB of L2 per core, slices of 32,768 to 131,072 elements ran the
+# criterion-8 searches equally fast, and smaller ones slower, as more of the
+# time goes to per-call overhead.
 _SLICE_ELEMENTS = 65_536
 
 @dataclass(frozen=True)
@@ -303,29 +297,28 @@ def _groups(counts, limit):
         start = stop
 
 
-def _prefix_blocks(m, n, limit, heads=None):
-    """The first n - 1 members of the n-subsets of range(m), each once, in
-    itertools.combinations order, in blocks of at most ``limit`` prefixes.
+def _row_blocks(m, n, limit, heads=None):
+    """The n-subsets of range(m), each once, in itertools.combinations order, in
+    blocks of at most ``limit`` rows.
 
-    ``heads`` are partial prefixes; each block extends a run of them whose
-    prefixes fit the limit, and a head with more is split on its next member.
+    ``heads`` are partial rows; each block completes a run of them whose rows fit
+    the limit, and a head with more is split on its next member.
     """
     if heads is None:
         if m < n:
             return
         heads = np.zeros((1, 0), dtype=np.int64)
     j = heads.shape[1]
-    if j == n - 1:
+    if j == n:
         for start in range(0, heads.shape[0], limit):
             yield heads[start:start + limit]
         return
-    # A prefix ends below m - 1, so that one member can follow it.
-    counts = _subsets_below(_first_free(heads), m - 1, n - 1 - j)
+    counts = _subsets_below(_first_free(heads), m, n - j)
     for start, stop in _groups(counts, limit):
         if stop - start > 1 or counts[start] <= limit:
-            yield _complete(heads[start:stop], m, n, n - 1)
+            yield _complete(heads[start:stop], m, n, n)
         else:
-            yield from _prefix_blocks(m, n, limit, _complete(heads[start:stop], m, n, j + 1))
+            yield from _row_blocks(m, n, limit, _complete(heads[start:stop], m, n, j + 1))
 
 
 def _divergences(u, s, sigma0):
@@ -454,24 +447,6 @@ def _row_bounds(divergences, members, prob_grid):
         [[(table, col) for col in members.T] for table in divergences], prob_grid)
 
 
-def _suffix_max(divergences):
-    """Per table, the largest D at each position or after it; NaN if one of them is."""
-    return [np.maximum.accumulate(d[::-1])[::-1] for d in divergences]
-
-
-def _prefix_bounds(divergences, suffix_max, prefixes, prob_grid):
-    """Upper bound on _row_bounds of every row whose first members are a row of
-    ``prefixes``: _bound with the last member's D replaced by ``suffix_max`` at
-    its first free position, the largest D the last member can take. Rounding
-    is monotone, so this is >= each such row's bound in floats too."""
-    last = _first_free(prefixes)
-    return _bound(
-        [[(table, col) for col in prefixes.T] + [(top, last)]
-         for table, top in zip(divergences, suffix_max)],
-        prob_grid,
-    )
-
-
 def _state_bounds(divergences, n, prob_grid):
     """Upper bound on _row_bounds of every row of n states that holds each state:
     _bound with the state's D at one position and the table's largest D, NaN if
@@ -561,7 +536,7 @@ def _chi_into(products, weights, members, work, score):
 
 def _reaches(bound, threshold):
     """Whether each bound + 1e-9 reaches ``threshold``, written so that a NaN bound
-    keeps its state, prefix or row."""
+    keeps its state or row."""
     with np.errstate(invalid="ignore"):
         return ~(bound + 1e-9 < threshold)
 
@@ -572,17 +547,18 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, b
     ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
     score is the minimum chi across channels. ``best`` is the running
     (value, state id tuple, composition tuple), the best so far, and ties keep
-    it. ``divergences`` holds the _divergences tables that bound a state's, a
-    prefix's and a row's score. ``seeds`` holds rows of n increasing positions
-    in state_ids. The pass drops the states whose bound cannot reach ``best``
-    and tabulates the others; it scores the seed rows whose states it kept as a
+    it. ``divergences`` holds the _divergences tables that bound a state's and
+    a row's score. ``seeds`` holds rows of n increasing positions in
+    state_ids. The pass drops the states whose bound cannot reach ``best`` and
+    tabulates the others; it scores the seed rows whose states it kept as a
     block that starts from -inf, whose best value is the pass's floor; and it
     drops the states whose bound cannot reach the floor. The floor prunes beside
     ``best`` but never becomes it. The ensembles of the states kept are charged
-    against ``budget``, the evaluations left, before they are enumerated.
-    Returns the new best; an int64 array of three counts: the rows skipped by
-    their bounds or with their states, the elements scored, and the states
-    kept; and the elements the seed block scored with the floor.
+    against ``budget``, the evaluations left, before their rows are scored,
+    block by block of _row_blocks. Returns the new best; an int64 array of three
+    counts: the rows skipped by their bounds or with their states, the elements
+    scored, and the states kept; and the elements the seed block scored with
+    the floor.
     """
     ids = np.asarray(state_ids, dtype=np.int64)
     m = ids.shape[0]
@@ -621,42 +597,29 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, b
     m = at.shape[0]
     counts = np.array([rows - math.comb(m, n), 0, m], dtype=np.int64)
     _charge(0, math.comb(m, n) * p_count, budget, f"the size-{n} ensembles of {m} states")
-    suffix_max = _suffix_max(d_at)
-    for prefixes in _prefix_blocks(m, n, chunk):
-        with np.errstate(invalid="ignore"):
-            keep = _reaches(_prefix_bounds(d_at, suffix_max, prefixes, prob_grid), max(best[0], floor))
-        row_counts = m - _first_free(prefixes)
-        counts[0] += row_counts.sum() - row_counts[keep].sum()
-        prefixes, row_counts = prefixes[keep], row_counts[keep]
-        # Runs of prefixes, in order, whose rows fit a block, or one prefix.
-        for start, stop in _groups(row_counts, chunk):
-            best, block_counts = _block_pass(
-                products, d_at, weights, _complete(prefixes[start:stop], m, n, n), kept, comps,
-                best, floor, prob_grid, buffers)
-            counts[:2] += block_counts
+    for local in _row_blocks(m, n, chunk):
+        best, block_counts = _block_pass(
+            products, d_at, weights, local, kept, comps, best, floor, prob_grid, buffers)
+        counts[:2] += block_counts
     return best, counts, (seeded, floor)
 
 
 def _block_pass(products, divergences, weights, local, ids, comps, best, floor, prob_grid, buffers):
     """_search_pass over one block of rows ``local``, positions in ids in row order.
 
-    Row bounds are held against the larger of the incumbent and ``floor``.
-    ``buffers`` holds the score and work arrays of one slice. Returns the new
-    best and the block's rows pruned by their bounds and elements scored.
+    Row bounds are held against the larger of the incumbent and ``floor``, as
+    the block starts and whenever the incumbent rises; the rows left are scored
+    in slices, in row order. ``buffers`` holds the score and work arrays of one
+    slice. Returns the new best and the block's rows pruned by their bounds and
+    elements scored.
     """
     score_buf, *work_buf = buffers
     step, p_count = score_buf.shape
-    probe = max(1, step // 8)
     with np.errstate(invalid="ignore"):
         bound = _row_bounds(divergences, local, prob_grid)
-    # First a probe of the rows with the largest bounds (NaN sorts last), then
-    # the others. Each slice is sorted, so its first maximal element is in its
-    # first maximal row, and adjacent rows share their first members.
-    rest = np.argsort(-bound)
-    rest[probe:].sort()
-    size = probe
     # Row -1 is the incoming best: it comes before the block, so it wins ties.
     top_value, top_row, top_col = best[0], -1, -1
+    rest = np.arange(local.shape[0])
     threshold = None
     rows_scored = 0
     while True:
@@ -665,7 +628,7 @@ def _block_pass(products, divergences, weights, local, ids, comps, best, floor, 
             rest = rest[_reaches(bound[rest], threshold)]
         if rest.shape[0] == 0:
             break
-        rows, rest, size = np.sort(rest[:size]), rest[size:], step
+        rows, rest = rest[:step], rest[step:]
         h = rows.shape[0]
         rows_scored += h
         score = score_buf[:h]
@@ -673,7 +636,8 @@ def _block_pass(products, divergences, weights, local, ids, comps, best, floor, 
         flat = _first_max(score)
         value = score.flat[flat]
         row, col = divmod(flat, p_count)
-        if value > top_value or (value == top_value and rows[row] < top_row):
+        # Slices come in row order, so a later one cannot hold an earlier tie.
+        if value > top_value:
             top_value, top_row, top_col = value, int(rows[row]), col
     if top_row >= 0:
         best = (

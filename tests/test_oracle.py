@@ -361,8 +361,8 @@ REFERENCE_CASES = [
 
 # The small sizes put several blocks, several slices and a short last one
 # through each pass, so the later blocks are pruned. For n >= 2 a slice of 7
-# elements holds at most two rows, so the probe and every slice after it are
-# short and a block's own scores prune its later rows.
+# elements holds at most two rows, so every slice is short and a block's own
+# scores prune its later rows.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("chunk, slice_", [(None, None), (60, 25), (60, 7)])
 @pytest.mark.parametrize("channel, grid, budget", REFERENCE_CASES)
@@ -617,10 +617,10 @@ def test_row_bound_is_above_every_score_in_its_row(channel, grid):
 )
 def test_pass_started_near_its_best_finds_it(channel, grid, nan_at_best):
     # A pass of every size from 2 on starts from the best so far, which can sit
-    # just below its own best: its state, prefix and row bounds must keep that
-    # best. With sigma the best ensemble's own mean output, that ensemble's
-    # bound is close to its score. A NaN D at one of its states makes its
-    # bounds NaN, and a NaN bound must keep its state, prefix and row.
+    # just below its own best: its state and row bounds must keep that best.
+    # With sigma the best ensemble's own mean output, that ensemble's bound is
+    # close to its score. A NaN D at one of its states makes its bounds NaN, and
+    # a NaN bound must keep its state and row.
     config = OracleConfig(n_states=3, **grid)
     _, tables = grid_tables(channel, config)
     ids = np.arange(tables[0][0].shape[0])
@@ -651,9 +651,10 @@ def test_row_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     # An equal-weight mirror pair has a diagonal mean output. With sigma one ulp
     # off it, chi = sum_k p_k D_k to second order, and in floats these pairs'
     # bounds, (D_1 + D_2) / 2 at prob_grid 2, round 1-4 ulp below their scores. A
-    # pass started at exactly such a score must still score the row: a candidate
-    # that ties the incumbent wins over a later row that a probe slice scored
-    # first. Only the 1e-9 margin keeps it; without it the state bounds drop it.
+    # pass started at exactly such a score must still score the row: an element
+    # that ties the threshold wins when that threshold is the floor, which never
+    # becomes the best. Only the 1e-9 margin keeps it; without it the state
+    # bounds drop it.
     config = OracleConfig(n_states=2, a_grid=9, prob_grid=2)
     _, tables = grid_tables(channel, config)
     u, _, s, _ = tables[0]
@@ -701,6 +702,22 @@ def test_seed_floor_keeps_the_pass_winner(monkeypatch, chunk, slice_):
     assert tuple(twin) > best[1]
     assert run_pass(tables, ids, 2, config.prob_grid, divergences, np.array([twin])) == (
         best, p_count, best[0])
+
+    # A seed row with a state dropped against the incoming best is not scored.
+    # Started at the pass's own best, the state bounds drop the end states a = 0
+    # and a = 1, so the seed row of both ends, which outscores the seed row (1, 2),
+    # leaves the floor at the score of (1, 2).
+    comps = qchan.oracle._compositions(config.prob_grid, 2)
+    probs = comps / config.prob_grid
+    start = (best[0], None, None)
+    seeds = np.array([[0, ids[-1]], [1, 2]])
+    keep = qchan.oracle._reaches(qchan.oracle._state_bounds(divergences, 2, config.prob_grid), best[0])
+    assert keep[seeds].tolist() == [[False, False], [True, True]]
+    seed_scores = reference_scores(tables, seeds, probs).max(axis=1)
+    assert seed_scores[0] > seed_scores[1]
+    found, _, (seeded, floor) = qchan.oracle._search_pass(
+        tables, ids, 2, probs, comps, start, divergences, seeds, math.inf)
+    assert (found, seeded, floor.hex()) == (start, p_count, float(seed_scores[1]).hex())
 
     # A NaN seed score leaves the floor at -inf.
     nan_s = s.copy()
@@ -796,19 +813,26 @@ CRITERION4 = dict(n_states=4, a_grid=201, prob_grid=20)
      (PAIR, MEDIUM, 1e8, {2, 3}, set()),
      # An odd phase grid has no mirror pair, so size 2 has no seeds.
      (AmplitudeDamping(0.6), dict(COMPLEX, n_states=4), 1e8, {3, 4}, set()),
-     # The seed block's own bounds skip seed elements that cannot reach its best.
-     (AmplitudeDamping(0.5), CRITERION4, 1e9, {2, 3, 4}, {3})],
+     # The seed block's own bounds skip seed elements that cannot reach its best:
+     # slices of 1024 elements put the 199 mirror pairs through four slices.
+     (AmplitudeDamping(0.5), CRITERION4, 1e9, {2, 3, 4}, {2})],
 )
 def test_floor_is_the_best_seed_score(monkeypatch, channel, grid, budget, seeded_sizes, pruned_sizes):
-    # Mirror pairs seed size 2, the moved previous winner sizes 3 and 4. The seed
-    # rows are scored as a pruned block, yet the floor is the best of all their
-    # scores, bit for bit.
+    # Mirror pairs seed size 2, the moved previous winner sizes 3 and 4. A pass
+    # scores the seed rows whose states its state bounds keep against the best so
+    # far, as a pruned block, yet the floor is the best of all their scores, bit
+    # for bit.
+    monkeypatch.setattr(qchan.oracle, "_SLICE_ELEMENTS", 1024)
     passes = []
     search_pass = qchan.oracle._search_pass
 
     def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
         result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
-        passes.append((tables, np.asarray(state_ids), n, probs, seeds, *result[2]))
+        ids = np.asarray(state_ids)
+        with np.errstate(invalid="ignore"):
+            bound = qchan.oracle._state_bounds([d[ids] for d in divergences], n, int(comps[0].sum()))
+        kept = qchan.oracle._reaches(bound, best[0])[seeds].all(axis=1)
+        passes.append((tables, ids, n, probs, seeds[kept], *result[2]))
         return result
 
     monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
@@ -939,105 +963,14 @@ def test_combinations_in_itertools_order(n):
 
 
 @pytest.mark.parametrize("limit", [1, 2, 5, 10**6])
-def test_prefix_blocks_list_each_prefix_once_in_order(limit):
+def test_row_blocks_list_each_row_once_in_order(limit):
     for m in range(13):
         for n in (1, 2, 3, 4):
-            blocks = list(qchan.oracle._prefix_blocks(m, n, limit))
+            blocks = list(qchan.oracle._row_blocks(m, n, limit))
+            assert all(block.dtype == np.int64 and block.shape[1] == n for block in blocks)
             assert all(0 < block.shape[0] <= limit for block in blocks)
-            prefixes = [tuple(row) for block in blocks for row in block.tolist()]
-            assert prefixes == sorted({c[:-1] for c in itertools.combinations(range(m), n)})
-
-
-def prefix_and_row_bounds(divergences, m, n, prob_grid):
-    """The bound of every prefix of the n-subsets of range(m), repeated for each of
-    its rows, and the bound of every row, rows in itertools order."""
-    rows = np.array(list(itertools.combinations(range(m), n)), dtype=np.int64)
-    if n == 1:
-        prefixes, of_row = np.zeros((1, 0), dtype=np.int64), np.zeros(m, dtype=np.int64)
-    else:
-        prefixes, of_row = np.unique(rows[:, :-1], axis=0, return_inverse=True)
-    with np.errstate(invalid="ignore"):
-        suffix_max = qchan.oracle._suffix_max(divergences)
-        prefix = qchan.oracle._prefix_bounds(divergences, suffix_max, prefixes, prob_grid)
-        row = qchan.oracle._row_bounds(divergences, rows, prob_grid)
-    return prefix[of_row.ravel()], row
-
-
-@pytest.mark.parametrize(
-    "channel, grid",
-    [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL),
-     (PAIR, COMPLEX), (KRAUS, SMALL), (KRAUS, COMPLEX)],
-)
-def test_prefix_bound_is_above_every_row_bound_under_it(channel, grid):
-    # With no slack: the prefix bound takes the same float steps as a row bound on
-    # inputs that are >= the row's, and every step rounds monotonically.
-    config = OracleConfig(n_states=4, **grid)
-    channels, tables = grid_tables(channel, config)
-    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
-    _, ensemble = search(channel, config)
-    sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
-    sigmas += np.random.default_rng(7).uniform(size=(4, len(channels))).tolist()
-    m = tables[0][0].shape[0]
-    for sigma in sigmas:
-        divergences = [qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
-        for n in (1, 2, 3, 4):
-            prefix, row = prefix_and_row_bounds(divergences, m, n, config.prob_grid)
-            assert np.all(np.isfinite(prefix))
-            assert np.all(row <= prefix)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "channel, grid, budget",
-    [c for c in REFERENCE_CASES if c[0] in (AmplitudeDamping(0.0), AmplitudeDamping(1.0),
-                                               Depolarizing(0.0), Depolarizing(1.0))],
-)
-def test_no_row_with_a_nan_or_inf_bound_sits_under_a_pruned_prefix(monkeypatch, channel, grid, budget):
-    # Every pass of the search, with the divergence tables it used and with those
-    # of sigma0 = 0 and sigma0 = 1 fed to it: where sigma0 is 0 or 1 they hold inf
-    # or NaN entries, and with n == prob_grid an inf entry meets 0 * inf. The
-    # centre sigma of sizes 1 and 2 lies inside (0, 1), so only gamma = 1 still
-    # meets such a table of its own. A prefix that can be pruned has a finite
-    # bound, so it must hold no row whose bound is NaN or inf; and a pass fed
-    # such tables finds the same best.
-    passes = []
-    search_pass = qchan.oracle._search_pass
-
-    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
-        ids = np.asarray(state_ids)
-        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
-        passes.append((ids, n, int(comps[0].sum()), divergences))
-        for x in (0.0, 1.0):
-            fed = [qchan.oracle._divergences(u, s, x) for u, _, s, _ in tables]
-            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds, budget)[0] == result[0]
-            passes.append((ids, n, int(comps[0].sum()), fed))
-        return result
-
-    monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
-    oracle_capacity(channel, OracleConfig(**grid), budget)
-    if channel != Depolarizing(1.0):  # whose every output, and so sigma, is I / 2
-        assert not all(np.isfinite(d).all() for *_, divergences in passes for d in divergences)
-    for ids, n, prob_grid, divergences in passes:
-        prefix, row = prefix_and_row_bounds([d[ids] for d in divergences], ids.shape[0], n, prob_grid)
-        assert np.all(np.isnan(prefix) | (prefix == np.inf) | np.isfinite(row))
-        assert np.all(np.isnan(prefix) | (row <= prefix))
-
-
-@pytest.mark.filterwarnings("error")
-def test_prefix_bound_is_nan_or_inf_over_a_row_bound_that_is():
-    # One NaN or inf entry among finite ones, in one table of one or two, at
-    # either end or inside: every prefix over a NaN or inf row stays unprunable.
-    finite = np.random.default_rng(3).uniform(size=12)
-    for bad in (np.nan, np.inf):
-        for at in (0, 5, 11):
-            table = finite.copy()
-            table[at] = bad
-            for divergences in ([table], [finite, table]):
-                for n in (1, 2, 3, 4):
-                    for prob_grid in (n, n + 3):
-                        prefix, row = prefix_and_row_bounds(divergences, 12, n, prob_grid)
-                        assert np.all(np.isnan(prefix) | (prefix == np.inf) | np.isfinite(row))
-                        assert np.all(np.isnan(prefix) | (row <= prefix))
+            rows = [tuple(row) for block in blocks for row in block.tolist()]
+            assert rows == list(itertools.combinations(range(m), n))
 
 
 def state_and_row_bounds(divergences, m, n, prob_grid):
@@ -1128,10 +1061,10 @@ def test_state_bound_is_nan_or_inf_over_a_row_bound_that_is():
 
 def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
     # At n = 4 and prob_grid 4 a row has one composition, so a block holds at most
-    # _CHUNK_ELEMENTS rows and a prefix block as many prefixes. The larger grid has
-    # 8.4x the prefixes (C(60, 3) against C(30, 3)) and 2x the states. The pass
-    # starts just below the best 3-state value, with that ensemble's sigma, so
-    # that about 0.5% of the rows are scored and whole prefixes are pruned.
+    # _CHUNK_ELEMENTS rows. The larger grid has 8.4x the prefixes (C(60, 3)
+    # against C(30, 3)), 17.8x the rows and 2x the states. The pass starts just
+    # below the best 3-state value, with that ensemble's sigma, so that about 0.5%
+    # of the rows are scored and the others are pruned by their bounds.
     monkeypatch.setattr(qchan.oracle, "_CHUNK_ELEMENTS", 500)
     monkeypatch.setattr(qchan.oracle, "_SLICE_ELEMENTS", 2000)
     peaks = []
@@ -1248,8 +1181,8 @@ def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
         monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
     criterion8 = logged_sizes(
         monkeypatch, caplog, separation_pair(), OracleConfig(**dict(CRITERION4, n_states=3)), 1e9)
-    # An exhaustive n = 4 search, where whole prefixes are pruned before their
-    # rows are built: rows pruned that way still count as pruned.
+    # An exhaustive n = 4 search, whose rows go through the pass in many blocks:
+    # the rows of every block, pruned or scored, are counted.
     four = logged_sizes(
         monkeypatch, caplog, AmplitudeDamping(0.5), OracleConfig(**dict(MEDIUM, n_states=4)), 1e8)
     assert [n for n, *_ in four[0]] == [1, 2, 3, 4]
