@@ -28,6 +28,18 @@ its state bounds keep against its floor, before its pass enumerates them. The
 first charge over the budget raises BudgetExceededError, which can come after
 smaller sizes have run.
 
+Two builders are cached per process, as neither depends on the channel: the grid
+states (_grid_states), keyed by the config, and the n-subsets of range(m) as
+index rows (_combinations), keyed by (m, n), which give the cuts of every size's
+compositions and the whole row set of a pass whose rows fit one block. Each is an
+LRU cache, of 4 grids and of 16 row sets. Their arrays are read-only, as every
+search that asks shares them. A result with an array of more than
+_CHUNK_ELEMENTS entries is built on every call and not kept, so the caches hold
+at most 4 x 32 MB of grids and 16 x 8 MB of rows; on a 201-point grid with
+prob_grid 20 they hold kilobytes. The compositions and the per-channel tables are
+built by each search. Every charge comes before the arrays it counts are built or
+taken from a cache, so a warm cache moves no budget decision.
+
 A pass enumerates its combination rows, n increasing states, in
 itertools.combinations order and in blocks: numpy completes a run of partial
 rows by every later state at once, and splits a partial row with more rows than
@@ -123,6 +135,7 @@ rows, so it takes over only with a higher score.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -191,6 +204,36 @@ class OracleConfig:
             raise DomainError(f"restrict_real_b needs phase_grid 2, got {self.phase_grid}")
 
 
+def _per_process(entries, results):
+    """Caches a builder of arrays per process: an LRU cache of its last ``results``
+    results, keyed by its arguments. Every array it returns is read-only, as
+    callers share them. A result with more than _CHUNK_ELEMENTS entries in an
+    array, ``entries(*args)`` counted before it is built, is built on every call
+    and not kept."""
+    def decorate(build):
+        def frozen(*args):
+            arrays = build(*args)
+            for array in arrays if isinstance(arrays, tuple) else (arrays,):
+                array.flags.writeable = False
+            return arrays
+
+        kept = functools.lru_cache(maxsize=results)(frozen)
+
+        @functools.wraps(build)
+        def cached(*args):
+            return (frozen if entries(*args) > _CHUNK_ELEMENTS else kept)(*args)
+
+        cached.cache_info, cached.cache_clear = kept.cache_info, kept.cache_clear
+        return cached
+    return decorate
+
+
+def _total_states(config: OracleConfig) -> int:
+    # The endpoints a = 0 and a = 1 carry a single state each.
+    return config.phase_grid * (config.a_grid - 2) + 2
+
+
+@_per_process(_total_states, 4)
 def _grid_states(config: OracleConfig):
     """Pure grid states as parallel arrays (a, b, index into the a-grid): each a
     with a coherence takes every phase in order, a = 0 and a = 1 the first only."""
@@ -262,6 +305,7 @@ def _complete(rows, m, n, width):
     return rows
 
 
+@_per_process(lambda m, n: math.comb(m, n) * n, 16)
 def _combinations(m, n):
     """The n-subsets of range(m) as rows, in itertools.combinations order."""
     return _complete(np.zeros((1, 0), dtype=np.int64), m, n, n)
@@ -301,11 +345,16 @@ def _row_blocks(m, n, limit, heads=None):
     """The n-subsets of range(m), each once, in itertools.combinations order, in
     blocks of at most ``limit`` rows.
 
+    When all C(m, n) rows fit one block, that block is _combinations(m, n), a
+    read-only array that later passes with m states and size n share. Otherwise
     ``heads`` are partial rows; each block completes a run of them whose rows fit
     the limit, and a head with more is split on its next member.
     """
     if heads is None:
         if m < n:
+            return
+        if math.comb(m, n) <= limit:
+            yield _combinations(m, n)
             return
         heads = np.zeros((1, 0), dtype=np.int64)
     j = heads.shape[1]
@@ -321,14 +370,26 @@ def _row_blocks(m, n, limit, heads=None):
             yield from _row_blocks(m, n, limit, _complete(heads[start:stop], m, n, j + 1))
 
 
-def _divergences(u, s, sigma0):
-    """D(N psi || diag(sigma0, 1 - sigma0)) in bits for every tabulated output.
+def _divergences_at(u, s):
+    """The function sigma0 -> D(N psi || diag(sigma0, 1 - sigma0)) in bits for every
+    tabulated output, with 1 - u and -s built once.
 
     An output with population u and entropy s has D = -s - (u log2 sigma0 +
-    (1 - u) log2(1 - sigma0)). A sigma0 of 0 or 1 gives inf or NaN entries.
+    (1 - u) log2(1 - sigma0)). A sigma0 of 0 or 1 gives inf or NaN entries, with
+    numpy's warnings unless the caller's np.errstate ignores them.
     """
+    rest, neg_s = 1.0 - u, -s
+
+    def divergences(sigma0):
+        return neg_s - (u * np.log2(sigma0) + rest * np.log2(1.0 - sigma0))
+
+    return divergences
+
+
+def _divergences(u, s, sigma0):
+    """_divergences_at(u, s) at sigma0, where a sigma0 of 0 or 1 does not warn."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -s - (u * np.log2(sigma0) + (1.0 - u) * np.log2(1.0 - sigma0))
+        return _divergences_at(u, s)(sigma0)
 
 
 def _radius_centre(u, s):
@@ -337,12 +398,17 @@ def _radius_centre(u, s):
 
     Each D_i is convex in sigma0 with slope (sigma0 - u_i) / (sigma0 (1 - sigma0) ln 2),
     so the largest D_i falls while its u_i is above sigma0: the centre is where
-    that sign changes, bisected inside (0, 1), where every D_i is finite.
+    that sign changes, bisected inside (0, 1), where every D_i is finite. The
+    halvings share 1 - u, -s and one np.errstate; each D_i is the float of
+    _divergences, so sigma0 is too.
     """
-    def falling(x):
-        return u[np.argmax(_divergences(u, s, x))] - x
+    divergences = _divergences_at(u, s)
 
-    return bisect_sign_change(falling, 0.0, 1.0, 0.0)[0]
+    def falling(x):
+        return u[divergences(x).argmax()] - x
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bisect_sign_change(falling, 0.0, 1.0, 0.0)[0]
 
 
 def _weight(first, second):
@@ -677,11 +743,6 @@ def _seed_rows(n, winner, a_index, phase_grid):
     others = np.delete(np.arange(m, dtype=np.int64), winner)
     rows = np.column_stack((np.broadcast_to(winner, (others.shape[0], n - 1)), others))
     return np.sort(rows, axis=1)
-
-
-def _total_states(config: OracleConfig) -> int:
-    # The endpoints a = 0 and a = 1 carry a single state each.
-    return config.phase_grid * (config.a_grid - 2) + 2
 
 
 def _sizes(config: OracleConfig):

@@ -31,6 +31,7 @@ from qchan import (
     symmetrize,
     von_neumann_entropy,
 )
+from qchan.capacity import bisect_sign_change
 from qchan.oracle import plan_search_size
 
 
@@ -180,6 +181,15 @@ class TestOracleCapacity:
         with pytest.raises(BudgetExceededError, match="size-3 tables"):
             oracle_capacity(AmplitudeDamping(0.5), config)
         assert built == [1, 2]
+        # Sizes 1 and 2 ran, so the grid and the index rows they use are cached:
+        # the charge still comes first and refuses size 3 the same way.
+        hits = [qchan.oracle._grid_states.cache_info().hits,
+                qchan.oracle._combinations.cache_info().hits]
+        with pytest.raises(BudgetExceededError, match="size-3 tables"):
+            oracle_capacity(AmplitudeDamping(0.5), config)
+        assert built == [1, 2, 1, 2]
+        assert qchan.oracle._grid_states.cache_info().hits > hits[0]
+        assert qchan.oracle._combinations.cache_info().hits > hits[1]
 
     def test_budget_counts_tabulated_states(self, monkeypatch):
         # The tables would hold 2e9 states per channel, over the budget before any size runs.
@@ -495,8 +505,8 @@ def test_search_does_not_depend_on_block_or_slice_size(monkeypatch, channel, gri
 GOLDEN = json.loads((Path(__file__).parent / "data" / "oracle_golden.json").read_text())
 
 
-@pytest.mark.parametrize("shape", GOLDEN["shapes"], ids=lambda shape: shape["channel"])
-def test_search_matches_golden_at_benchmark_shapes(shape):
+def golden_search(shape):
+    """The search of a GOLDEN shape: its value, and its ensemble as ensemble_rows."""
     kinds = {"ad": AmplitudeDamping, "dep": Depolarizing}
     channels = [kinds[kind](float(x)) for kind, x in (c.split(":") for c in shape["channel"].split("+"))]
     config = OracleConfig(**shape["config"])
@@ -504,8 +514,37 @@ def test_search_matches_golden_at_benchmark_shapes(shape):
         value, ensemble = oracle_minimax(MixedChannelPair(*channels), config, GOLDEN["budget"])
     else:
         value, ensemble = oracle_capacity(channels[0], config, GOLDEN["budget"])
-    assert ensemble_rows(config, ensemble) == shape["ensemble"]
+    return value, ensemble_rows(config, ensemble)
+
+
+@pytest.mark.parametrize("shape", GOLDEN["shapes"], ids=lambda shape: shape["channel"])
+def test_search_matches_golden_at_benchmark_shapes(shape):
+    value, rows = golden_search(shape)
+    assert rows == shape["ensemble"]
     assert abs(value - shape["value"]) <= 1e-12
+
+
+def test_golden_shapes_do_not_depend_on_what_the_caches_hold():
+    # Searches share the cached grids and index rows, read-only. Each shape
+    # searched with empty caches, then in file order, another grid's search,
+    # and in reverse order, gives the golden ensemble and the same bits.
+    def clear():
+        qchan.oracle._grid_states.cache_clear()
+        qchan.oracle._combinations.cache_clear()
+
+    shapes = GOLDEN["shapes"]
+    cold = []
+    for shape in shapes:
+        clear()
+        cold.append(golden_search(shape))
+    warm = [golden_search(shape) for shape in shapes]
+    oracle_minimax(PAIR, OracleConfig(n_states=4, a_grid=31, prob_grid=5))
+    warm += [golden_search(shape) for shape in reversed(shapes)][::-1]
+    for k, (value, rows) in enumerate(cold + warm):
+        shape = shapes[k % len(shapes)]
+        assert rows == shape["ensemble"]
+        assert abs(value - shape["value"]) <= 1e-12
+        assert value.hex() == cold[k % len(shapes)][0].hex()
 
 
 def grid_tables(channel, config):
@@ -874,6 +913,30 @@ def test_radius_centre_bounds_every_grid_ensemble(channel, grid, budget):
         assert radius <= np.max(qchan.oracle._divergences(u, s, x)) + 1e-12
 
 
+def fresh_centre(u, s):
+    """The radius centre bisected on D built afresh from its formula, in its own
+    np.errstate, at every halving."""
+    def falling(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            divergences = -s - (u * np.log2(x) + (1.0 - u) * np.log2(1.0 - x))
+        return u[np.argmax(divergences)] - x
+
+    return bisect_sign_change(falling, 0.0, 1.0, 0.0)[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "grid", [CRITERION4, dict(a_grid=81, phase_grid=8, restrict_real_b=False), dict(a_grid=31)])
+def test_radius_centre_bits_equal_the_fresh_bisection(grid):
+    # The halvings share 1 - u, -s and one np.errstate, which moves no bit.
+    a, b, _ = qchan.oracle._grid_states(OracleConfig(**grid))
+    channels = [AmplitudeDamping(k / 100) for k in range(101)]
+    channels += [Depolarizing(k / 20) for k in range(21)] + [KRAUS]
+    for channel in channels:
+        u, _, s = qchan.oracle._channel_table(channel, a, b)
+        assert qchan.oracle._radius_centre(u, s).hex() == fresh_centre(u, s).hex()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "pair, depolarizing_saddle",
@@ -960,6 +1023,35 @@ def test_combinations_in_itertools_order(n):
         assert rows.dtype == np.int64
         assert rows.shape == (math.comb(m, n), n)
         assert [tuple(row) for row in rows.tolist()] == list(itertools.combinations(range(m), n))
+
+
+def test_cached_arrays_are_read_only():
+    # Every search that asks for a grid or a row set gets the same arrays.
+    config = OracleConfig(**CRITERION4)
+    assert qchan.oracle._grid_states(config)[0] is qchan.oracle._grid_states(config)[0]
+    assert qchan.oracle._combinations(19, 2) is qchan.oracle._combinations(19, 2)
+    (whole,) = qchan.oracle._row_blocks(6, 3, 20)  # all C(6, 3) = 20 rows fit one block
+    assert whole is qchan.oracle._combinations(6, 3)
+    for array in (*qchan.oracle._grid_states(config), qchan.oracle._combinations(19, 2), whole):
+        with pytest.raises(ValueError):
+            array[0] = array[-1]
+
+
+def test_arrays_larger_than_a_block_are_not_kept(monkeypatch):
+    # 45 rows of 2 and a 60-state grid fit 100 entries; 66 rows of 2 and a
+    # 152-state grid do not, so each call builds them anew, read-only.
+    monkeypatch.setattr(qchan.oracle, "_CHUNK_ELEMENTS", 100)
+    for cached, small, large in ((qchan.oracle._combinations, (10, 2), (12, 2)),
+                                 (qchan.oracle._grid_states, (OracleConfig(a_grid=31),),
+                                  (OracleConfig(a_grid=77),))):
+        cached.cache_clear()
+        assert cached(*small) is cached(*small)
+        assert cached.cache_info().currsize == 1
+        first, again = (r if isinstance(r, tuple) else (r,) for r in (cached(*large), cached(*large)))
+        assert cached.cache_info().currsize == 1
+        for new, old in zip(first, again):
+            assert new is not old and not new.flags.writeable
+            assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("limit", [1, 2, 5, 10**6])
