@@ -9,11 +9,11 @@ form
 because the averaged mirror-pair output is diagonal and the two branch output
 entropies coincide. Its maximizer solves a transcendental equation and is
 found by bisecting the derivative, which is exposed in bits per unit a. That
-bisection, ``bisect_sign_change``, is the package's one root finder (it also
-finds where two branch curves cross). It halves the bracket while it is wider
-than ``width`` or |f(mid)| exceeds ``residual``, and stops early once the ends
-are adjacent floats or after 200 halvings. Curve functions accept scalars or
-numpy arrays.
+bisection, ``bisect_sign_change``, is the package's one root finder: it also
+finds where two branch curves cross, and qchan.divergence's radius centre and
+saddle weight. It halves the bracket while it is wider than ``width`` or
+|f(mid)| exceeds ``residual``, and stops early once the ends are adjacent floats
+or after 200 halvings. Curve functions accept scalars or numpy arrays.
 
 The gamma-derivative ``dchi_dgamma`` is nonpositive, so chi falls as gamma
 grows and the worse damping parameter decides a two-damping mixture. Past
@@ -242,7 +242,10 @@ def _midpoint(lo, hi):
 
 def bisect_sign_change(f, lo, hi, width, residual=math.inf):
     """Bisect from ``lo``, where f > 0, to ``hi``, where f <= 0 (``lo > hi`` works),
-    by the stop rule in the module docstring. Returns (mid, f(mid), halvings).
+    by the stop rule in the module docstring. Returns (mid, f(mid), halvings), mid
+    the centre of the final bracket unless its ends are adjacent floats. Where f never
+    changes sign, the bracket closes on ``lo`` if f <= 0 throughout and on ``hi`` if
+    f > 0: on [0, 1] at width 2**-40, mid is then 2**-41 or 1 - 2**-41.
     """
     halvings = 0
     mid = _midpoint(lo, hi)

@@ -58,21 +58,12 @@ Every score depends on its own element only, so neither the block nor the
 slice size moves a bit, and every score is bit-equal to the formula on fresh
 arrays that tests/test_oracle.py keeps as its reference.
 
-A pass skips the candidates that provably cannot beat the best so far. For any
-state sigma, chi(E) = sum_i p_i D(N psi_i || sigma) - D(N rho_bar || sigma), and
-the last term is >= 0 (Schumacher-Westmoreland, "Optimal signal ensembles",
-2001), so chi(E) <= sum_i p_i D_i. sigma is diagonal, so D comes from the u and
-s columns of the tables. A search computes its D tables once, and every size
-uses them. Each channel has one at its divergence-radius centre: the sigma0
-that minimizes the largest D over all grid states, where the bound on
-that channel's chi is tightest. Each D_i is convex in sigma0, so it is bisected
-on the sign of the slope of the largest D_i. A centre bounds only its own
-channel's chi, not the sup-min of a pair, so a pair also has a weighted table
-t D_1(. || sigma_1) + (1 - t) D_2(. || sigma_2): min(chi_1, chi_2) <= t chi_1 +
-(1 - t) chi_2 for every t in [0, 1]. (t, sigma_1, sigma_2) is a saddle point
-found on the grid tables alone (_saddle); a single channel is the case t = 1 at
-its centre. A candidate's bound is the smallest over the tables. Any t and
-sigma are valid; the choice moves only how much gets pruned.
+A pass skips the candidates that provably cannot beat the best so far. A search
+computes its D tables once, from the u and s columns of its channel tables
+(qchan.divergence.bound_tables), and every size uses them: each channel's table
+at its divergence-radius centre, and for a pair the weighted table of a saddle
+point. Every candidate's score is at most sum_i p_i D_i of each table, so its
+bound is the smallest of those sums over the tables.
 
 A row of n states on the grid G = prob_grid has p_i in [1/G, (G - n + 1)/G],
 so the largest sum_k p_k D_k over its compositions is the row bound ((sum_i
@@ -143,8 +134,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import bisect_sign_change
 from .channels import Channel, MixedChannelPair, _closed_form_output, apply_channel
+from .divergence import bound_tables
 from .errors import BudgetExceededError, DomainError
 # binary_entropy stays bound here: perfbench's tracer test patches qchan.oracle.binary_entropy.
 from .states import (  # noqa: F401
@@ -370,115 +361,6 @@ def _row_blocks(m, n, limit, heads=None):
             yield from _row_blocks(m, n, limit, _complete(heads[start:stop], m, n, j + 1))
 
 
-def _divergences_at(u, s):
-    """The function sigma0 -> D(N psi || diag(sigma0, 1 - sigma0)) in bits for every
-    tabulated output, with 1 - u and -s built once.
-
-    An output with population u and entropy s has D = -s - (u log2 sigma0 +
-    (1 - u) log2(1 - sigma0)). A sigma0 of 0 or 1 gives inf or NaN entries, with
-    numpy's warnings unless the caller's np.errstate ignores them.
-    """
-    rest, neg_s = 1.0 - u, -s
-
-    def divergences(sigma0):
-        return neg_s - (u * np.log2(sigma0) + rest * np.log2(1.0 - sigma0))
-
-    return divergences
-
-
-def _divergences(u, s, sigma0):
-    """_divergences_at(u, s) at sigma0, where a sigma0 of 0 or 1 does not warn."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _divergences_at(u, s)(sigma0)
-
-
-def _radius_centre(u, s):
-    """The diagonal sigma0 in [0, 1] that minimizes max_i D(N psi_i || sigma), the
-    divergence-radius centre of the outputs with populations u and entropies s.
-
-    Each D_i is convex in sigma0 with slope (sigma0 - u_i) / (sigma0 (1 - sigma0) ln 2),
-    so the largest D_i falls while its u_i is above sigma0: the centre is where
-    that sign changes, bisected inside (0, 1), where every D_i is finite. The
-    halvings share 1 - u, -s and one np.errstate; each D_i is the float of
-    _divergences, so sigma0 is too.
-    """
-    divergences = _divergences_at(u, s)
-
-    def falling(x):
-        return u[divergences(x).argmax()] - x
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return bisect_sign_change(falling, 0.0, 1.0, 0.0)[0]
-
-
-def _weight(first, second):
-    """The t in [0, 1] that minimizes max_i (t first_i + (1 - t) second_i), and the
-    argmax i at each end of the final bracket: the max is convex in t, so t is
-    bisected on the sign of first_i - second_i."""
-    gap = first - second
-
-    def top(t):
-        return int(np.argmax(second + t * gap))
-
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if gap[top(mid)] < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    i_lo, i_hi = top(lo), top(hi)
-    return (hi if gap[i_hi] <= 0.0 else lo), i_lo, i_hi
-
-
-def _saddle(tables, a):
-    """(t, [sigma0_1, sigma0_2]) whose weighted table t D_1 + (1 - t) D_2 bounds the
-    sup-min of a pair of channels with populations u and entropies s in ``tables``
-    at the grid states of populations ``a``.
-
-    The ensemble of every phase at one a, at equal weights, has the mean input
-    diag(a, 1 - a), whose output population sigma0_j(a) is affine in a: the mix
-    of those of the states at a = 0 and a = 1, the first and last. Each state's
-    D_j at sigma0_j of its own a is chi_j of that ensemble, or 0 where its output
-    is pure. Where the max over states of t chi_1 + (1 - t) chi_2 is least, two
-    such ensembles tie; mixed in the weights that equalize chi_1 and chi_2, their
-    a gives sigma0. (At t = 0 or 1 the ensemble at the argmax gives it.) With
-    sigma0 fixed, t is then where the largest t D_1 + (1 - t) D_2 over all states
-    is least.
-    """
-    affine = [(u[0], u[-1] - u[0]) for u, _, _, _ in tables]
-    with np.errstate(invalid="ignore"):
-        chi = [np.nan_to_num(_divergences(u, s, low + a * rise), nan=0.0, posinf=0.0)
-               for (u, _, s, _), (low, rise) in zip(tables, affine)]
-        _, i_lo, i_hi = _weight(*chi)
-        gap_lo, gap_hi = (chi[0][i] - chi[1][i] for i in (i_lo, i_hi))
-        if gap_lo >= 0.0:
-            x = a[i_lo]
-        elif gap_hi <= 0.0:
-            x = a[i_hi]
-        else:
-            x = a[i_lo] + gap_lo / (gap_lo - gap_hi) * (a[i_hi] - a[i_lo])
-        sigma0 = [float(low + x * rise) for low, rise in affine]
-        t = _weight(*(_divergences(u, s, y) for (u, _, s, _), y in zip(tables, sigma0)))[0]
-    return t, sigma0
-
-
-def _search_divergences(tables, a):
-    """The D tables whose smallest sum_k p_k D_k bounds each score of a search over
-    the channels of ``tables``: each channel's table at its radius centre, and for
-    a pair the weighted table of the _saddle before them."""
-    centre = [_radius_centre(u, s) for u, _, s, _ in tables]
-    divergences = [_divergences(u, s, x) for (u, _, s, _), x in zip(tables, centre)]
-    t, sigma0 = 1.0, centre
-    if len(tables) == 2:
-        t, sigma0 = _saddle(tables, a)
-        first, second = (_divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma0))
-        with np.errstate(invalid="ignore"):
-            divergences.insert(0, t * first + (1.0 - t) * second)
-    log.debug("oracle bound: t %r, sigma0 %r", t, sigma0)
-    return divergences
-
-
 def _bound(columns, prob_grid):
     """The smallest over D tables of ((sum D_i) + (G - n) max D_i) / G, the largest
     sum_k p_k D_k over the compositions of a row.
@@ -507,7 +389,7 @@ def _bound(columns, prob_grid):
 def _row_bounds(divergences, members, prob_grid):
     """Upper bound on the score of every composition of each row of ``members``.
 
-    ``divergences`` holds the D tables of the search (_search_divergences).
+    ``divergences`` holds the D tables of the search (bound_tables).
     """
     return _bound(
         [[(table, col) for col in members.T] for table in divergences], prob_grid)
@@ -613,7 +495,7 @@ def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, b
     ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
     score is the minimum chi across channels. ``best`` is the running
     (value, state id tuple, composition tuple), the best so far, and ties keep
-    it. ``divergences`` holds the _divergences tables that bound a state's and
+    it. ``divergences`` holds the D tables that bound a state's and
     a row's score. ``seeds`` holds rows of n increasing positions in
     state_ids. The pass drops the states whose bound cannot reach ``best`` and
     tabulates the others; it scores the seed rows whose states it kept as a
@@ -784,7 +666,8 @@ def _search(channels, config: OracleConfig, budget: float):
 
     all_ids = np.arange(a.shape[0], dtype=np.int64)
     best = (-math.inf, None, None)
-    divergences = _search_divergences(tables, a)
+    divergences, t, sigma0 = bound_tables([(u, s) for u, _, s, _ in tables], a)
+    log.debug("oracle bound: t %r, sigma0 %r", t, sigma0)
     # No grid ensemble scores above P*, up to float error. np.min and np.max keep
     # a NaN, where Python's min may drop it.
     peak = float(np.min([np.max(d) for d in divergences]))

@@ -207,6 +207,13 @@ def test_bisect_sign_change_ends_inside_its_bracket(lo, hi, share, width, residu
     assert f_mid == f(mid)
 
 
+def test_bisect_sign_change_without_a_sign_change_closes_on_an_end():
+    # The bracket closes on lo where f <= 0 throughout and on hi where f > 0, and mid
+    # is its centre: the oracle's saddle takes both ends of that bracket.
+    for value, mid in ((-1.0, 2.0 ** -41), (1.0, 1.0 - 2.0 ** -41)):
+        assert bisect_sign_change(lambda x: value, 0.0, 1.0, 2.0 ** -40) == (mid, value, 40)
+
+
 # Parameter pairs: half of them adjacent floats, half drawn independently.
 PARAMS = st.floats(0.0, 1.0)
 PARAM_PAIRS = st.one_of(

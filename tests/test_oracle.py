@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import logging
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qchan.divergence
 import qchan.oracle
 from qchan import (
     AmplitudeDamping,
@@ -32,6 +34,7 @@ from qchan import (
     von_neumann_entropy,
 )
 from qchan.capacity import bisect_sign_change
+from qchan.divergence import bound_tables, divergence, radius_centre, saddle
 from qchan.oracle import plan_search_size
 
 
@@ -369,6 +372,18 @@ REFERENCE_CASES = [
 ]
 
 
+@functools.cache
+def reference_search(case):
+    """The search of REFERENCE_CASES[case] with every pass unpruned. It does not
+    depend on the block or slice size a test patches, so it is computed once."""
+    channel, grid, _ = REFERENCE_CASES[case]
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qchan.oracle, "_search_pass", reference_pass)
+        # The reference keeps every state, which the LARGER budgets do not fit.
+        return search(channel, OracleConfig(**grid), math.inf)
+
+
 # The small sizes put several blocks, several slices and a short last one
 # through each pass, so the later blocks are pruned. For n >= 2 a slice of 7
 # elements holds at most two rows, so every slice is short and a block's own
@@ -381,25 +396,21 @@ def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chu
         monkeypatch.setattr(qchan.oracle, "_CHUNK_ELEMENTS", chunk)
         monkeypatch.setattr(qchan.oracle, "_SLICE_ELEMENTS", slice_)
     search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
-    config = OracleConfig(**grid)
-    fused = search(channel, config, budget)
-    monkeypatch.setattr(qchan.oracle, "_search_pass", reference_pass)
-    # The reference keeps every state, which the LARGER budgets do not fit.
-    assert fused == search(channel, config, math.inf)
+    fused = search(channel, OracleConfig(**grid), budget)
+    case = next(i for i, (c, g, _) in enumerate(REFERENCE_CASES) if c is channel and g is grid)
+    assert fused == reference_search(case)
 
 
 def nan_divergences(monkeypatch, at=None):
     """Patches the search's D tables with NaN at the state ``at``, or everywhere:
     a NaN prunes nothing and, anywhere, blocks the stop."""
-    search_divergences = qchan.oracle._search_divergences
-
-    def patched(tables, a):
-        divergences = search_divergences(tables, a)
+    def patched(pairs, a):
+        divergences, t, sigma0 = bound_tables(pairs, a)
         for d in divergences:
             d[slice(None) if at is None else at] = np.nan
-        return divergences
+        return divergences, t, sigma0
 
-    monkeypatch.setattr(qchan.oracle, "_search_divergences", patched)
+    monkeypatch.setattr(qchan.oracle, "bound_tables", patched)
 
 
 # Depolarizing outputs all have the same D at sigma = 1/2, so the grid's peak is
@@ -558,6 +569,17 @@ def grid_tables(channel, config):
     return channels, tables
 
 
+def divergence_pairs(tables):
+    """The (u, s) pair of each (u, v, s, has_imag) table, as the search hands them to qchan.divergence."""
+    return [(u, s) for u, _, s, _ in tables]
+
+
+def divergences_at(u, s, sigma0):
+    """divergence(u, s) at sigma0, where a sigma0 of 0 or 1 does not warn."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return divergence(u, s)(sigma0)
+
+
 @pytest.mark.parametrize(
     "channel, grid",
     [(AmplitudeDamping(0.3), SMALL), (AmplitudeDamping(0.6), COMPLEX), (PAIR, SMALL), (PAIR, COMPLEX)],
@@ -628,10 +650,10 @@ def test_row_bound_is_above_every_score_in_its_row(channel, grid):
     _, ensemble = search(channel, config)
     sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
     sigmas += np.random.default_rng(5).uniform(size=(4, len(channels))).tolist()
-    table_sets = [[qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+    table_sets = [[divergences_at(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
                   for sigma in sigmas]
     # The search's own tables: for a pair, the weighted table of its saddle first.
-    table_sets.append(qchan.oracle._search_divergences(tables, qchan.oracle._grid_states(config)[0]))
+    table_sets.append(bound_tables(divergence_pairs(tables), qchan.oracle._grid_states(config)[0])[0])
     for n in (1, 2, 3):
         comps = qchan.oracle._compositions(config.prob_grid, n)
         members = np.array(list(itertools.combinations(range(tables[0][0].shape[0]), n)))
@@ -670,9 +692,9 @@ def test_pass_started_near_its_best_finds_it(channel, grid, nan_at_best):
             tables, ids, n, probs, comps, (-math.inf, None, None), None, no_seeds(n), math.inf)
         weights = np.array(best[2]) / config.prob_grid
         own = [float(weights @ u[list(best[1])]) for u, *_ in tables]
-        centre = [qchan.oracle._radius_centre(u, s) for u, _, s, _ in tables]
+        centre = [radius_centre(u, s) for u, _, s, _ in tables]
         for sigma in (own, centre):
-            divergences = [qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+            divergences = [divergences_at(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
             if nan_at_best:
                 for d in divergences:
                     d[best[1][-1]] = np.nan
@@ -701,7 +723,7 @@ def test_row_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     probs = comps / config.prob_grid
     members = np.array([pair])
     score = float(reference_scores(tables, members, probs)[0, 0])
-    divergences = [qchan.oracle._divergences(u, s, np.nextafter(u[pair[0]], 1.0))]
+    divergences = [divergences_at(u, s, np.nextafter(u[pair[0]], 1.0))]
     assert qchan.oracle._row_bounds(divergences, members, config.prob_grid)[0] < score
     _, counts, _ = qchan.oracle._search_pass(
         tables, pair, 2, probs, comps, (score, None, None), divergences, no_seeds(2), math.inf)
@@ -730,7 +752,7 @@ def test_seed_floor_keeps_the_pass_winner(monkeypatch, chunk, slice_):
     _, tables = grid_tables(AmplitudeDamping(0.3), config)
     u, v, s, _ = tables[0]
     ids = np.arange(a.shape[0])
-    divergences = [qchan.oracle._divergences(u, s, qchan.oracle._radius_centre(u, s))]
+    divergences = [divergences_at(u, s, radius_centre(u, s))]
     p_count = config.prob_grid - 1
     best, *no_floor = run_pass(tables, ids, 2, config.prob_grid, divergences, no_seeds(2))
     assert no_floor == [0, -math.inf]
@@ -780,7 +802,7 @@ def test_seed_floor_keeps_the_pass_winner(monkeypatch, chunk, slice_):
     _, pair_tables = grid_tables(AmplitudeDamping(0.5), pair_config)
     pair_u, _, pair_s, _ = pair_tables[0]
     pair = np.array([3, 4])
-    pair_divergences = [qchan.oracle._divergences(pair_u, pair_s, np.nextafter(pair_u[3], 1.0))]
+    pair_divergences = [divergences_at(pair_u, pair_s, np.nextafter(pair_u[3], 1.0))]
     score = float(reference_scores(pair_tables, pair[None, :], np.array([[0.5, 0.5]]))[0, 0])
     assert qchan.oracle._row_bounds(pair_divergences, pair[None, :], 2)[0] < score
     assert run_pass(pair_tables, pair, 2, 2, pair_divergences, np.array([[0, 1]])) == (
@@ -798,7 +820,7 @@ def test_nan_score_hides_no_finite_score_of_its_slice():
     nan_s = s.copy()
     nan_s[3] = np.nan
     nan_tables = [(u, v, nan_s, False)]
-    divergences = [qchan.oracle._divergences(u, s, qchan.oracle._radius_centre(u, s))]
+    divergences = [divergences_at(u, s, radius_centre(u, s))]
     seeds = np.array([[3, 4], [5, 6], [1, 2]])
     _, _, floor = run_pass(nan_tables, np.arange(u.shape[0]), 2, config.prob_grid, divergences, seeds)
     comps = qchan.oracle._compositions(config.prob_grid, 2)
@@ -904,13 +926,13 @@ def test_radius_centre_bounds_every_grid_ensemble(channel, grid, budget):
     config = OracleConfig(**grid)
     a, b, _ = qchan.oracle._grid_states(config)
     u, _, s = qchan.oracle._channel_table(channel, a, b)
-    centre = qchan.oracle._radius_centre(u, s)
+    centre = radius_centre(u, s)
     assert 0.0 <= centre <= 1.0
-    radius = np.max(qchan.oracle._divergences(u, s, centre))
+    radius = np.max(divergences_at(u, s, centre))
     value, _ = oracle_capacity(channel, config, budget)
     assert radius + 1e-12 >= value
     for x in np.linspace(1e-6, 1 - 1e-6, 1001):
-        assert radius <= np.max(qchan.oracle._divergences(u, s, x)) + 1e-12
+        assert radius <= np.max(divergences_at(u, s, x)) + 1e-12
 
 
 def fresh_centre(u, s):
@@ -934,7 +956,7 @@ def test_radius_centre_bits_equal_the_fresh_bisection(grid):
     channels += [Depolarizing(k / 20) for k in range(21)] + [KRAUS]
     for channel in channels:
         u, _, s = qchan.oracle._channel_table(channel, a, b)
-        assert qchan.oracle._radius_centre(u, s).hex() == fresh_centre(u, s).hex()
+        assert radius_centre(u, s).hex() == fresh_centre(u, s).hex()
 
 
 @pytest.mark.filterwarnings("error")
@@ -954,8 +976,8 @@ def test_saddle_table_bounds_every_grid_ensemble_and_is_tight(pair, depolarizing
     config = OracleConfig(n_states=2, a_grid=201, prob_grid=20)
     _, tables = grid_tables(pair, config)
     a = qchan.oracle._grid_states(config)[0]
-    t, sigma0 = qchan.oracle._saddle(tables, a)
-    weighted, *centres = qchan.oracle._search_divergences(tables, a)
+    t, sigma0 = saddle(divergence_pairs(tables), a)
+    weighted, *centres = bound_tables(divergence_pairs(tables), a)[0]
     assert 0.0 <= t <= 1.0 and len(centres) == 2
     value, _ = oracle_minimax(pair, config, 1e9)
     assert value <= np.max(weighted) + 1e-12
@@ -963,6 +985,53 @@ def test_saddle_table_bounds_every_grid_ensemble_and_is_tight(pair, depolarizing
     if depolarizing_saddle is not None:
         weight, channel = depolarizing_saddle
         assert (t, sigma0[channel]) == (weight, 0.5)
+
+
+def fresh_weight(first, second):
+    """The saddle's weight by 40 explicit halvings of [0, 1]: the t of the final
+    bracket, and the argmax at each end, which _weight takes from bisect_sign_change."""
+    gap = first - second
+
+    def top(t):
+        return int(np.argmax(second + t * gap))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if gap[top(mid)] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    i_lo, i_hi = top(lo), top(hi)
+    return (hi if gap[i_hi] <= 0.0 else lo), i_lo, i_hi
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pair, grid",
+    # The pairs of the test above; the crossing pairs of perfbench's extra-0 to
+    # extra-4 ops, on the criterion-8 grid; and degenerate pairs, whose tables hold
+    # inf or NaN entries.
+    [(p, dict(a_grid=201)) for p in (
+        separation_pair(), MixedChannelPair(AmplitudeDamping(0.55), Depolarizing(0.27)),
+        MixedChannelPair(AmplitudeDamping(0.4), Depolarizing(0.2)),
+        MixedChannelPair(Depolarizing(0.2), AmplitudeDamping(0.4)),
+        *[MixedChannelPair(AmplitudeDamping(g), Depolarizing(lam)) for g, lam in (
+            (0.45490918633827765, 0.21883140315136312), (0.5648800905247165, 0.2811015727523756),
+            (0.406280825502865, 0.18293367062543925), (0.4032131205786659, 0.17546362488164888),
+            (0.43561919937666077, 0.19844669842177246))])]
+    + [(MixedChannelPair(*p), dict(a_grid=11, prob_grid=4)) for p in (
+        (AmplitudeDamping(0.0), Depolarizing(0.0)), (AmplitudeDamping(1.0), Depolarizing(1.0)),
+        (AmplitudeDamping(1.0), AmplitudeDamping(0.0)))],
+)
+def test_saddle_bits_equal_the_fresh_halvings(monkeypatch, pair, grid):
+    config = OracleConfig(**grid)
+    _, tables = grid_tables(pair, config)
+    a = qchan.oracle._grid_states(config)[0]
+    t, sigma0 = saddle(divergence_pairs(tables), a)
+    monkeypatch.setattr(qchan.divergence, "_weight", fresh_weight)
+    fresh_t, fresh_sigma0 = saddle(divergence_pairs(tables), a)
+    assert [x.hex() for x in (t, *sigma0)] == [x.hex() for x in (fresh_t, *fresh_sigma0)]
 
 
 def loop_table(channel, a, b):
@@ -1089,9 +1158,9 @@ def test_state_bound_is_above_every_row_bound_holding_it(channel, grid):
     _, ensemble = search(channel, config)
     sigmas = [[sum(p * apply_channel(ch, state).a for p, state in ensemble) for ch in channels]]
     sigmas += np.random.default_rng(17).uniform(size=(4, len(channels))).tolist()
-    table_sets = [[qchan.oracle._divergences(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
+    table_sets = [[divergences_at(u, s, x) for (u, _, s, _), x in zip(tables, sigma)]
                   for sigma in sigmas]
-    table_sets.append(qchan.oracle._search_divergences(tables, qchan.oracle._grid_states(config)[0]))
+    table_sets.append(bound_tables(divergence_pairs(tables), qchan.oracle._grid_states(config)[0])[0])
     m = tables[0][0].shape[0]
     for divergences in table_sets:
         for n in (1, 2, 3, 4):
@@ -1119,7 +1188,7 @@ def test_no_row_with_a_nan_or_inf_bound_loses_a_state(monkeypatch, channel, grid
         result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
         passes.append((ids, n, int(comps[0].sum()), divergences))
         for x in (0.0, 1.0):
-            fed = [qchan.oracle._divergences(u, s, x) for u, _, s, _ in tables]
+            fed = [divergences_at(u, s, x) for u, _, s, _ in tables]
             assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds, budget)[0] == result[0]
             passes.append((ids, n, int(comps[0].sum()), fed))
         return result
@@ -1165,7 +1234,7 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
         _, tables = grid_tables(AmplitudeDamping(0.5), config)
         value, ensemble = oracle_capacity(AmplitudeDamping(0.5), OracleConfig(**dict(vars(config), n_states=3)))
         sigma0 = sum(p * apply_channel(AmplitudeDamping(0.5), state).a for p, state in ensemble)
-        divergences = [qchan.oracle._divergences(u, s, sigma0) for u, _, s, _ in tables]
+        divergences = [divergences_at(u, s, sigma0) for u, _, s, _ in tables]
         ids = np.arange(tables[0][0].shape[0])
         comps = qchan.oracle._compositions(4, 4)
         tracemalloc.start()
