@@ -27,6 +27,7 @@ from .channels import (
     GeneralKraus,
     MixedChannelPair,
     apply_channel,
+    channel_output,
     kraus_amplitude_damping,
     kraus_depolarizing,
     output_eigenvalues_ad,
@@ -87,6 +88,7 @@ __all__ = [
     "capacity_depolarizing",
     "capacity_two_amplitude_damping",
     "capacity_two_depolarizing",
+    "channel_output",
     "chi_ad_curve",
     "chi_ad_derivative",
     "chi_dep_curve",

@@ -1,8 +1,8 @@
 """Qubit channels as executable maps on (a, b) states.
 
 Amplitude damping and depolarizing channels carry closed-form actions; an
-arbitrary Kraus family is applied by matrix conjugation, which doubles as an
-independent code path for cross-checking the closed forms.
+arbitrary Kraus family acts through its operators alone, which doubles as an
+independent code path for cross-checking the closed forms, on floats or arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .states import TOL_STATE, Ensemble, QubitState
+from .states import TOL_STATE, Ensemble, QubitState, is_scalar
 
 
 def _unit_interval(name: str, value) -> float:
@@ -44,6 +44,10 @@ class Depolarizing:
         object.__setattr__(self, "lam", _unit_interval("lambda", self.lam))
 
 
+# The input (a, b) is rho = a B0 + (1 - a) B1 + Re(b) B2 + Im(b) B3
+_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+
+
 @dataclass(frozen=True, eq=False)
 class GeneralKraus:
     """Channel given by explicit 2x2 Kraus operators satisfying sum E*E = I."""
@@ -51,15 +55,18 @@ class GeneralKraus:
     kraus: tuple
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
+        try:
+            ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"Kraus operators must be numeric: {exc}") from None
         if not ops:
             raise DomainError("at least one Kraus operator required")
         for op in ops:
-            if op.shape != (2, 2):
-                raise DomainError(f"Kraus operators must be 2x2, got {op.shape}")
+            if op.shape != (2, 2) or not np.all(np.isfinite(op)):
+                raise DomainError(f"Kraus operators must be finite 2x2 matrices, got {op!r}")
             op.setflags(write=False)
         total = sum(op.conj().T @ op for op in ops)
-        if np.max(np.abs(total - np.eye(2))) > 1e-10:
+        if not np.max(np.abs(total - np.eye(2))) <= 1e-10:
             raise DomainError("Kraus completeness relation violated beyond 1e-10")
         object.__setattr__(self, "kraus", ops)
 
@@ -106,31 +113,34 @@ def kraus_depolarizing(lam: float) -> list:
     ]
 
 
-def _closed_form_output(channel: Channel, a, b):
-    """The output (a, b) of a damping or depolarizing channel on the input (a, b),
-    floats or whole arrays alike, or None for any other channel."""
+def channel_output(channel: Channel, a, b):
+    """The output (a, b) of the channel on the input (a, b): floats, or arrays of one
+    shape whose every entry gets its float one's bits. The Kraus route takes only float64
+    + and * of the inputs, which round alike on floats and arrays; complex products need not.
+    """
     if isinstance(channel, AmplitudeDamping):
         g = channel.gamma
         return a + (1.0 - a) * g, b * math.sqrt(1.0 - g)
     if isinstance(channel, Depolarizing):
         l = channel.lam
         return (1.0 - l) * a + 0.5 * l, (1.0 - l) * b
-    return None
+    if not isinstance(channel, GeneralKraus):
+        raise DomainError(f"unsupported channel {channel!r}")
+    # Each Bi's image sum E Bi E^dagger weighs the input's coordinate i in the output.
+    images = sum(op @ _BASIS @ op.conj().T for op in channel.kraus)
+    rows = np.stack((images[:, 0, 0].real, images[:, 0, 1].real, images[:, 0, 1].imag)).tolist()
+    rest, b_re, b_im = 1.0 - a, b.real, b.imag
+    u, v_re, v_im = (k0 * a + k1 * rest + k2 * b_re + k3 * b_im for k0, k1, k2, k3 in rows)
+    if is_scalar(v_re):
+        return u, complex(v_re, v_im)
+    v = np.empty(np.shape(v_re), dtype=complex)
+    v.real, v.imag = v_re, v_im
+    return u, v
 
 
 def apply_channel(channel: Channel, state: QubitState) -> QubitState:
     """Image of a state under the channel, back in (a, b) form."""
-    closed = _closed_form_output(channel, state.a, state.b)
-    if closed is not None:
-        return QubitState(*closed)
-    if isinstance(channel, GeneralKraus):
-        rho = state.to_herm2().to_matrix()
-        out = np.zeros((2, 2), dtype=complex)
-        for op in channel.kraus:
-            out += op @ rho @ op.conj().T
-        out = 0.5 * (out + out.conj().T)
-        return QubitState(out[0, 0].real, out[0, 1])
-    raise DomainError(f"unsupported channel {channel!r}")
+    return QubitState(*channel_output(channel, state.a, state.b))
 
 
 def output_eigenvalues_ad(gamma: float, state: QubitState) -> tuple[float, float]:

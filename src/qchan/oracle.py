@@ -134,7 +134,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, MixedChannelPair, _closed_form_output, apply_channel
+from .channels import Channel, MixedChannelPair, channel_output
 from .divergence import bound_tables
 from .errors import BudgetExceededError, DomainError
 # binary_entropy stays bound here: perfbench's tracer test patches qchan.oracle.binary_entropy.
@@ -243,26 +243,12 @@ def _grid_states(config: OracleConfig):
 
 
 def _channel_table(channel: Channel, a, b):
-    """Per-state output population, coherence, and output entropy.
+    """Per-state output population, coherence, and output entropy, on whole arrays.
 
-    Damping and depolarizing outputs go through the closed forms and the entropy
-    on whole arrays, bit-equal to the per-state loop that a GeneralKraus
-    channel still takes.
+    Each entry is bit-equal to apply_channel and von_neumann_entropy on its own state.
     """
-    closed = _closed_form_output(channel, a, b)
-    if closed is not None:
-        u, v = closed
-        return u, v, von_neumann_entropy(Herm2(u, 1.0 - u, v))
-    n = a.shape[0]
-    u = np.empty(n)
-    v = np.empty(n, dtype=complex)
-    s = np.empty(n)
-    for j in range(n):
-        out = apply_channel(channel, QubitState(a[j], b[j]))
-        u[j] = out.a
-        v[j] = out.b
-        s[j] = von_neumann_entropy(out.to_herm2())
-    return u, v, s
+    u, v = channel_output(channel, a, b)
+    return u, v, von_neumann_entropy(Herm2(u, 1.0 - u, v))
 
 
 def _first_free(rows):

@@ -188,10 +188,10 @@ class Ensemble:
         if not 1 <= len(entries) <= MAX_ENSEMBLE:
             raise DomainError(f"ensemble needs 1..{MAX_ENSEMBLE} entries, got {len(entries)}")
         for p, _ in entries:
-            if p < -TOL_PROB:
-                raise DomainError(f"negative probability {p}")
+            if not p >= -TOL_PROB:
+                raise DomainError(f"negative or NaN probability {p}")
         total = math.fsum(p for p, _ in entries)
-        if abs(total - 1.0) > TOL_PROB:
+        if not abs(total - 1.0) <= TOL_PROB:
             raise DomainError(f"probabilities sum to {total}, not 1")
 
     def __iter__(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qchan import Ensemble, QubitState, pure_state
+from qchan import Ensemble, GeneralKraus, QubitState, pure_state
 
 
 @pytest.fixture
@@ -29,3 +29,12 @@ def random_ensemble(rng, n_states=None, pure=False) -> Ensemble:
     probs = rng.dirichlet(np.ones(n))
     draw = random_pure_state if pure else random_state
     return Ensemble(tuple((float(p), draw(rng)) for p in probs))
+
+
+def random_kraus(seed: int, n_ops: int) -> GeneralKraus:
+    """A seeded complex family of n_ops operators: the 2x2 blocks of a random isometry,
+    so sum E*E = I up to roundoff. One operator is a unitary."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+    isometry = np.linalg.qr(z)[0]
+    return GeneralKraus(tuple(isometry[2 * k:2 * k + 2] for k in range(n_ops)))

@@ -11,6 +11,7 @@ from qchan import (
     GeneralKraus,
     QubitState,
     apply_channel,
+    channel_output,
     eigenvalues_herm2,
     holevo_chi,
     kraus_amplitude_damping,
@@ -20,7 +21,7 @@ from qchan import (
     symmetrize,
     von_neumann_entropy,
 )
-from conftest import random_ensemble, random_state
+from conftest import random_ensemble, random_kraus, random_state
 
 
 class TestKrausOperators:
@@ -55,6 +56,18 @@ class TestKrausOperators:
     def test_general_kraus_validates_completeness(self):
         with pytest.raises(DomainError):
             GeneralKraus((np.eye(2), np.eye(2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_general_kraus_rejects_non_finite_entries(self, bad):
+        op = np.eye(2, dtype=complex)
+        op[1, 0] = bad
+        with pytest.raises(DomainError):
+            GeneralKraus((op,))
+
+    @pytest.mark.parametrize("op", [[["x", 0], [0, 1]], [[None, 0], [0, 1]], [[1, 0], [0]]])
+    def test_general_kraus_rejects_non_numeric_entries(self, op):
+        with pytest.raises(DomainError):
+            GeneralKraus((op,))
 
 
 class TestApplyChannel:
@@ -91,6 +104,27 @@ class TestApplyChannel:
             via_kraus = apply_channel(GeneralKraus(tuple(kraus_depolarizing(lam))), s)
             assert abs(direct.a - via_kraus.a) < 1e-12
             assert abs(direct.b - via_kraus.b) < 1e-12
+
+    def test_rejects_an_object_that_is_not_a_channel(self):
+        with pytest.raises(DomainError):
+            apply_channel(object(), QubitState(0.5))
+        with pytest.raises(DomainError):
+            channel_output(object(), np.array([0.5]), np.array([0j]))
+
+    @pytest.mark.parametrize("seed, n_ops", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 6)])
+    def test_kraus_output_matches_matrix_conjugation(self, seed, n_ops, rng):
+        # channel_output's real-arithmetic route against sum E rho E^dagger by matrix products
+        channel = random_kraus(seed, n_ops)
+        states = [random_state(rng) for _ in range(200)]
+        a = np.array([s.a for s in states])
+        b = np.array([s.b for s in states])
+        u, v = channel_output(channel, a, b)
+        for j, s in enumerate(states):
+            rho = s.to_herm2().to_matrix()
+            out = sum(op @ rho @ op.conj().T for op in channel.kraus)
+            assert abs(u[j] - out[0, 0]) <= 1e-15
+            assert abs(v[j] - out[0, 1]) <= 1e-15
+            assert abs(1.0 - u[j] - out[1, 1]) <= 1e-15
 
     def test_trace_preserved_and_positive(self, rng):
         for _ in range(1000):

@@ -26,6 +26,7 @@ from qchan import (
     capacity_depolarizing,
     holevo_chi,
     kraus_amplitude_damping,
+    kraus_depolarizing,
     minimax_capacity,
     oracle_capacity,
     oracle_minimax,
@@ -36,6 +37,7 @@ from qchan import (
 from qchan.capacity import bisect_sign_change
 from qchan.divergence import bound_tables, divergence, radius_centre, saddle
 from qchan.oracle import plan_search_size
+from conftest import random_kraus
 
 
 class TestConfig:
@@ -1035,7 +1037,7 @@ def test_saddle_bits_equal_the_fresh_halvings(monkeypatch, pair, grid):
 
 
 def loop_table(channel, a, b):
-    """(u, v, s) one state at a time, as _channel_table still takes a GeneralKraus channel."""
+    """(u, v, s) one state at a time, through apply_channel and the float entropy."""
     u, v, s = np.empty(a.shape[0]), np.empty(a.shape[0], dtype=complex), np.empty(a.shape[0])
     for j in range(a.shape[0]):
         out = apply_channel(channel, QubitState(a[j], b[j]))
@@ -1043,20 +1045,38 @@ def loop_table(channel, a, b):
     return u, v, s
 
 
+def assert_table_equals_the_loop(channel, a, b):
+    # Byte for byte, signed zeros included.
+    for new, old in zip(qchan.oracle._channel_table(channel, a, b), loop_table(channel, a, b)):
+        assert new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
+
+
+TABLE_GRIDS = [dict(a_grid=201), dict(a_grid=81, phase_grid=8, restrict_real_b=False), COMPLEX]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "grid", [dict(a_grid=201), dict(a_grid=81, phase_grid=8, restrict_real_b=False), COMPLEX])
+@pytest.mark.parametrize("grid", TABLE_GRIDS)
 def test_damping_and_depolarizing_tables_equal_the_loop(grid):
-    # Byte for byte, signed zeros included, at the ends of the parameter range and
-    # at seeded points.
+    # At the ends of the parameter range and at seeded points.
     a, b, _ = qchan.oracle._grid_states(OracleConfig(**grid))
     edges = [0.0, 1.0, 1e-300, 1e-16, 1 - 1e-16, 0.5, 0.24]
     for x in edges + np.random.default_rng(13).uniform(size=20).tolist():
         for channel in (AmplitudeDamping(x), Depolarizing(x)):
-            table = qchan.oracle._channel_table(channel, a, b)
-            for new, old in zip(table, loop_table(channel, a, b)):
-                assert new.dtype == old.dtype
-                assert new.tobytes() == old.tobytes()
+            assert_table_equals_the_loop(channel, a, b)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", TABLE_GRIDS)
+def test_kraus_tables_equal_the_loop(grid):
+    # The damping and depolarizing Kraus sets at the ends of their range and at seeded
+    # points, and seeded complex families: one unitary, and three and four operators.
+    a, b, _ = qchan.oracle._grid_states(OracleConfig(**grid))
+    for x in [0.0, 1.0, 0.5, 0.24] + np.random.default_rng(17).uniform(size=6).tolist():
+        for ops in (kraus_amplitude_damping(x), kraus_depolarizing(x)):
+            assert_table_equals_the_loop(GeneralKraus(tuple(ops)), a, b)
+    for seed, n_ops in [(1, 1), (2, 1), (3, 3), (4, 4)]:
+        assert_table_equals_the_loop(random_kraus(seed, n_ops), a, b)
 
 
 def loop_grid_states(config):

@@ -200,6 +200,14 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             Ensemble(((-0.1, QubitState(0.5)), (1.1, QubitState(0.5)),))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probabilities(self, p):
+        # NaN fails every comparison, so each check is written to fail on it
+        with pytest.raises(DomainError):
+            Ensemble(((p, QubitState(0.5)), (1.0, QubitState(0.5))))
+        with pytest.raises(DomainError):
+            Ensemble(((p, QubitState(0.5)),))
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             Ensemble(())
