@@ -24,13 +24,17 @@ gamma = 1/2 this rests on the monotonicity certificate: dchi_dgamma =
 When both inputs are scalars (``np.ndim`` 0), the six curve functions
 ``chi_ad_curve``, ``chi_dep_curve``, ``chi_ad_derivative``, ``dchi_dgamma``,
 ``monotonicity_f`` and ``monotonicity_df_da`` compute on Python floats and
-return a float; the bisection solver calls the derivative this way about 35
-times per solve, and numpy's per-call overhead on 0-d arrays would dominate.
-Each decides once, at entry, through ``_operands`` (the two curves) or
-``_interior`` (the four derivatives). This float kernel is bit-equal to the
-array kernel, entry by entry:
+return a float, as numpy's per-call overhead on 0-d arrays would dominate
+there. Each decides once, at entry: the two curves through ``_operands``, the
+other derivatives through ``_interior``, and ``chi_ad_derivative`` by checking
+two floats and calling ``_slope``. The damping solver evaluates the derivative
+about 35 times per solve, all at one gamma, so it bisects ``_slope(gamma)``
+itself: the scalar derivative with gamma's factors computed once and no domain
+checks. This float kernel is bit-equal to the array kernel, entry by entry:
 
-- ``+ - * /`` and the square root are correctly rounded in both;
+- ``+ - * /`` and the square root are correctly rounded in both, and products
+  are evaluated left to right in both, so a factor computed once per gamma is
+  a left prefix of its product;
 - (1-a)^2 is written ``d * d``, which is what numpy computes when it squares
   an array (on a 0-d array ``** 2`` calls ``pow``, which can differ in the
   last bit);
@@ -42,7 +46,6 @@ array kernel, entry by entry:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -118,6 +121,27 @@ def _ratio(gamma, a):
     return (a + gamma * (1.0 - a)) / ((1.0 - gamma) * (1.0 - a))
 
 
+def _float_domain(gamma, a, gamma_low=0.0):
+    """(gamma, a) as floats, checked to lie in (gamma_low, 1) and [0, 1)."""
+    g, av = float(gamma), float(a)
+    if not gamma_low < g < 1.0:
+        raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
+    if not 0.0 <= av < 1.0:
+        raise DomainError("a must lie in [0, 1)")
+    return g, av
+
+
+def _float_over_x(x, u):
+    """ln((1+x)/(1-x)) / x on floats, x = sqrt(1 - u), by the regime that _interior
+    selects; evaluates only that regime."""
+    if x < 1e-4:
+        xx = x * x
+        return 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
+    if u < 1e-8:
+        return (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
+    return float(np.log((1.0 + x) / max(1.0 - x, 1e-300))) / x
+
+
 def _interior(gamma, a, gamma_low=0.0):
     """(g, a, x, ln ratio, ln((1+x)/(1-x)) / x) for the derivatives of chi_ad_curve, with
     ratio = (a + g (1-a)) / ((1-g) (1-a)) and x = sqrt(1 - u).
@@ -126,24 +150,13 @@ def _interior(gamma, a, gamma_low=0.0):
     [0, 1). The last term has three regimes: a Taylor series for small x, the direct
     quotient in the bulk, and (2 log1p(x) - log(u)) / x when 1 - x would cancel
     catastrophically. Two scalars give Python floats and evaluate only the selected
-    regime; arrays evaluate all three and select entry by entry.
+    regime (``_float_over_x``); arrays evaluate all three and select entry by entry.
     """
     if is_scalar(gamma) and is_scalar(a):
-        g, av = float(gamma), float(a)
-        if not gamma_low < g < 1.0:
-            raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
-        if not 0.0 <= av < 1.0:
-            raise DomainError("a must lie in [0, 1)")
+        g, av = _float_domain(gamma, a, gamma_low)
         u = _u(g, av)
         x = _float_root(1.0 - u)
-        if x < 1e-4:
-            xx = x * x
-            over_x = 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
-        elif u < 1e-8:
-            over_x = (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
-        else:
-            over_x = float(np.log((1.0 + x) / max(1.0 - x, 1e-300))) / x
-        return g, av, x, float(np.log(_ratio(g, av))), over_x
+        return g, av, x, float(np.log(_ratio(g, av))), _float_over_x(x, u)
     g, av = np.asarray(gamma, dtype=float), np.asarray(a, dtype=float)
     if not np.all((g > gamma_low) & (g < 1.0)):
         raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
@@ -159,6 +172,29 @@ def _interior(gamma, a, gamma_low=0.0):
     series = 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
     over_x = np.where(x < 1e-4, series, np.where(u < 1e-8, robust, direct))
     return g, av, x, np.log(_ratio(g, av)), over_x
+
+
+def _slope(g):
+    """a -> d chi_ad_curve(g, a) / da in bits on floats, for g in (0, 1) and a in
+    [0, 1); it checks neither.
+
+    The factors of g are computed once. Each is a left prefix of a product that the
+    array kernel evaluates left to right (``4.0 * g * (1.0 - g) * (d * d)`` is
+    ``((4.0 * g) * (1.0 - g)) * (d * d)``), so every call gives its bits.
+    """
+    q = 1.0 - g
+    minus_q = -q
+    c4 = 4.0 * g * q
+    c2 = 2.0 * g * q
+
+    def slope(a):
+        d = 1.0 - a
+        u = c4 * (d * d)
+        x = _float_root(1.0 - u)
+        log_ratio = float(np.log((a + g * d) / (q * d)))
+        return (minus_q * log_ratio + c2 * d * _float_over_x(x, u)) / _LN2
+
+    return slope
 
 
 def chi_ad_curve(gamma, a):
@@ -179,6 +215,9 @@ def chi_ad_derivative(gamma, a):
     gamma in {0, 1}; those inputs are rejected, the capacity solver handles
     the endpoints separately.
     """
+    if is_scalar(gamma) and is_scalar(a):
+        g, av = _float_domain(gamma, a)
+        return _slope(g)(av)
     g, av, _, log_ratio, over_x = _interior(gamma, a)
     return (
         -(1.0 - g) * log_ratio
@@ -279,18 +318,19 @@ def capacity_amplitude_damping(gamma: float, tol: float = 1e-10) -> CapacityResu
         return CapacityResult(0.5, 1.0, 0.0, 0, CLOSED_FORM)
     if g == 1.0:
         return CapacityResult(0.5, 0.0, 0.0, 0, CLOSED_FORM)
-    derivative = functools.partial(chi_ad_derivative, g)
+    slope = _slope(g)
     lo, hi = 0.5, 1.0 - _BRACKET_EPS
-    f_lo, f_hi = derivative(lo), derivative(hi)
+    f_lo, f_hi = slope(lo), slope(hi)
     if not (f_lo > 0.0 > f_hi):
         raise SolverError(
             f"chi'(a) does not change sign on [{lo}, {hi}] for gamma={g}: "
             f"({f_lo}, {f_hi}); derivative formula regression"
         )
-    mid, f_mid, iterations = bisect_sign_change(derivative, lo, hi, tol, tol)
+    mid, f_mid, iterations = bisect_sign_change(slope, lo, hi, tol, tol)
     return CapacityResult(
         a_max=mid,
-        capacity_bits=chi_ad_curve(g, mid),
+        # chi >= 0 for every ensemble; at gamma = 1 - 2**-53 the curve rounds to -5.4e-17
+        capacity_bits=max(chi_ad_curve(g, mid), 0.0),
         residual=abs(f_mid),
         iterations=iterations,
         method=ROOT_BISECTION,
@@ -333,7 +373,9 @@ class Family:
 
 
 # Entries look the curve and solver functions up by module-level name at call
-# time, so code that rebinds those names (as tracing does) sees every call.
+# time, so code that rebinds those names (as tracing does) sees every call to
+# them. The damping solver's derivative evaluations go through ``_slope`` and
+# are not calls to ``chi_ad_derivative``; its ``iterations`` count them.
 FAMILIES = {
     "ad": Family("ad", AmplitudeDamping, "gamma", "gamma",
                  lambda gamma, a: chi_ad_curve(gamma, a),

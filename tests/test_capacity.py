@@ -151,7 +151,8 @@ class TestCapacityAmplitudeDamping:
         assert grid_max - 1e-12 <= solver <= grid_max + 1e-9
 
     def test_maximizer_properties(self):
-        for gamma in np.linspace(0.05, 0.95, 19):
+        # chi_ad_curve rounds to -5.4e-17 at the maximizer for gamma = 1 - 2**-53
+        for gamma in [*np.linspace(0.05, 0.95, 19), 1.0 - 2.0 ** -53]:
             result = capacity_amplitude_damping(gamma)
             assert result.a_max >= 0.5
             assert 0.0 <= result.capacity_bits <= 1.0
@@ -176,6 +177,23 @@ class TestCapacityAmplitudeDamping:
         # An infinite tol used to stop the bisection before its first step.
         with pytest.raises(DomainError, match="tol"):
             capacity_amplitude_damping(0.5, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_solver_equals_the_bisection_of_the_array_kernel(tol):
+    # The solver bisects a float kernel of chi' with gamma's factors computed once; it
+    # must stop where bisecting the array chi_ad_derivative stops, bit for bit.
+    def array_slope(gamma):
+        return lambda a: float(chi_ad_derivative(np.array([gamma]), np.array([a]))[0])
+
+    gammas = np.random.default_rng(20261020).random(2000).tolist()
+    mismatches = []
+    for gamma in gammas + [5e-324, 1e-300, 1e-17, 1.0 - 2.0 ** -52, 0.5]:
+        mid, f_mid, halvings = bisect_sign_change(array_slope(gamma), 0.5, 1.0 - 1e-9, tol, tol)
+        result = capacity_amplitude_damping(gamma, tol)
+        if (result.a_max, result.residual, result.iterations) != (mid, abs(f_mid), halvings):
+            mismatches.append(gamma)
+    assert mismatches == []
 
 
 # Bracket ends over the whole finite range, where lo + hi can overflow; subnormal ends

@@ -70,6 +70,10 @@ class TestCapacityCommand:
         assert report["outputs"]["a_max"] == expected.a_max
         assert abs(report["outputs"]["capacity_bits"] - 0.4717293905985839) < 1e-9
 
+    def test_capacity_is_nonnegative_next_to_gamma_one(self, capsys):
+        report = run_json(capsys, "capacity", "--channel", "ad", "--gamma", "0.9999999999999999")
+        assert report["outputs"]["capacity_bits"] >= 0.0
+
     def test_invalid_parameter_exits_2(self, capsys):
         code, _, err = run(capsys, "capacity", "--channel", "ad", "--gamma", "1.5")
         assert code == 2

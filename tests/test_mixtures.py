@@ -126,6 +126,13 @@ class TestMinimax:
         with pytest.raises(DomainError, match="resolution must be positive and finite"):
             minimax_capacity(separation_pair(), resolution=resolution)
 
+    @pytest.mark.parametrize("other", [Depolarizing(0.5), Depolarizing(0.99), AmplitudeDamping(0.3)],
+                             ids=["dep0.5", "dep0.99", "ad0.3"])
+    def test_sup_min_is_nonnegative_next_to_gamma_one(self, other):
+        # the damping branch's capacity decides, and its curve rounds below 0 there
+        pair = MixedChannelPair(AmplitudeDamping(1.0 - 2.0 ** -53), other)
+        assert minimax_capacity(pair).capacity_bits >= 0.0
+
     def test_separation_fixture(self):
         result = minimax_capacity(separation_pair())
         cap_ad = capacity_amplitude_damping(SEPARATION_GAMMA)
