@@ -25,12 +25,14 @@ When both inputs are scalars (``np.ndim`` 0), the six curve functions
 ``chi_ad_curve``, ``chi_dep_curve``, ``chi_ad_derivative``, ``dchi_dgamma``,
 ``monotonicity_f`` and ``monotonicity_df_da`` compute on Python floats and
 return a float, as numpy's per-call overhead on 0-d arrays would dominate
-there. Each decides once, at entry: the two curves through ``_operands``, the
-other derivatives through ``_interior``, and ``chi_ad_derivative`` by checking
-two floats and calling ``_slope``. The damping solver evaluates the derivative
-about 35 times per solve, all at one gamma, so it bisects ``_slope(gamma)``
-itself: the scalar derivative with gamma's factors computed once and no domain
-checks. This float kernel is bit-equal to the array kernel, entry by entry:
+there. Each decides once, at entry: the other derivatives through
+``_interior``, and the two curves and ``chi_ad_derivative`` by checking two
+floats and calling a float kernel, ``_ad_curve(gamma)``, ``_dep_curve(lam)`` or
+``_slope(gamma)``: a function of a with the parameter's factors computed once
+and no domain checks. The solvers evaluate one kernel many times, so they call
+it themselves: the damping solver bisects ``_slope`` (about 35 evaluations a
+solve) and ``qchan.mixtures`` the crossing of two curve kernels, which
+``Family.curve`` builds. Each is bit-equal to its array kernel, entry by entry:
 
 - ``+ - * /`` and the square root are correctly rounded in both, and products
   are evaluated left to right in both, so a factor computed once per gamma is
@@ -88,26 +90,18 @@ def holevo_chi(channel: Channel, ensemble: Ensemble) -> float:
     return mean_term - branch_term
 
 
-def _float_root(v):
-    """sqrt(max(v, 0)) on a float, where v = 1 - u can round below 0."""
-    return math.sqrt(max(v, 0.0))
-
-
 def _array_root(v):
-    """_float_root on an array."""
+    """sqrt(max(v, 0)) on an array, where v = 1 - u can round below 0."""
     return np.sqrt(np.maximum(v, 0.0))
 
 
-def _operands(name, p, a):
-    """(p, a) checked to lie in [0, 1], with the clamped square root for them: Python
-    floats and _float_root for two scalars, float arrays and _array_root otherwise."""
-    if is_scalar(p) and is_scalar(a):
-        return _unit_interval(name, p), _unit_interval("a", a), _float_root
+def _unit_arrays(name, p, a):
+    """(p, a) as float arrays, checked to lie in [0, 1]."""
     p, a = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
     for label, value in ((name, p), ("a", a)):
         if not np.all((value >= 0.0) & (value <= 1.0)):
             raise DomainError(f"{label} must lie in [0, 1]")
-    return p, a, _array_root
+    return p, a
 
 
 def _u(gamma, a):
@@ -133,13 +127,14 @@ def _float_domain(gamma, a, gamma_low=0.0):
 
 def _float_over_x(x, u):
     """ln((1+x)/(1-x)) / x on floats, x = sqrt(1 - u), by the regime that _interior
-    selects; evaluates only that regime."""
+    selects; evaluates only that regime. The direct quotient has u >= 1e-8, so
+    1 - x >= 2**-53 there, which the array kernel's floor of 1e-300 leaves as it is."""
     if x < 1e-4:
         xx = x * x
         return 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
     if u < 1e-8:
         return (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
-    return float(np.log((1.0 + x) / max(1.0 - x, 1e-300))) / x
+    return float(np.log((1.0 + x) / (1.0 - x))) / x
 
 
 def _interior(gamma, a, gamma_low=0.0):
@@ -155,7 +150,7 @@ def _interior(gamma, a, gamma_low=0.0):
     if is_scalar(gamma) and is_scalar(a):
         g, av = _float_domain(gamma, a, gamma_low)
         u = _u(g, av)
-        x = _float_root(1.0 - u)
+        x = math.sqrt(max(1.0 - u, 0.0))
         return g, av, x, float(np.log(_ratio(g, av))), _float_over_x(x, u)
     g, av = np.asarray(gamma, dtype=float), np.asarray(a, dtype=float)
     if not np.all((g > gamma_low) & (g < 1.0)):
@@ -190,11 +185,26 @@ def _slope(g):
     def slope(a):
         d = 1.0 - a
         u = c4 * (d * d)
-        x = _float_root(1.0 - u)
+        x = math.sqrt(1.0 - u) if u < 1.0 else 0.0  # the clamped root, as 1 - u > 0 iff u < 1
         log_ratio = float(np.log((a + g * d) / (q * d)))
         return (minus_q * log_ratio + c2 * d * _float_over_x(x, u)) / _LN2
 
     return slope
+
+
+def _ad_curve(g):
+    """a -> chi_ad_curve(g, a) on floats, for g and a in [0, 1]; it checks neither.
+    The factors of g are computed once, as in ``_slope``."""
+    q = 1.0 - g
+    c4 = 4.0 * g * q
+
+    def chi(a):
+        d = 1.0 - a
+        u = c4 * (d * d)
+        x = math.sqrt(1.0 - u) if u < 1.0 else 0.0
+        return binary_entropy(d * q) - binary_entropy(0.5 * (1.0 - x))
+
+    return chi
 
 
 def chi_ad_curve(gamma, a):
@@ -203,8 +213,10 @@ def chi_ad_curve(gamma, a):
     Equals H((1-a)(1-gamma)) - H((1-x)/2); agrees with holevo_chi on the
     explicit two-state ensemble to roundoff.
     """
-    g, av, root = _operands("gamma", gamma, a)
-    x = root(1.0 - _u(g, av))
+    if is_scalar(gamma) and is_scalar(a):
+        return _ad_curve(_unit_interval("gamma", gamma))(_unit_interval("a", a))
+    g, av = _unit_arrays("gamma", gamma, a)
+    x = _array_root(1.0 - _u(g, av))
     return binary_entropy((1.0 - av) * (1.0 - g)) - binary_entropy(0.5 * (1.0 - x))
 
 
@@ -294,7 +306,9 @@ def bisect_sign_change(f, lo, hi, width, residual=math.inf):
             lo = mid
         else:
             hi = mid
-        new_mid = _midpoint(lo, hi)
+        new_mid = 0.5 * (lo + hi)  # _midpoint inlined: a call costs as much as a cheap f
+        if math.isinf(new_mid):
+            new_mid = _midpoint(lo, hi)
         if new_mid == lo or new_mid == hi:
             break
         mid = new_mid
@@ -343,13 +357,23 @@ def capacity_depolarizing(lam: float) -> CapacityResult:
     return CapacityResult(0.5, 1.0 - binary_entropy(0.5 * l), 0.0, 0, CLOSED_FORM)
 
 
+def _dep_curve(l):
+    """a -> chi_dep_curve(l, a) on floats, for l and a in [0, 1]; it checks neither.
+    H(l/2) is computed once."""
+    q, h = 1.0 - l, 0.5 * l
+    base = binary_entropy(h)
+    return lambda a: binary_entropy(q * a + h) - base
+
+
 def chi_dep_curve(lam, a):
     """Holevo quantity of Depolarizing(lam) on the mirror pair at a, in bits.
 
     Pure-state outputs have a-independent spectrum, so the curve reduces to
     H((1-lam) a + lam/2) - H(lam/2), maximized at a = 1/2.
     """
-    l, av, _ = _operands("lambda", lam, a)
+    if is_scalar(lam) and is_scalar(a):
+        return _dep_curve(_unit_interval("lambda", lam))(_unit_interval("a", a))
+    l, av = _unit_arrays("lambda", lam, a)
     return binary_entropy((1.0 - l) * av + 0.5 * l) - binary_entropy(0.5 * l)
 
 
@@ -357,8 +381,9 @@ def chi_dep_curve(lam, a):
 class Family:
     """A channel family: its kind, its channel class, the name of its parameter
     in reports and on the command line (``param``) and the channel attribute
-    that holds it (``attr``), its mirror-pair chi curve ``curve(p, a)`` and its
-    capacity solver ``capacity(p, tol)``.
+    that holds it (``attr``), its mirror-pair chi curve as a float kernel
+    factory ``curve(p)`` (a -> chi, p not checked) and its capacity solver
+    ``capacity(p, tol)``.
     """
 
     kind: str
@@ -372,16 +397,15 @@ class Family:
         return getattr(channel, self.attr)
 
 
-# Entries look the curve and solver functions up by module-level name at call
-# time, so code that rebinds those names (as tracing does) sees every call to
-# them. The damping solver's derivative evaluations go through ``_slope`` and
-# are not calls to ``chi_ad_derivative``; its ``iterations`` count them.
+# Entries look the solvers up by module-level name at call time, so code that
+# rebinds those names (as tracing does) sees every call to them. Curve kernel
+# evaluations call ``binary_entropy`` by that name but are not calls to
+# ``chi_ad_curve`` or ``chi_dep_curve``, as ``_slope``'s are not calls to
+# ``chi_ad_derivative`` (the damping solver's ``iterations`` count those).
 FAMILIES = {
-    "ad": Family("ad", AmplitudeDamping, "gamma", "gamma",
-                 lambda gamma, a: chi_ad_curve(gamma, a),
+    "ad": Family("ad", AmplitudeDamping, "gamma", "gamma", _ad_curve,
                  lambda gamma, tol: capacity_amplitude_damping(gamma, tol)),
-    "dep": Family("dep", Depolarizing, "lambda", "lam",
-                  lambda lam, a: chi_dep_curve(lam, a),
+    "dep": Family("dep", Depolarizing, "lambda", "lam", _dep_curve,
                   lambda lam, tol: capacity_depolarizing(lam)),
 }
 

@@ -284,9 +284,11 @@ def cmd_chi_curves(args) -> None:
     arr = np.array(grid)
     ad_vals = chi_ad_curve(gamma, arr)
     dep_vals = chi_dep_curve(lam, arr)
+    # the array calls above have checked gamma and lambda for the float kernels
+    chi_ad, chi_dep = FAMILIES["ad"].curve(gamma), FAMILIES["dep"].curve(lam)
 
     def diff(a):
-        return chi_ad_curve(gamma, a) - chi_dep_curve(lam, a)
+        return chi_ad(a) - chi_dep(a)
 
     rows = [
         (grid[i], float(ad_vals[i]), float(dep_vals[i]),
@@ -298,8 +300,7 @@ def cmd_chi_curves(args) -> None:
         if d[i] == 0.0:
             rows[i] = rows[i][:4] + ("1",)
         else:
-            chi_a = chi_ad_curve(gamma, a_c)
-            chi_d = chi_dep_curve(lam, a_c)
+            chi_a, chi_d = chi_ad(a_c), chi_dep(a_c)
             rows.append((a_c, chi_a, chi_d, min(chi_a, chi_d), "1"))
     rows.sort(key=lambda r: r[0])
     _emit_rows(args, ["a", "chi_ad", "chi_dep", "min_chi", "crossing"], rows,
@@ -468,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ch1", help="general branch spec, e.g. ad:0.5 or dep:0.3")
     p.add_argument("--ch2", help="general branch spec, e.g. ad:0.5 or dep:0.3")
     p.add_argument("--weight1", type=float, default=0.5)
-    p.add_argument("--resolution", type=float, default=1e-6)
+    p.add_argument("--resolution", type=float, default=1e-6,
+                   help="width of the final crossing bracket; chi at its centre is a lower bound")
     p.add_argument("--certify", action="store_true", help="check the result against the oracle")
     _add_oracle_flags(p)
     _add_common(p, tol=False, fmt=False)

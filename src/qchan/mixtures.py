@@ -14,6 +14,10 @@ only falls and the concave chi2 only rises, so the curves cross exactly once
 between the two maximizers, and outside that interval both curves lie below
 their values at the nearer maximizer. The sup-min is therefore that single
 crossing, found by bisection on [a1, a2] with no scan of the whole a-range.
+It evaluates the branch curves' float kernels (``Family.curve``), which give
+the bits of ``chi_ad_curve`` and ``chi_dep_curve`` without their checks.
+``resolution`` is the final bracket's width; the smaller curve at its centre,
+a lower bound on the sup-min labelled a tie, is the value reported.
 """
 
 from __future__ import annotations
@@ -68,9 +72,9 @@ class MinimaxResult:
 
 
 def _branch_curve(channel: Channel):
+    """The float kernel a -> chi of the channel's mirror-pair curve."""
     family = family_of(channel)
-    param = family.parameter(channel)
-    return lambda a: family.curve(param, a)
+    return family.curve(family.parameter(channel))
 
 
 def crossings(diff, grid, values, resolution: float):

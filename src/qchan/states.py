@@ -82,11 +82,11 @@ def binary_entropy(p):
         q = float(p)
         if not -TOL_STATE <= q <= 1.0 + TOL_STATE:
             raise DomainError(f"binary_entropy argument {q} outside [0, 1]")
-        q = min(max(q, 0.0), 1.0)
-        if q == 0.0 or q == 1.0:
+        if q <= 0.0 or q >= 1.0:
             return 0.0
-        # np.log2 keeps the scalar and array paths bit-identical
-        return float(-q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q))
+        # np.log2 keeps the scalar and array paths bit-identical; the rest is float arithmetic
+        r = 1.0 - q
+        return -q * float(np.log2(q)) - r * float(np.log2(r))
     arr = np.asarray(p, dtype=float)
     if not np.all((arr >= -TOL_STATE) & (arr <= 1.0 + TOL_STATE)):
         raise DomainError("binary_entropy argument outside [0, 1]")

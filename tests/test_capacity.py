@@ -24,7 +24,7 @@ from qchan import (
     monotonicity_df_da,
     monotonicity_f,
 )
-from qchan.capacity import bisect_sign_change
+from qchan.capacity import _ad_curve, _dep_curve, bisect_sign_change
 from conftest import random_ensemble
 
 LN2 = math.log(2.0)
@@ -276,6 +276,20 @@ class TestScalarKernel:
         assert all(type(value) is float for value in scalar)
         mismatches = [(pi, ai, s, e) for pi, ai, s, e in zip(p.tolist(), a.tolist(), scalar, expected)
                       if s != e]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("kernel, curve", [(_ad_curve, chi_ad_curve),
+                                               (_dep_curve, chi_dep_curve)])
+    def test_float_kernels_equal_array_entries(self, kernel, curve):
+        # The sup-min bisects these kernels, and its degenerate branches reach the
+        # parameters 0, 1, 5e-324 and 1 - 2**-53, each here at every kernel point's a.
+        p, a = _kernel_points()
+        ends = np.array([0.0, 1.0, 5e-324, 1.0 - 2.0**-53])
+        p = np.concatenate([p, np.repeat(ends, a.size)])
+        a = np.concatenate([a, np.tile(a, ends.size)])
+        expected = curve(p, a).tolist()
+        mismatches = [(pi, ai) for pi, ai, e in zip(p.tolist(), a.tolist(), expected)
+                      if kernel(pi)(ai) != e]
         assert mismatches == []
 
     @pytest.mark.parametrize("curve, p, a", [

@@ -673,6 +673,14 @@ def test_report_file_matches_committed_golden(tmp_path, argv, golden):
     assert out_path.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_chi_curves_file_matches_committed_golden(tmp_path):
+    # The crossing row is bisected to 1e-12 through the float curve kernels.
+    out_path = tmp_path / "chi_curves_golden.csv"
+    assert main(["chi-curves", "--gamma", "0.5", "--lambda", "0.24", "--a-step", "0.01",
+                 "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == (DATA / "chi_curves_golden.csv").read_bytes()
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_tol(self, capsys, tmp_path):
         cfg = tmp_path / "qchan.toml"

@@ -26,6 +26,7 @@ from qchan import (
     monotonicity_f,
     separation_pair,
 )
+from qchan import mixtures
 from qchan.mixtures import SEPARATION_GAMMA, SEPARATION_LAMBDA, crossings
 
 LN2 = math.log(2.0)
@@ -180,6 +181,43 @@ class TestCrossingPath:
         result = minimax_capacity(separation_pair(), resolution=1e-300)
         assert result.a_cross == pytest.approx(FIXTURE_A_CROSS, abs=1e-12)
         assert result.capacity_bits == pytest.approx(FIXTURE_SUPMIN, abs=1e-14)
+
+
+def _hex_fields(result):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(result))
+
+
+def test_solver_equals_the_bisection_of_the_array_curves(monkeypatch):
+    # The sup-min bisects float kernels of the branch curves; it must give the bits of
+    # bisecting the public curves on one-element arrays (their scalar calls run the
+    # float kernels too) on every path: a crossing, a feasible maximizer, a degenerate
+    # weight, and branch parameters at the ends of [0, 1].
+    rng = np.random.default_rng(20261020)
+    channels = {"ad": AmplitudeDamping, "dep": Depolarizing}
+    ends = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+    pairs = []
+    for i, (gamma, lam) in enumerate(_band_pairs(np.random.RandomState(29), 40)):
+        pairs.append(MixedChannelPair(AmplitudeDamping(gamma), Depolarizing(lam))
+                     if i % 2 else MixedChannelPair(Depolarizing(lam), AmplitudeDamping(gamma)))
+    for kind1, kind2 in (("ad", "ad"), ("ad", "dep"), ("dep", "ad"), ("dep", "dep")):
+        for i in range(120):
+            p1, p2 = rng.random(2).tolist()
+            if i % 10 < 4:
+                p1 = ends[i % 10]
+            weight = (0.0, 1.0, 0.5, rng.random())[i % 4]
+            pairs.append(MixedChannelPair(channels[kind1](p1), channels[kind2](p2), weight))
+
+    def array_curve(channel):
+        curve = chi_ad_curve if isinstance(channel, AmplitudeDamping) else chi_dep_curve
+        param = channel.gamma if isinstance(channel, AmplitudeDamping) else channel.lam
+        return lambda a: float(curve(np.array([param]), np.array([a]))[0])
+
+    resolutions = (1e-6, 1e-12)
+    results = [_hex_fields(minimax_capacity(pair, r)) for pair in pairs for r in resolutions]
+    monkeypatch.setattr(mixtures, "_branch_curve", array_curve)
+    expected = [_hex_fields(minimax_capacity(pair, r)) for pair in pairs for r in resolutions]
+    assert sum(e[5] is not None for e in expected) > 60
+    assert results == expected
 
 
 class TestCrossings:
