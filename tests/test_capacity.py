@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qchan import (
@@ -24,7 +24,8 @@ from qchan import (
     monotonicity_df_da,
     monotonicity_f,
 )
-from qchan.capacity import _ad_curve, _dep_curve, bisect_sign_change
+from qchan import capacity
+from qchan.capacity import _ad_curve, _dep_curve, _slope, bisect_sign_change
 from conftest import random_ensemble
 
 LN2 = math.log(2.0)
@@ -179,21 +180,98 @@ class TestCapacityAmplitudeDamping:
             capacity_amplitude_damping(0.5, tol=tol)
 
 
+# 1 - gamma = 10^-U(6, 9): a margin that shrank with 1 - gamma would break the damping
+# solver's bits here, where the slope's rounding error near the u = 1e-8 regime switch
+# stays about 2e-12 while the slope itself scales with 1 - gamma.
+NEAR_ONE_GAMMAS = (1.0 - 10.0 ** -np.random.default_rng(20261021).uniform(6.0, 9.0, 2000)).tolist()
+
+
+def _lockstep_bisection(gammas, lo, hi, width, residual):
+    """bisect_sign_change(a -> chi_ad_derivative(gamma, a), lo, hi, width, residual) for
+    every gamma at once: one array call per halving for the gammas still open, with the
+    stop rule (width, residual, adjacent ends, 200 halvings) applied entry by entry."""
+    g = np.array(gammas)
+    lo, hi = np.full(g.size, lo), np.full(g.size, hi)
+    mid = 0.5 * (lo + hi)
+    f_mid = chi_ad_derivative(g, mid)
+    halvings = np.zeros(g.size, dtype=int)
+    todo = np.arange(g.size)
+    while todo.size:
+        todo = todo[(halvings[todo] < 200)
+                    & ((np.abs(hi[todo] - lo[todo]) > width) | (np.abs(f_mid[todo]) > residual))]
+        rises = f_mid[todo] > 0.0
+        lo[todo[rises]], hi[todo[~rises]] = mid[todo[rises]], mid[todo[~rises]]
+        new_mid = 0.5 * (lo[todo] + hi[todo])
+        inside = (new_mid != lo[todo]) & (new_mid != hi[todo])
+        todo = todo[inside]
+        mid[todo] = new_mid[inside]
+        f_mid[todo] = chi_ad_derivative(g[todo], mid[todo])
+        halvings[todo] += 1
+    return mid.tolist(), f_mid.tolist(), halvings.tolist()
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
 def test_solver_equals_the_bisection_of_the_array_kernel(tol):
-    # The solver bisects a float kernel of chi' with gamma's factors computed once; it
-    # must stop where bisecting the array chi_ad_derivative stops, bit for bit.
-    def array_slope(gamma):
-        return lambda a: float(chi_ad_derivative(np.array([gamma]), np.array([a]))[0])
-
-    gammas = np.random.default_rng(20261020).random(2000).tolist()
+    # The solver bisects a float kernel of chi' with gamma's factors computed once, and
+    # skips the midpoints whose sign its Newton band proves; it must stop where bisecting
+    # the array chi_ad_derivative stops, bit for bit.
+    gammas = (np.random.default_rng(20261020).random(2000).tolist() + NEAR_ONE_GAMMAS
+              + [5e-324, 1e-300, 1e-17, 1.0 - 2.0 ** -52, 0.5])
     mismatches = []
-    for gamma in gammas + [5e-324, 1e-300, 1e-17, 1.0 - 2.0 ** -52, 0.5]:
-        mid, f_mid, halvings = bisect_sign_change(array_slope(gamma), 0.5, 1.0 - 1e-9, tol, tol)
+    for gamma, mid, f_mid, halvings in zip(gammas, *_lockstep_bisection(gammas, 0.5, 1.0 - 1e-9, tol, tol)):
         result = capacity_amplitude_damping(gamma, tol)
         if (result.a_max, result.residual, result.iterations) != (mid, abs(f_mid), halvings):
             mismatches.append(gamma)
     assert mismatches == []
+
+
+def _band_test_gammas():
+    rng = np.random.default_rng(20261022)
+    return {
+        "uniform": rng.random(2000).tolist(),
+        "near_one": NEAR_ONE_GAMMAS,
+        "below_one": (1.0 - 10.0 ** -rng.uniform(2.0, 16.0, 1000)).tolist(),
+        "small": (10.0 ** -rng.uniform(2.0, 300.0, 1000)).tolist(),
+        "edges": [5e-324, 1e-300, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, 0.5],
+    }
+
+
+@pytest.mark.parametrize("tol", [10.0, 1e-3, 1e-6, 1e-10, 1e-13, 1e-15])
+def test_solver_equals_the_unbanded_bisection(monkeypatch, tol):
+    # The Newton band only skips slope calls: every field equals bisecting _slope
+    # without a band. Its own evaluations are capped, so no gamma costs more than the
+    # plain bisection's calls plus _NEWTON_STEPS + 2, and typical ones far fewer.
+    calls = [0]
+    kernel = capacity._slope
+
+    def counted(g, curvature=False):
+        evaluate = kernel(g, curvature)
+
+        def count(a):
+            calls[0] += 1
+            return evaluate(a)
+
+        return count
+
+    monkeypatch.setattr(capacity, "_slope", counted)
+    mismatches, over_cap, mean_calls = [], [], {}
+    for name, gammas in _band_test_gammas().items():
+        counts = []
+        for gamma in gammas:
+            calls[0] = 0
+            result = capacity_amplitude_damping(gamma, tol)
+            mid, f_mid, halvings = bisect_sign_change(kernel(gamma), 0.5, 1.0 - 1e-9, tol, tol)
+            got = (result.a_max.hex(), result.residual.hex(), result.iterations)
+            if got != (mid.hex(), abs(f_mid).hex(), halvings):
+                mismatches.append(gamma)
+            # two bracket ends, Newton steps and two probes, and halvings + 1 midpoints
+            if calls[0] > 2 + capacity._NEWTON_STEPS + 2 + halvings + 1:
+                over_cap.append((gamma, calls[0]))
+            counts.append(calls[0])
+        mean_calls[name] = sum(counts) / len(counts)
+    assert mismatches == [] and over_cap == []
+    if tol == 1e-10:  # the plain bisection makes 36 calls here
+        assert mean_calls["uniform"] <= 14.0
 
 
 # Bracket ends over the whole finite range, where lo + hi can overflow; subnormal ends
@@ -223,6 +301,46 @@ def test_bisect_sign_change_ends_inside_its_bracket(lo, hi, share, width, residu
     assert halvings <= 200 and len(calls) == halvings + 1
     assert min(lo, hi) <= mid <= max(lo, hi)
     assert f_mid == f(mid)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(lo=BRACKET_ENDS, hi=BRACKET_ENDS, share=st.floats(0.0, 1.0),
+       band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       width=st.floats(5e-324, math.inf), residual=st.sampled_from([math.inf, 0.5, 0.0]))
+@example(lo=0.5, hi=1.0 - 1e-9, share=0.2, band=(0.9, 0.1), width=1e-10, residual=1e-10)
+@example(lo=1.0, hi=-1.0, share=0.5, band=(0.5, 0.5), width=0.0, residual=0.0)
+@example(lo=5e-324, hi=1e-323, share=1.0, band=(0.0, 0.0), width=5e-324, residual=0.0)
+def test_bisect_sign_change_with_a_known_band_calls_f_only_where_unproven(
+        lo, hi, share, band, width, residual):
+    # f = sign * (root - x) falls along the bracket, so computed f > 0 from lo through
+    # any p before the root and f <= 0 from any q at or past it: those bands are sound.
+    root = (1.0 - share) * lo + share * hi
+    sign = 1.0 if lo <= hi else -1.0
+    p = (1.0 - band[0]) * lo + band[0] * root
+    q = (1.0 - band[1]) * root + band[1] * hi
+    assume(sign * (root - p) > 0.0 and sign * (root - q) <= 0.0)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return sign * (root - x)
+
+    plain = bisect_sign_change(f, lo, hi, width, residual)
+    mids, calls[:] = calls[:], []
+    assert bisect_sign_change(f, lo, hi, width, residual, known=(lo, hi)) == plain
+    assert calls == mids
+    calls.clear()
+    assert bisect_sign_change(f, lo, hi, width, residual, known=(p, q)) == plain
+    # Replay the plain mids' brackets: f is called at a mid inside (p, q) or of a bracket
+    # no wider than width, in the plain order, and last at the final mid if it was skipped.
+    expected, a, b = [], lo, hi
+    for mid in mids:
+        if min(p, q) < mid < max(p, q) or not abs(b - a) > width:
+            expected.append(mid)
+        a, b = (mid, b) if sign * (root - mid) > 0.0 else (a, mid)
+    if expected[-1:] != mids[-1:]:
+        expected.append(mids[-1])
+    assert calls == expected
 
 
 def test_bisect_sign_change_without_a_sign_change_closes_on_an_end():
@@ -291,6 +409,24 @@ class TestScalarKernel:
         mismatches = [(pi, ai) for pi, ai, e in zip(p.tolist(), a.tolist(), expected)
                       if kernel(pi)(ai) != e]
         assert mismatches == []
+
+    def test_curvature_kernel_repeats_the_slope_kernel(self):
+        # The damping solver proves slope signs from the (chi', chi'') kernel's chi', so
+        # it must be _slope's bits; chi'' < 0 is what makes those proofs sound.
+        p, a = _kernel_points()
+        a = 0.5 + 0.5 * a
+        p, a = p[a < 1.0], a[a < 1.0]  # the kernel's domain [1/2, 1)
+        pairs = [(_slope(pi, curvature=True)(ai), _slope(pi)(ai)) for pi, ai in zip(p.tolist(), a.tolist())]
+        assert [slope for (slope, _), _ in pairs] == [slope for _, slope in pairs]
+        assert all(curvature < 0.0 for (_, curvature), _ in pairs)
+
+    def test_curvature_matches_central_differences(self):
+        step = 1e-6
+        avals = np.linspace(0.5, 0.95, 46)
+        for gamma in np.linspace(0.05, 0.95, 19):
+            fd = (chi_ad_derivative(gamma, avals + step) - chi_ad_derivative(gamma, avals - step)) / (2 * step)
+            curvature = [_slope(gamma, curvature=True)(a)[1] for a in avals.tolist()]
+            assert np.max(np.abs(curvature - fd)) < 1e-5 * np.max(np.abs(fd))
 
     @pytest.mark.parametrize("curve, p, a", [
         (chi_ad_curve, math.nan, 0.5), (chi_ad_curve, -0.1, 0.5), (chi_ad_curve, 0.5, 1.2),

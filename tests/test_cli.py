@@ -673,6 +673,15 @@ def test_report_file_matches_committed_golden(tmp_path, argv, golden):
     assert out_path.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_near_one_curve_file_matches_committed_golden(tmp_path):
+    # 1,001 damping solves with 1 - gamma in [0, 1e-6], where the slope's rounding error
+    # does not shrink with 1 - gamma; the solver's sign band must keep every bit here.
+    out_path = tmp_path / "curve_ad_near_one_golden.csv"
+    assert main(["curve", "--family", "ad", "--start", "0.999999", "--end", "1",
+                 "--step", "1e-9", "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == (DATA / "curve_ad_near_one_golden.csv").read_bytes()
+
+
 def test_chi_curves_file_matches_committed_golden(tmp_path):
     # The crossing row is bisected to 1e-12 through the float curve kernels.
     out_path = tmp_path / "chi_curves_golden.csv"
