@@ -21,34 +21,47 @@ gamma = 1/2 this rests on the monotonicity certificate: dchi_dgamma =
 -(1-a) f with ``monotonicity_f`` zero at a = 0 and increasing in a
 (``monotonicity_df_da`` > 0).
 
-When both inputs are scalars (``np.ndim`` 0), the six curve functions
-``chi_ad_curve``, ``chi_dep_curve``, ``chi_ad_derivative``, ``dchi_dgamma``,
-``monotonicity_f`` and ``monotonicity_df_da`` compute on Python floats and
-return a float, as numpy's per-call overhead on 0-d arrays would dominate
-there. Each decides once, at entry: the other derivatives through
-``_interior``, and the two curves and ``chi_ad_derivative`` by checking two
-floats and calling a float kernel, ``_ad_curve(gamma)``, ``_dep_curve(lam)`` or
-``_slope(gamma)``: a function of a with the parameter's factors computed once
-and no domain checks. The solvers evaluate one kernel many times, so they call
-it themselves: the damping solver bisects ``_slope`` and ``qchan.mixtures`` the
-crossing of two curve kernels, which ``Family.curve`` builds. The damping
-bisection calls ``_slope`` only inside the band (p, q) that ``_sign_band``'s
-Newton steps leave unproven: computed chi' beyond a margin of 2**-36 proves
-chi' > 0 up to p and chi' < 0 from q, as ``_slope`` shows from its error bound.
-Its midpoints and every bit of its result are the plain bisection's, at about 9
-slope evaluations a solve instead of 36 (tol 1e-10). Each kernel is bit-equal to
-its array kernel, entry by entry:
+Each quantity is written once, as a factory of the curve parameter that
+returns a function of a with the parameter's factors computed once and no
+domain checks: ``_ad_curve(gamma)``, ``_dep_curve(lam)`` and ``_slope(gamma)``
+(chi', and with ``curvature=True`` the pair (chi', chi'')). A factory built
+for a Python float computes on floats, and one built for a numpy array on
+arrays. The solvers build the float kernels and evaluate them many times: the
+damping solver bisects ``_slope`` and ``qchan.mixtures`` the crossing of two
+curve kernels, which ``Family.curve`` builds. The damping bisection calls
+``_slope`` only inside the band (p, q) that ``_sign_band``'s Newton steps leave
+unproven: computed chi' beyond a margin of 2**-36 proves chi' > 0 up to p and
+chi' < 0 from q, as ``_slope`` shows from its error bound. Its midpoints and
+every bit of its result are the plain bisection's, at about 9 slope
+evaluations a solve instead of 36 (tol 1e-10). The public ``chi_ad_curve``,
+``chi_dep_curve`` and ``chi_ad_derivative`` check their inputs and call the
+factory: on two floats when both inputs are scalars (``np.ndim`` 0), as
+numpy's per-call overhead on 0-d arrays would dominate there, else on two
+arrays. ``dchi_dgamma``, ``monotonicity_f`` and ``monotonicity_df_da`` share
+``_interior`` alike.
 
-- ``+ - * /`` and the square root are correctly rounded in both, and products
-  are evaluated left to right in both, so a factor computed once per gamma is
-  a left prefix of its product;
-- (1-a)^2 is written ``d * d``, which is what numpy computes when it squares
-  an array (on a 0-d array ``** 2`` calls ``pow``, which can differ in the
-  last bit);
-- every logarithm is numpy's ufunc applied to the float (``np.log``,
-  ``np.log1p``, and ``np.log2`` inside ``binary_entropy``), which runs the
-  same loop as on an array; ``math.log`` differs from it in the last bit on
-  some inputs.
+The only type-specific code is ``_float_terms`` / ``_array_terms``, which give
+x, ln ratio and O = ln((1+x)/(1-x)) / x (the float one evaluates only the
+regime of O that applies, the array one all three and selects per entry), and
+the square root in ``_ad_curve``. A float call therefore gives the bits of
+its array entry:
+
+- ``+ - * /`` and the square root are correctly rounded on both, and each
+  expression is evaluated left to right on both;
+- (1-a)^2 is written ``d * d``, which is correctly rounded on both, while
+  ``d ** 2`` calls ``pow`` on a float (and on a 0-d array), which can differ
+  from numpy's array square in the last bit;
+- every logarithm is numpy's ufunc, applied to the float as
+  ``float(np.log(...))`` (likewise ``np.log1p``, and ``np.log2`` inside
+  ``binary_entropy``), which runs the same loop as on an array; ``math.log``
+  differs from it in the last bit on some inputs.
+
+x = sqrt(1 - u) with u = 4 gamma (1-gamma) (1-a)^2 needs no clamp: computed u
+is at most 1 for every gamma and a in [0, 1], so 1 - u >= 0. Rounding is
+monotone and fl((1-a)^2) <= 1, so computed u is at most fl(4 gamma fl(1-gamma)).
+For gamma >= 1/2, 1 - gamma is exact (Sterbenz) and 4 gamma (1-gamma) <= 1. For
+gamma < 1/2, fl(1-gamma) exceeds 1 - gamma by at most 2**-54 and 4 gamma < 2,
+so 4 gamma fl(1-gamma) < 1 + 2**-53, which rounds to at most 1.
 """
 
 from __future__ import annotations
@@ -100,13 +113,11 @@ def holevo_chi(channel: Channel, ensemble: Ensemble) -> float:
     return mean_term - branch_term
 
 
-def _array_root(v):
-    """sqrt(max(v, 0)) on an array, where v = 1 - u can round below 0."""
-    return np.sqrt(np.maximum(v, 0.0))
-
-
-def _unit_arrays(name, p, a):
-    """(p, a) as float arrays, checked to lie in [0, 1]."""
+def _unit_pair(name, p, a):
+    """(p, a) checked to lie in [0, 1]: two floats when both are scalars, else two
+    float arrays."""
+    if is_scalar(p) and is_scalar(a):
+        return _unit_interval(name, p), _unit_interval("a", a)
     p, a = np.asarray(p, dtype=float), np.asarray(a, dtype=float)
     for label, value in ((name, p), ("a", a)):
         if not np.all((value >= 0.0) & (value <= 1.0)):
@@ -114,79 +125,67 @@ def _unit_arrays(name, p, a):
     return p, a
 
 
-def _u(gamma, a):
-    """u = 4 gamma (1-gamma) (1-a)^2 of the closed form, on floats or arrays."""
-    d = 1.0 - a
-    return 4.0 * gamma * (1.0 - gamma) * (d * d)
-
-
-def _ratio(gamma, a):
-    """(a + gamma (1-a)) / ((1-gamma) (1-a)), the argument of the derivative's log."""
-    return (a + gamma * (1.0 - a)) / ((1.0 - gamma) * (1.0 - a))
-
-
-def _float_domain(gamma, a, gamma_low=0.0):
-    """(gamma, a) as floats, checked to lie in (gamma_low, 1) and [0, 1)."""
-    g, av = float(gamma), float(a)
-    if not gamma_low < g < 1.0:
+def _interior_pair(gamma, a, gamma_low=0.0):
+    """(gamma, a) checked to lie in (gamma_low, 1) and [0, 1), where the derivatives of
+    chi_ad_curve are finite: two floats when both are scalars, else two float arrays."""
+    if is_scalar(gamma) and is_scalar(a):
+        g, av = float(gamma), float(a)
+        g_in, a_in = gamma_low < g < 1.0, 0.0 <= av < 1.0
+    else:
+        g, av = np.asarray(gamma, dtype=float), np.asarray(a, dtype=float)
+        g_in, a_in = np.all((g > gamma_low) & (g < 1.0)), np.all((av >= 0.0) & (av < 1.0))
+    if not g_in:
         raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
-    if not 0.0 <= av < 1.0:
+    if not a_in:
         raise DomainError("a must lie in [0, 1)")
     return g, av
 
 
-def _float_over_x(x, u):
-    """ln((1+x)/(1-x)) / x on floats, x = sqrt(1 - u), by the regime that _interior
-    selects; evaluates only that regime. The direct quotient has u >= 1e-8, so
-    1 - x >= 2**-53 there, which the array kernel's floor of 1e-300 leaves as it is."""
+def _float_terms(ratio, u):
+    """(x, ln ratio, O) on floats, x = sqrt(1 - u) and O = ln((1+x)/(1-x)) / x, by the
+    regime of O that applies; evaluates only that regime (see ``_array_terms``). The
+    direct quotient has u >= 1e-8, so 1 - x >= 2**-53 there, which the array floor of
+    1e-300 leaves as it is."""
+    x = math.sqrt(1.0 - u)
+    log_ratio = float(np.log(ratio))
     if x < 1e-4:
         xx = x * x
-        return 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
+        return x, log_ratio, 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
     if u < 1e-8:
-        return (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
-    return float(np.log((1.0 + x) / (1.0 - x))) / x
+        return x, log_ratio, (2.0 * float(np.log1p(x)) - float(np.log(u if u > 0.0 else 1.0))) / x
+    return x, log_ratio, float(np.log((1.0 + x) / (1.0 - x))) / x
 
 
-def _interior(gamma, a, gamma_low=0.0):
-    """(g, a, x, ln ratio, ln((1+x)/(1-x)) / x) for the derivatives of chi_ad_curve, with
-    ratio = (a + g (1-a)) / ((1-g) (1-a)) and x = sqrt(1 - u).
-
-    They are singular at a = 1 and g = 1: gamma must lie in (gamma_low, 1) and a in
-    [0, 1). The last term has three regimes: a Taylor series for small x, the direct
-    quotient in the bulk, and (2 log1p(x) - log(u)) / x when 1 - x would cancel
-    catastrophically. Two scalars give Python floats and evaluate only the selected
-    regime (``_float_over_x``); arrays evaluate all three and select entry by entry.
-    """
-    if is_scalar(gamma) and is_scalar(a):
-        g, av = _float_domain(gamma, a, gamma_low)
-        u = _u(g, av)
-        x = math.sqrt(max(1.0 - u, 0.0))
-        return g, av, x, float(np.log(_ratio(g, av))), _float_over_x(x, u)
-    g, av = np.asarray(gamma, dtype=float), np.asarray(a, dtype=float)
-    if not np.all((g > gamma_low) & (g < 1.0)):
-        raise DomainError(f"gamma must lie strictly inside ({gamma_low:g}, 1)")
-    if not np.all((av >= 0.0) & (av < 1.0)):
-        raise DomainError("a must lie in [0, 1)")
-    u = _u(g, av)
-    x = _array_root(1.0 - u)
+def _array_terms(ratio, u):
+    """(x, ln ratio, O) on arrays, as ``_float_terms``. O has three regimes: a Taylor
+    series for x < 1e-4, (2 log1p(x) - log(u)) / x for u < 1e-8, where 1 - x would
+    cancel catastrophically, and the direct quotient elsewhere. All three are evaluated
+    and selected entry by entry; u = 0 is reachable (gamma = 5e-324)."""
+    x = np.sqrt(1.0 - u)
     x_safe = np.where(x > 0.0, x, 1.0)
     u_safe = np.where(u > 0.0, u, 1.0)
     direct = np.log((1.0 + x) / np.maximum(1.0 - x, 1e-300)) / x_safe
     robust = (2.0 * np.log1p(x) - np.log(u_safe)) / x_safe
     xx = x * x
     series = 2.0 + xx * (2.0 / 3.0 + xx * (2.0 / 5.0))
-    over_x = np.where(x < 1e-4, series, np.where(u < 1e-8, robust, direct))
-    return g, av, x, np.log(_ratio(g, av)), over_x
+    return x, np.log(ratio), np.where(x < 1e-4, series, np.where(u < 1e-8, robust, direct))
+
+
+def _interior(gamma, a, gamma_low=0.0):
+    """(g, a, x, ln ratio, O) for the derivatives of chi_ad_curve, checked by
+    ``_interior_pair``, with ratio = (a + g (1-a)) / ((1-g) (1-a)), x = sqrt(1 - u) and
+    O = ln((1+x)/(1-x)) / x: floats for two scalars, else arrays."""
+    g, av = _interior_pair(gamma, a, gamma_low)
+    terms = _float_terms if isinstance(g, float) else _array_terms
+    d = 1.0 - av
+    return (g, av) + terms((av + g * d) / ((1.0 - g) * d), 4.0 * g * (1.0 - g) * (d * d))
 
 
 def _slope(g, curvature=False):
-    """a -> d chi_ad_curve(g, a) / da in bits on floats, for g in (0, 1) and a in
-    [0, 1); it checks neither. With ``curvature``, a -> (chi', chi'') for a in
-    [1/2, 1), whose chi' is the same expression and so the same bits.
-
-    The factors of g are computed once. Each is a left prefix of a product that the
-    array kernel evaluates left to right (``4.0 * g * (1.0 - g) * (d * d)`` is
-    ``((4.0 * g) * (1.0 - g)) * (d * d)``), so every call gives its bits.
+    """a -> d chi_ad_curve(g, a) / da in bits, for g in (0, 1) and a in [0, 1); it
+    checks neither. With ``curvature``, a -> (chi', chi'') for a in [1/2, 1), whose chi'
+    is the same expression and so the same bits. Built for a float g it computes on
+    floats, for an array g on arrays (``_float_terms``, ``_array_terms``).
 
     With q = 1-g, d = 1-a, w = a + g d and O = ln((1+x)/(1-x)) / x >= 2,
     chi'' ln 2 = -q (q/w + 1/d) + 2 g q (2 - O) / (1-u) < 0 (u <= 1/4 on [1/2, 1)), so
@@ -194,11 +193,13 @@ def _slope(g, curvature=False):
 
     On a in [1/2, 1 - 1e-9] and g in (0, 1) the computed chi' is within E = 2.5e-12 of
     the true one if np.log and np.log1p are within 4 ulp: E is mostly 2.2e-16 / d from
-    1 - x in the direct regime, where u >= 1e-8 keeps d >= 1e-4 (50-digit checks near
-    u = 1e-8 found at most 9.3e-13). So a computed chi'(p) > _MARGIN >= 4E proves
-    computed chi'(m) >= true chi'(m) - E >= true chi'(p) - E >= chi'(p) - 2E > 0 for
-    every m <= p, and chi'(q) < -_MARGIN proves chi'(m) < 0 for every m >= q alike.
+    1 - x in the direct regime, where u >= 1e-8 keeps d >= 1e-4. A test holds the kernel
+    to E against 50-digit decimal arithmetic; with numpy 2.4 on an AVX-512 x86-64 CPU its
+    worst point, near u = 1e-8, is 9.8e-13 off. So a computed chi'(p) > _MARGIN >= 4E
+    proves computed chi'(m) >= true chi'(m) - E >= true chi'(p) - E >= chi'(p) - 2E > 0
+    for every m <= p, and chi'(q) < -_MARGIN proves chi'(m) < 0 for every m >= q alike.
     """
+    terms = _float_terms if isinstance(g, float) else _array_terms
     q = 1.0 - g
     minus_q = -q
     c4 = 4.0 * g * q
@@ -207,32 +208,27 @@ def _slope(g, curvature=False):
     def slope(a):
         d = 1.0 - a
         u = c4 * (d * d)
-        x = math.sqrt(1.0 - u) if u < 1.0 else 0.0  # the clamped root, as 1 - u > 0 iff u < 1
-        log_ratio = float(np.log((a + g * d) / (q * d)))
-        return (minus_q * log_ratio + c2 * d * _float_over_x(x, u)) / _LN2
-
-    def slope_curvature(a):
-        d = 1.0 - a
-        u = c4 * (d * d)
-        x = math.sqrt(1.0 - u) if u < 1.0 else 0.0
         w = a + g * d
-        over_x = _float_over_x(x, u)
-        return ((minus_q * float(np.log(w / (q * d))) + c2 * d * over_x) / _LN2,
-                (minus_q * (q / w + 1.0 / d) + c2 * (2.0 - over_x) / (1.0 - u)) / _LN2)
+        _, log_ratio, over_x = terms(w / (q * d), u)
+        chi_prime = (minus_q * log_ratio + c2 * d * over_x) / _LN2
+        if not curvature:
+            return chi_prime
+        return chi_prime, (minus_q * (q / w + 1.0 / d) + c2 * (2.0 - over_x) / (1.0 - u)) / _LN2
 
-    return slope_curvature if curvature else slope
+    return slope
 
 
 def _ad_curve(g):
-    """a -> chi_ad_curve(g, a) on floats, for g and a in [0, 1]; it checks neither.
-    The factors of g are computed once, as in ``_slope``."""
+    """a -> chi_ad_curve(g, a), for g and a in [0, 1]; it checks neither. The factors of
+    g are computed once; built for a float g it computes on floats, for an array g on
+    arrays, as ``_slope``."""
+    sqrt = math.sqrt if isinstance(g, float) else np.sqrt
     q = 1.0 - g
     c4 = 4.0 * g * q
 
     def chi(a):
         d = 1.0 - a
-        u = c4 * (d * d)
-        x = math.sqrt(1.0 - u) if u < 1.0 else 0.0
+        x = sqrt(1.0 - c4 * (d * d))
         return binary_entropy(d * q) - binary_entropy(0.5 * (1.0 - x))
 
     return chi
@@ -244,11 +240,8 @@ def chi_ad_curve(gamma, a):
     Equals H((1-a)(1-gamma)) - H((1-x)/2); agrees with holevo_chi on the
     explicit two-state ensemble to roundoff.
     """
-    if is_scalar(gamma) and is_scalar(a):
-        return _ad_curve(_unit_interval("gamma", gamma))(_unit_interval("a", a))
-    g, av = _unit_arrays("gamma", gamma, a)
-    x = _array_root(1.0 - _u(g, av))
-    return binary_entropy((1.0 - av) * (1.0 - g)) - binary_entropy(0.5 * (1.0 - x))
+    g, av = _unit_pair("gamma", gamma, a)
+    return _ad_curve(g)(av)
 
 
 def chi_ad_derivative(gamma, a):
@@ -258,14 +251,8 @@ def chi_ad_derivative(gamma, a):
     gamma in {0, 1}; those inputs are rejected, the capacity solver handles
     the endpoints separately.
     """
-    if is_scalar(gamma) and is_scalar(a):
-        g, av = _float_domain(gamma, a)
-        return _slope(g)(av)
-    g, av, _, log_ratio, over_x = _interior(gamma, a)
-    return (
-        -(1.0 - g) * log_ratio
-        + 2.0 * g * (1.0 - g) * (1.0 - av) * over_x
-    ) / _LN2
+    g, av = _interior_pair(gamma, a)
+    return _slope(g)(av)
 
 
 def dchi_dgamma(gamma, a):
@@ -432,8 +419,8 @@ def capacity_depolarizing(lam: float) -> CapacityResult:
 
 
 def _dep_curve(l):
-    """a -> chi_dep_curve(l, a) on floats, for l and a in [0, 1]; it checks neither.
-    H(l/2) is computed once."""
+    """a -> chi_dep_curve(l, a) on floats or arrays, for l and a in [0, 1]; it checks
+    neither. H(l/2) is computed once."""
     q, h = 1.0 - l, 0.5 * l
     base = binary_entropy(h)
     return lambda a: binary_entropy(q * a + h) - base
@@ -445,10 +432,8 @@ def chi_dep_curve(lam, a):
     Pure-state outputs have a-independent spectrum, so the curve reduces to
     H((1-lam) a + lam/2) - H(lam/2), maximized at a = 1/2.
     """
-    if is_scalar(lam) and is_scalar(a):
-        return _dep_curve(_unit_interval("lambda", lam))(_unit_interval("a", a))
-    l, av = _unit_arrays("lambda", lam, a)
-    return binary_entropy((1.0 - l) * av + 0.5 * l) - binary_entropy(0.5 * l)
+    l, av = _unit_pair("lambda", lam, a)
+    return _dep_curve(l)(av)
 
 
 @dataclass(frozen=True)

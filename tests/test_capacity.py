@@ -1,5 +1,8 @@
+import decimal
 import math
 import sys
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -368,13 +371,25 @@ def test_capacity_is_non_increasing_in_the_noise(capacity, pair):
 
 
 def _kernel_points():
-    """Seeded (p, a) in (0, 1) x [0, 1): uniform, a near 1, p below 1e-9, and one
-    point where scalar and array chi_ad_curve once disagreed in the last bit."""
+    """Seeded (p, a) in (0, 1) x [0, 1): uniform, a near 1, p below 1e-9, one point
+    where scalar and array chi_ad_curve once disagreed in the last bit, u = 1 (p = 1/2,
+    a = 0), and the edges of the regimes of O that _float_terms chooses and
+    _array_terms selects: u = 4 p (1-p) (1-a)^2 within 5% of 1e-8 on both sides, x =
+    sqrt(1 - u) within 5% of 1e-4 on both sides (p near 1/2 with a = 0, and p = 1/2
+    with a near 0), and u = 0 (p = 5e-324 with a above 3/4)."""
     rng = np.random.default_rng(20261018)
     p = np.concatenate([rng.random(9800), rng.random(100), 1e-9 * rng.random(100),
                         [0.6721857253050835, 1e-300, 5e-324, 0.5]])
     a = np.concatenate([rng.random(9800), 1.0 - 1e-6 * rng.random(100), rng.random(100),
                         [0.49646555979497975, 1.0 - 2.0**-53, 0.5, 0.0]])
+    rng = np.random.default_rng(20261021)
+    gamma = rng.uniform(0.01, 0.99, 200)
+    u = 1e-8 * np.concatenate([rng.uniform(0.95, 1.0, 100), rng.uniform(1.0, 1.05, 100)])
+    x = 1e-4 * np.concatenate([rng.uniform(0.95, 1.0, 50), rng.uniform(1.0, 1.05, 50)])
+    side = np.where(rng.random(100) < 0.5, -0.5, 0.5)
+    p = np.concatenate([p, gamma, 0.5 + side * x, np.full(100, 0.5), np.full(20, 5e-324)])
+    a = np.concatenate([a, 1.0 - np.sqrt(u / (4.0 * gamma * (1.0 - gamma))), np.zeros(100),
+                        1.0 - np.sqrt(1.0 - x * x), rng.uniform(0.75, 1.0, 20)])
     return p, a
 
 
@@ -444,6 +459,76 @@ class TestScalarKernel:
         with pytest.raises(DomainError) as array:
             curve(np.array([p]), np.array([a]))
         assert str(scalar.value).startswith(str(array.value))
+
+
+def _exact_slope(g, a):
+    """chi'(g, a) in bits at 50 digits from the exact values of the floats g and a;
+    O = (2 ln(1 + x) - ln u) / x has no cancellation."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        g, a = Decimal(g), Decimal(a)
+        q, d = 1 - g, 1 - a
+        u = 4 * g * q * d * d
+        x = (1 - u).sqrt()
+        over_x = (2 * (1 + x).ln() - u.ln()) / x
+        return (-q * ((a + g * d) / (q * d)).ln() + 2 * g * q * d * over_x) / Decimal(2).ln()
+
+
+def test_slope_is_within_its_rounding_bound():
+    # _sign_band proves a slope sign from a computed chi' beyond _MARGIN, which is sound
+    # only if computed chi' is within E = 2.5e-12 of the true one on a in [1/2, 1 - 1e-9]
+    # (_slope's docstring). Near u = 1e-8 the regime of O changes.
+    rng = np.random.default_rng(20261023)
+    a_of = lambda n: 0.5 + (0.5 - 1e-9) * rng.random(n)
+    gamma = rng.uniform(0.01, 0.99, 500)
+    u = 1e-8 * rng.uniform(0.95, 1.05, 500)
+    edges = [5e-324, 1e-300, 1e-17, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+    g = np.concatenate([rng.random(1000), gamma, 1.0 - 10.0 ** -rng.uniform(2.0, 16.0, 500),
+                        10.0 ** -rng.uniform(2.0, 300.0, 500), rng.random(200), np.repeat(edges, 22)])
+    a = np.concatenate([a_of(1000), 1.0 - np.sqrt(u / (4.0 * gamma * (1.0 - gamma))), a_of(1000),
+                        np.full(200, 1.0 - 1e-9), np.tile([0.5, 1.0 - 1e-9, *a_of(20)], len(edges))])
+    assert np.all((a >= 0.5) & (a <= 1.0 - 1e-9))
+    errors = [abs(_slope(gi)(ai) - float(_exact_slope(gi, ai))) for gi, ai in zip(g.tolist(), a.tolist())]
+    assert max(errors) <= 2.5e-12 <= capacity._MARGIN / 4.0
+
+
+def _assert_curves_run_cleanly(gamma, a):
+    """chi_ad_curve, and chi_ad_derivative inside its domain, give finite values on
+    floats and on arrays without a warning."""
+    g, av = (np.ravel(v) for v in np.broadcast_arrays(np.asarray(gamma, dtype=float), a))
+    inside = (g > 0.0) & (g < 1.0) & (av < 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [chi_ad_curve(g, av), chi_ad_derivative(g[inside], av[inside])]
+        for gi, ai, interior in zip(g.tolist(), av.tolist(), inside.tolist()):
+            values.append(chi_ad_curve(gi, ai))
+            if interior:
+                values.append(chi_ad_derivative(gi, ai))
+    assert all(np.all(np.isfinite(value)) for value in values)
+
+
+def test_the_root_argument_is_never_negative():
+    # The kernels take sqrt(1 - u) unclamped because computed u = 4 g (1-g) (1-a)^2 is
+    # at most 1 for g, a in [0, 1] (module docstring). 4 g fl(1-g) comes closest to
+    # rounding above 1 where fl(1-g) rounds up, at g = 1/2 - k 2**-54, and d = 1 - a = 1.
+    g, d = 0.5 - np.arange(2 ** 20) * 2.0 ** -54, 1.0
+    assert np.all(4.0 * g * (1.0 - g) * (d * d) <= 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.all(np.isfinite(curve(chunk, 0.0))) for chunk in np.split(g, 16)
+                   for curve in (chi_ad_curve, chi_ad_derivative))
+    _assert_curves_run_cleanly(np.concatenate([g[:1024], g[::512]]), 0.0)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(gamma=st.floats(0.0, 1.0), a=st.floats(0.0, 1.0))
+@example(gamma=0.5 - 2.0 ** -54, a=0.0)
+@example(gamma=0.5, a=0.0)
+@example(gamma=5e-324, a=0.9)
+def test_u_is_at_most_one(gamma, a):
+    d = 1.0 - a
+    assert 4.0 * gamma * (1.0 - gamma) * (d * d) <= 1.0
+    _assert_curves_run_cleanly(gamma, a)
 
 
 class TestCapacityDepolarizing:
