@@ -1,10 +1,11 @@
 """Command-line surface emitting capacities, curves, and figure datasets.
 
-stdout carries machine-parseable JSON or CSV only; diagnostics go to stderr.
-Floats in CSV are printed with 17 significant digits so files round-trip and
-stay byte-stable across runs. Every JSON report goes through ``_report``: it
-carries a schema_version and, on stdout only, the wall-clock time up to the
-write, so that identical runs produce byte-identical files.
+stdout carries machine-parseable JSON or CSV only; stderr carries only the
+one-line error of a failed command (after argparse's usage line, if argparse
+refused it). Floats in CSV are printed with 17 significant digits so files
+round-trip and stay byte-stable across runs. Every JSON report goes through
+``_report``: it carries a schema_version and, on stdout only, the wall-clock
+time up to the write, so that identical runs produce byte-identical files.
 
 ``certify`` and ``minimax --certify`` share one oracle step (``_oracle_step``),
 which searches, records the oracle inputs and returns the certification fields.
@@ -18,7 +19,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import re
@@ -492,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed its message (or --help)

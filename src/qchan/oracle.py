@@ -639,9 +639,9 @@ def plan_search_size(config: OracleConfig, budget: float = DEFAULT_BUDGET) -> in
 
 
 def _search(channels, config: OracleConfig, budget: float):
+    if math.isnan(budget):  # spent + count > nan is never true: _charge would pass it
+        raise DomainError("budget must be a number, got nan")
     states = _total_states(config)
-    log.info("oracle search: %d grid states, %d ensembles on the full grid",
-             states, plan_search_size(config, budget))
     # Charged before the per-state tables are built: on a large grid they take seconds.
     spent = _charge(0, states * len(channels), budget, f"{states} grid states per channel")
     a, b, a_index = _grid_states(config)

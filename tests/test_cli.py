@@ -940,3 +940,29 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert abs(report["outputs"]["capacity_bits"] - (1.0 - binary_entropy(0.25))) < 1e-15
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("certify --channel ad --gamma 0.5 --a-grid 21 --prob-grid 4", cli.EXIT_OK),
+    ("minimax --ch1 ad:0.4 --ch2 dep:0.2 --certify --n-states 3 --a-grid 51 --prob-grid 10",
+     cli.EXIT_OK),
+    # On this grid the solver-oracle difference is 8.9e-4, over the default bound.
+    ("minimax --gamma 0.5 --lambda 0.24 --certify --a-grid 11 --prob-grid 4", cli.EXIT_CERTIFY),
+])
+def test_fresh_process_writes_stderr_only_on_failure(argv, code):
+    # In a fresh process: under pytest the root logger already has handlers, so
+    # a logging set-up in main would not show here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "qchan", *shlex.split(argv)],
+        capture_output=True, text=True,
+        cwd=str(pathlib.Path(__file__).parent.parent),
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == code, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] in ("certify", "minimax")
+    if code == cli.EXIT_OK:
+        assert proc.stderr == ""
+    else:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("certification failure:")

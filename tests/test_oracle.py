@@ -208,14 +208,23 @@ class TestOracleCapacity:
         with pytest.raises(BudgetExceededError):
             oracle_minimax(separation_pair(), config, budget=1e8)
 
-    def test_nan_budget_rejected(self):
+    def test_nan_budget_rejected(self, monkeypatch):
+        # spent + count > nan is never true, so the search refuses a NaN budget
+        # before it builds the grid or a table.
+        def no_work(*args):
+            raise AssertionError("grid or tables built for a NaN budget")
+
+        monkeypatch.setattr(qchan.oracle, "_grid_states", no_work)
+        monkeypatch.setattr(qchan.oracle, "_channel_table", no_work)
         config = OracleConfig(n_states=4, a_grid=201, prob_grid=20)
         with pytest.raises(DomainError):
             plan_search_size(config, float("nan"))
         with pytest.raises(DomainError):
             oracle_capacity(AmplitudeDamping(0.5), config, budget=float("nan"))
-        with pytest.raises(DomainError):
-            oracle_minimax(separation_pair(), config, budget=float("nan"))
+        for weight1 in (0.5, 0.0, 1.0):
+            pair = MixedChannelPair(PAIR.ch1, PAIR.ch2, weight1)
+            with pytest.raises(DomainError):
+                oracle_minimax(pair, config, budget=float("nan"))
 
     def test_deterministic(self):
         config = OracleConfig(n_states=2, a_grid=21, prob_grid=6)
@@ -401,6 +410,35 @@ def test_search_equals_unfused_reference(monkeypatch, channel, grid, budget, chu
     fused = search(channel, OracleConfig(**grid), budget)
     case = next(i for i, (c, g, _) in enumerate(REFERENCE_CASES) if c is channel and g is grid)
     assert fused == reference_search(case)
+
+
+@pytest.mark.parametrize("channel, grid", [
+    *[(AmplitudeDamping(0.3), dict(SMALL, n_states=k)) for k in (1, 2, 3, 4)],
+    (Depolarizing(0.2), dict(SMALL, n_states=3)),
+    (KRAUS, dict(SMALL, n_states=3)),
+    (AmplitudeDamping(0.6), dict(COMPLEX, n_states=3)),
+    (PAIR, dict(SMALL, n_states=3)),
+    (MixedChannelPair(PAIR.ch1, PAIR.ch2, weight1=0.0), dict(SMALL, n_states=3)),
+    (AmplitudeDamping(0.5), dict(n_states=4, a_grid=31, prob_grid=5)),
+])
+def test_budget_needed_is_the_sum_of_the_charges(monkeypatch, channel, grid):
+    # One ledger: the search fits a budget of exactly what it charges, and the
+    # last charge refuses one evaluation less.
+    counts = []
+    charge = qchan.oracle._charge
+
+    def recording_charge(spent, count, budget, what):
+        counts.append(count)
+        return charge(spent, count, budget, what)
+
+    monkeypatch.setattr(qchan.oracle, "_charge", recording_charge)
+    search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
+    config = OracleConfig(**grid)
+    result = search(channel, config, math.inf)
+    total = sum(counts)
+    assert search(channel, config, total) == result
+    with pytest.raises(BudgetExceededError):
+        search(channel, config, total - 1)
 
 
 def nan_divergences(monkeypatch, at=None):
