@@ -243,7 +243,7 @@ def _oracle_step(args, config: OracleConfig, inputs: dict, solver_bits: float, s
         "oracle_capacity_bits": oracle_bits,
         "difference": solver_bits - oracle_bits,
         "bound": args.bound,
-        "search_size": plan_search_size(config, args.budget),
+        "search_size": plan_search_size(config),
     }
     return certification, ensemble
 

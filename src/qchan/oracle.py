@@ -475,111 +475,99 @@ def _reaches(bound, threshold):
         return ~(bound + 1e-9 < threshold)
 
 
-def _search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
-    """Exhaustive max over distinct sorted n-subsets of state_ids x compositions.
+def _search_pass(tables, n, comps, best, divergences, seeds, spent, budget):
+    """Exhaustive max over the n-subsets of the grid states x compositions ``comps``.
 
-    ``tables`` holds one (u, v, s) triple per scored channel; an ensemble's
-    score is the minimum chi across channels. ``best`` is the running
-    (value, state id tuple, composition tuple), the best so far, and ties keep
-    it. ``divergences`` holds the D tables that bound a state's and
-    a row's score. ``seeds`` holds rows of n increasing positions in
-    state_ids. The pass drops the states whose bound cannot reach ``best`` and
-    tabulates the others; it scores the seed rows whose states it kept as a
-    block that starts from -inf, whose best value is the pass's floor; and it
-    drops the states whose bound cannot reach the floor. The floor prunes beside
-    ``best`` but never becomes it. The ensembles of the states kept are charged
-    against ``budget``, the evaluations left, before their rows are scored,
-    block by block of _row_blocks. Returns the new best; an int64 array of three
-    counts: the rows skipped by their bounds or with their states, the elements
-    scored, and the states kept; and the elements the seed block scored with
-    the floor.
+    ``tables`` holds one (u, v, s, has_imag) tuple per scored channel, over every
+    grid state; an ensemble's score is the minimum chi across channels. ``best``
+    is the running (value, state id tuple, composition tuple), the best so far,
+    and ties keep it. ``divergences`` holds the D tables that bound a state's and
+    a row's score. ``seeds`` holds rows of n increasing grid states. The pass
+    drops the states whose bound cannot reach ``best`` and tabulates the others;
+    it scores the seed rows whose states it kept as a block that starts from
+    -inf, whose best value is the pass's floor; and it drops the states whose
+    bound cannot reach the floor. The floor prunes beside ``best`` but never
+    becomes it. The ensembles of the states kept are added to ``spent``, the
+    evaluations charged so far, against ``budget`` before their rows are scored,
+    block by block of _row_blocks. Returns the new best; the rows skipped by
+    their bounds or with their states, the elements scored, and the states kept;
+    the elements the seed block scored and the floor; and the new total.
     """
-    ids = np.asarray(state_ids, dtype=np.int64)
-    m = ids.shape[0]
-    if m < n:
-        return best, np.array([0, 0, m], dtype=np.int64), (0, -math.inf)
-    p_count = probs.shape[0]
+    subsets, p_count = math.comb(tables[0][0].shape[0], n), comps.shape[0]
     prob_grid = int(comps[0].sum())  # every composition sums to prob_grid
-    chunk = max(1, _CHUNK_ELEMENTS // p_count)
-    weights = np.ascontiguousarray(probs.T)  # weights[k] is p_k of every composition
+    weights = np.ascontiguousarray(comps.T / prob_grid)  # weights[k] is p_k of every composition
     parts = [(u, v.real, v.imag, s) if has_imag else (u, v.real, s) for u, v, s, has_imag in tables]
-    buffers = np.empty((4, max(1, _SLICE_ELEMENTS // p_count), p_count))
+    step = max(1, _SLICE_ELEMENTS // p_count)  # rows per slice
+    score_buf, *work_buf = np.empty((4, step, p_count))
     with np.errstate(invalid="ignore"):
-        state_bound = _state_bounds([table[ids] for table in divergences], n, prob_grid)
+        state_bound = _state_bounds(divergences, n, prob_grid)
 
-    def tabulate(at):  # the states at positions ``at``, their pass tables and their D
-        kept = ids[at]
-        products = [_pass_tables([part[kept] for part in channel], weights) for channel in parts]
-        return kept, products, [table[kept] for table in divergences]
+    def tabulate(at):  # the pass tables and the D of the states ``at``
+        products = [_pass_tables([part[at] for part in channel], weights) for channel in parts]
+        return products, [table[at] for table in divergences]
+
+    def block(local, best, floor):
+        """The pass over one block of rows ``local``, positions in ``kept`` in row
+        order, with the ``products`` and ``d_at`` that stand when it is called.
+
+        Row bounds are held against the larger of the incumbent and ``floor``, as
+        the block starts and whenever the incumbent rises; the rows left are
+        scored in slices, in row order. Returns the new best and the block's rows
+        pruned by their bounds and elements scored.
+        """
+        with np.errstate(invalid="ignore"):
+            bound = _row_bounds(d_at, local, prob_grid)
+        # Row -1 is the incoming best: it comes before the block, so it wins ties.
+        top_value, top_row, top_col = best[0], -1, -1
+        rest = np.arange(local.shape[0])
+        threshold = None
+        rows_scored = 0
+        while True:
+            if max(top_value, floor) != threshold:
+                threshold = max(top_value, floor)
+                rest = rest[_reaches(bound[rest], threshold)]
+            if rest.shape[0] == 0:
+                break
+            rows, rest = rest[:step], rest[step:]
+            h = rows.shape[0]
+            rows_scored += h
+            score = score_buf[:h]
+            _chi_into(products, weights, np.take(local, rows, axis=0), [w[:h] for w in work_buf], score)
+            flat = _first_max(score)
+            value = score.flat[flat]
+            row, col = divmod(flat, p_count)
+            # Slices come in row order, so a later one cannot hold an earlier tie.
+            if value > top_value:
+                top_value, top_row, top_col = value, int(rows[row]), col
+        if top_row >= 0:
+            best = (
+                float(top_value),
+                tuple(int(x) for x in kept[local[top_row]]),
+                tuple(int(k) for k in comps[top_col]),
+            )
+        return best, local.shape[0] - rows_scored, rows_scored * p_count
 
     # The states that can reach the incoming best, before anything is tabulated.
     keep = _reaches(state_bound, best[0])
-    at = np.flatnonzero(keep)
-    kept, products, d_at = tabulate(at)
+    kept = np.flatnonzero(keep)
+    products, d_at = tabulate(kept)
     # The seed rows whose states were all kept, as positions among those states.
-    seeds = np.searchsorted(at, seeds[keep[seeds].all(axis=1)])
+    seeds = np.searchsorted(kept, seeds[keep[seeds].all(axis=1)])
     floor, seeded = -math.inf, 0
     if seeds.shape[0]:
-        (floor, *_), (_, seeded) = _block_pass(
-            products, d_at, weights, seeds, kept, comps, (-math.inf, None, None), -math.inf,
-            prob_grid, buffers)
-    floored = at[_reaches(state_bound[at], floor)]
-    if floored.shape[0] < at.shape[0]:
-        at = floored
-        kept, products, d_at = tabulate(at)
-    rows = math.comb(m, n)
-    m = at.shape[0]
-    counts = np.array([rows - math.comb(m, n), 0, m], dtype=np.int64)
-    _charge(0, math.comb(m, n) * p_count, budget, f"the size-{n} ensembles of {m} states")
-    for local in _row_blocks(m, n, chunk):
-        best, block_counts = _block_pass(
-            products, d_at, weights, local, kept, comps, best, floor, prob_grid, buffers)
-        counts[:2] += block_counts
-    return best, counts, (seeded, floor)
-
-
-def _block_pass(products, divergences, weights, local, ids, comps, best, floor, prob_grid, buffers):
-    """_search_pass over one block of rows ``local``, positions in ids in row order.
-
-    Row bounds are held against the larger of the incumbent and ``floor``, as
-    the block starts and whenever the incumbent rises; the rows left are scored
-    in slices, in row order. ``buffers`` holds the score and work arrays of one
-    slice. Returns the new best and the block's rows pruned by their bounds and
-    elements scored.
-    """
-    score_buf, *work_buf = buffers
-    step, p_count = score_buf.shape
-    with np.errstate(invalid="ignore"):
-        bound = _row_bounds(divergences, local, prob_grid)
-    # Row -1 is the incoming best: it comes before the block, so it wins ties.
-    top_value, top_row, top_col = best[0], -1, -1
-    rest = np.arange(local.shape[0])
-    threshold = None
-    rows_scored = 0
-    while True:
-        if max(top_value, floor) != threshold:
-            threshold = max(top_value, floor)
-            rest = rest[_reaches(bound[rest], threshold)]
-        if rest.shape[0] == 0:
-            break
-        rows, rest = rest[:step], rest[step:]
-        h = rows.shape[0]
-        rows_scored += h
-        score = score_buf[:h]
-        _chi_into(products, weights, np.take(local, rows, axis=0), [w[:h] for w in work_buf], score)
-        flat = _first_max(score)
-        value = score.flat[flat]
-        row, col = divmod(flat, p_count)
-        # Slices come in row order, so a later one cannot hold an earlier tie.
-        if value > top_value:
-            top_value, top_row, top_col = value, int(rows[row]), col
-    if top_row >= 0:
-        best = (
-            float(top_value),
-            tuple(int(x) for x in ids[local[top_row]]),
-            tuple(int(k) for k in comps[top_col]),
-        )
-    return best, np.array([local.shape[0] - rows_scored, rows_scored * p_count])
+        (floor, *_), _, seeded = block(seeds, (-math.inf, None, None), -math.inf)
+    floored = kept[_reaches(state_bound[kept], floor)]
+    if floored.shape[0] < kept.shape[0]:
+        # Rebinds the names that block reads, so the blocks below see these tables.
+        kept = floored
+        products, d_at = tabulate(kept)
+    m = kept.shape[0]
+    spent = _charge(spent, math.comb(m, n) * p_count, budget, f"the size-{n} ensembles of {m} states")
+    pruned, scored = subsets - math.comb(m, n), 0
+    for local in _row_blocks(m, n, max(1, _CHUNK_ELEMENTS // p_count)):
+        best, block_pruned, block_scored = block(local, best, floor)
+        pruned, scored = pruned + block_pruned, scored + block_scored
+    return best, (pruned, scored, m), (seeded, floor), spent
 
 
 def _first_max(score):
@@ -650,7 +638,6 @@ def _search(channels, config: OracleConfig, budget: float):
         u, v, s = _channel_table(channel, a, b)
         tables.append((u, v, s, bool(np.any(v.imag != 0.0))))
 
-    all_ids = np.arange(a.shape[0], dtype=np.int64)
     best = (-math.inf, None, None)
     divergences, t, sigma0 = bound_tables([(u, s) for u, _, s, _ in tables], a)
     log.debug("oracle bound: t %r, sigma0 %r", t, sigma0)
@@ -665,19 +652,12 @@ def _search(channels, config: OracleConfig, budget: float):
         p_count = math.comb(config.prob_grid - 1, n - 1)
         spent = _charge(spent, states * p_count, budget, f"the size-{n} tables")
         comps = _compositions(config.prob_grid, n)
-        probs = comps.astype(float) / config.prob_grid
         seeds = _seed_rows(n, best[1], a_index, config.phase_grid)
-        best, counts, (seeded, floor) = _search_pass(
-            tables, all_ids, n, probs, comps, best, divergences, seeds, budget - spent)
-        # Rows pruned, elements scored, states kept.
-        pruned, scored, kept = (int(c) for c in counts)
-        spent += math.comb(kept, n) * p_count
-        # The state counts are part of the message, so its arguments stay the
-        # six that tests/test_oracle.py unpacks.
+        best, (pruned, scored, kept), (seeded, floor), spent = _search_pass(
+            tables, n, comps, best, divergences, seeds, spent, budget)
         log.debug("oracle size %d: %d rows scored, %d rows pruned, %d elements scored, "
-                  "%d seed elements scored, floor %r, "
-                  f"{kept} of {states} states kept by the state bounds",
-                  n, math.comb(states, n) - pruned, pruned, scored, seeded, floor)
+                  "%d seed elements scored, floor %r, %d of %d states kept by the state bounds",
+                  n, math.comb(states, n) - pruned, pruned, scored, seeded, floor, kept, states)
 
     value, state_ids, comp = best
     if state_ids is None:

@@ -567,7 +567,7 @@ def test_budget_exceeded_writes_no_report(capsys, tmp_path, command):
 
 def test_budget_refusing_a_later_size_writes_no_report(capsys, tmp_path):
     # Sizes 1 and 2 start, and the 400 states that size 2's state bounds keep
-    # carry C(400, 2) x 19 = 1.5e6 ensembles, over the budget left of 1e6.
+    # carry C(400, 2) x 19 = 1.5e6 ensembles, which bring the running total over 1e6.
     out_path = tmp_path / "report.json"
     code, out, err = run(capsys, "certify", "--channel", "dep", "--lambda", "0.2",
                          "--n-states", "2", "--a-grid", "201", "--prob-grid", "20",
@@ -576,6 +576,18 @@ def test_budget_refusing_a_later_size_writes_no_report(capsys, tmp_path):
     assert out == ""
     assert "size-2 ensembles" in err
     assert not out_path.exists()
+
+
+def test_budget_exceeded_reports_the_running_total_and_the_budget(capsys):
+    # 1,200 evaluations go to the grid, the size-1 tables and ensembles and the
+    # size-2 tables; the 100 states that size 2 keeps add C(100, 2) x 9 = 44,550.
+    code, out, err = run(capsys, "certify", "--channel", "dep", "--lambda", "0.2",
+                         "--n-states", "2", "--a-grid", "51", "--prob-grid", "10",
+                         "--budget", "30000")
+    assert code == 5
+    assert out == ""
+    assert err == ("oracle budget exceeded: the size-2 ensembles of 100 states bring the "
+                   "evaluations to 4.58e+04, over the budget 3e+04\n")
 
 
 def test_budget_refuses_a_size_before_building_its_compositions(capsys, monkeypatch):

@@ -139,18 +139,20 @@ class TestOracleCapacity:
 
     def test_budget_refuses_a_size_after_its_state_bounds(self, monkeypatch):
         # Every depolarizing state reaches the size-2 floor, so the state bounds keep
-        # all 400, and their C(400, 2) x 19 = 1.5e6 ensembles exceed what is left of
-        # 1e6 after size 1 and the size-2 seed block have run.
+        # all 400, and their C(400, 2) x 19 = 1.5e6 ensembles bring the running total
+        # over 1e6 after size 1 and the size-2 seed block have run; the message names
+        # the caller's budget.
         passes = []
         search_pass = qchan.oracle._search_pass
 
-        def recording_pass(tables, state_ids, n, *args):
+        def recording_pass(tables, n, *args):
             passes.append(n)
-            return search_pass(tables, state_ids, n, *args)
+            return search_pass(tables, n, *args)
 
         monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
         config = OracleConfig(n_states=2, a_grid=201, prob_grid=20)
-        with pytest.raises(BudgetExceededError, match="size-2 ensembles of 400 states"):
+        with pytest.raises(BudgetExceededError,
+                           match=r"size-2 ensembles of 400 states .* over the budget 1e\+06"):
             oracle_capacity(Depolarizing(0.2), config, budget=1e6)
         assert passes == [1, 2]
         # One running total: the 400 tabulated states, then per size m P and the
@@ -321,19 +323,15 @@ def reference_scores(tables, members, probs, mean=chain_mean):
 REFERENCE_BLOCK = 1_000_000
 
 
-def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
+def reference_pass(tables, n, comps, best, divergences, seeds, spent, budget):
     """The search pass block by block, unpruned: it ignores ``divergences``, ``seeds``
-    and ``budget``, and reports every state kept."""
-    ids = np.asarray(state_ids, dtype=np.int64)
-    m = ids.shape[0]
-    counts = np.array([0, 0, m])
-    if m < n:
-        return best, counts, (0, -math.inf)
-    p_count = probs.shape[0]
+    and ``budget``, reports every state kept, and adds all their ensembles to ``spent``."""
+    m, p_count = tables[0][0].shape[0], comps.shape[0]
+    probs = comps / int(comps[0].sum())
     chunk = max(1, REFERENCE_BLOCK // p_count)
     combo_iter = itertools.combinations(range(m), n)
     while block := list(itertools.islice(combo_iter, chunk)):
-        members = ids[np.array(block, dtype=np.int64)]
+        members = np.array(block, dtype=np.int64)
         score = reference_scores(tables, members, probs)
         # The first maximal score that is not NaN, as the pass takes it.
         flat = int(np.argmax(np.where(np.isnan(score), -math.inf, score)))
@@ -341,12 +339,17 @@ def reference_pass(tables, state_ids, n, probs, comps, best, divergences, seeds,
         if value > best[0]:
             row, col = divmod(flat, p_count)
             best = (value, tuple(int(x) for x in members[row]), tuple(int(k) for k in comps[col]))
-    return best, counts, (0, -math.inf)
+    return best, (0, 0, m), (0, -math.inf), spent + math.comb(m, n) * p_count
 
 
 def no_seeds(n):
     """An empty seed set for a pass of size n: the pass has no floor."""
     return np.zeros((0, n), dtype=np.int64)
+
+
+def tables_at(tables, ids):
+    """The channel tables of the states ``ids`` alone, for a pass over those states."""
+    return [(u[ids], v[ids], s[ids], has_imag) for u, v, s, has_imag in tables]
 
 
 SMALL = dict(a_grid=9, prob_grid=5)
@@ -724,12 +727,10 @@ def test_pass_started_near_its_best_finds_it(channel, grid, nan_at_best):
     # a NaN bound must keep its state and row.
     config = OracleConfig(n_states=3, **grid)
     _, tables = grid_tables(channel, config)
-    ids = np.arange(tables[0][0].shape[0])
     for n in (2, 3):
         comps = qchan.oracle._compositions(config.prob_grid, n)
-        probs = comps / config.prob_grid
         best, *_ = reference_pass(
-            tables, ids, n, probs, comps, (-math.inf, None, None), None, no_seeds(n), math.inf)
+            tables, n, comps, (-math.inf, None, None), None, no_seeds(n), 0, math.inf)
         weights = np.array(best[2]) / config.prob_grid
         own = [float(weights @ u[list(best[1])]) for u, *_ in tables]
         centre = [radius_centre(u, s) for u, _, s, _ in tables]
@@ -741,7 +742,7 @@ def test_pass_started_near_its_best_finds_it(channel, grid, nan_at_best):
             for below in (best[0] - 1e-2, best[0] - 1e-6, best[0] - 1e-12, np.nextafter(best[0], 0.0)):
                 start = (float(below), None, None)
                 assert qchan.oracle._search_pass(
-                    tables, ids, n, probs, comps, start, divergences, no_seeds(n), math.inf)[0] == best
+                    tables, n, comps, start, divergences, no_seeds(n), 0, math.inf)[0] == best
 
 
 @pytest.mark.filterwarnings("error")
@@ -765,17 +766,22 @@ def test_row_whose_bound_rounds_below_its_score_is_scored(channel, pair):
     score = float(reference_scores(tables, members, probs)[0, 0])
     divergences = [divergences_at(u, s, np.nextafter(u[pair[0]], 1.0))]
     assert qchan.oracle._row_bounds(divergences, members, config.prob_grid)[0] < score
-    _, counts, _ = qchan.oracle._search_pass(
-        tables, pair, 2, probs, comps, (score, None, None), divergences, no_seeds(2), math.inf)
+    _, counts, _, _ = qchan.oracle._search_pass(
+        tables_at(tables, pair), 2, comps, (score, None, None), [d[pair] for d in divergences],
+        no_seeds(2), 0, math.inf)
     # No row pruned, one element scored, both states kept.
-    assert counts.tolist() == [0, 1, 2]
+    assert counts == (0, 1, 2)
 
 
 def run_pass(tables, ids, n, prob_grid, divergences, seeds):
-    """(best, seed elements scored, floor) of a pass from -inf over ``ids`` with ``seeds``."""
+    """(best, seed elements scored, floor) of a pass from -inf over the states ``ids``
+    with ``seeds``, rows of positions in ``ids``; the best names its states by id."""
     comps = qchan.oracle._compositions(prob_grid, n)
-    best, _, (seeded, floor) = qchan.oracle._search_pass(
-        tables, ids, n, comps / prob_grid, comps, (-math.inf, None, None), divergences, seeds, math.inf)
+    best, _, (seeded, floor), _ = qchan.oracle._search_pass(
+        tables_at(tables, ids), n, comps, (-math.inf, None, None), [d[ids] for d in divergences],
+        seeds, 0, math.inf)
+    if best[1] is not None:
+        best = (best[0], tuple(int(ids[x]) for x in best[1]), best[2])
     return best, seeded, floor
 
 
@@ -816,8 +822,8 @@ def test_seed_floor_keeps_the_pass_winner(monkeypatch, chunk, slice_):
     assert keep[seeds].tolist() == [[False, False], [True, True]]
     seed_scores = reference_scores(tables, seeds, probs).max(axis=1)
     assert seed_scores[0] > seed_scores[1]
-    found, _, (seeded, floor) = qchan.oracle._search_pass(
-        tables, ids, 2, probs, comps, start, divergences, seeds, math.inf)
+    found, _, (seeded, floor), _ = qchan.oracle._search_pass(
+        tables, 2, comps, start, divergences, seeds, 0, math.inf)
     assert (found, seeded, floor.hex()) == (start, p_count, float(seed_scores[1]).hex())
 
     # A NaN seed score leaves the floor at -inf.
@@ -927,20 +933,20 @@ def test_floor_is_the_best_seed_score(monkeypatch, channel, grid, budget, seeded
     passes = []
     search_pass = qchan.oracle._search_pass
 
-    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
-        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
-        ids = np.asarray(state_ids)
+    def recording_pass(tables, n, comps, best, divergences, seeds, spent, budget):
+        result = search_pass(tables, n, comps, best, divergences, seeds, spent, budget)
+        prob_grid = int(comps[0].sum())
         with np.errstate(invalid="ignore"):
-            bound = qchan.oracle._state_bounds([d[ids] for d in divergences], n, int(comps[0].sum()))
+            bound = qchan.oracle._state_bounds(divergences, n, prob_grid)
         kept = qchan.oracle._reaches(bound, best[0])[seeds].all(axis=1)
-        passes.append((tables, ids, n, probs, seeds[kept], *result[2]))
+        passes.append((tables, n, comps / prob_grid, seeds[kept], *result[2]))
         return result
 
     monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
     search = oracle_minimax if isinstance(channel, MixedChannelPair) else oracle_capacity
     search(channel, OracleConfig(**grid), budget)
     seeded, pruned = set(), set()
-    for tables, ids, n, probs, seeds, seed_elements, floor in passes:
+    for tables, n, probs, seeds, seed_elements, floor in passes:
         if seeds.shape[0] == 0:
             assert (seed_elements, floor) == (0, -math.inf)
             continue
@@ -948,7 +954,7 @@ def test_floor_is_the_best_seed_score(monkeypatch, channel, grid, budget, seeded
         assert seed_elements <= seeds.shape[0] * probs.shape[0]
         if seed_elements < seeds.shape[0] * probs.shape[0]:
             pruned.add(n)
-        score = reference_scores(tables, ids[seeds], probs)
+        score = reference_scores(tables, seeds, probs)
         assert floor.hex() == float(np.max(score[np.isfinite(score)])).hex()
     assert seeded == seeded_sizes
     assert pruned >= pruned_sizes
@@ -1241,22 +1247,21 @@ def test_no_row_with_a_nan_or_inf_bound_loses_a_state(monkeypatch, channel, grid
     passes = []
     search_pass = qchan.oracle._search_pass
 
-    def recording_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget):
-        ids = np.asarray(state_ids)
-        result = search_pass(tables, state_ids, n, probs, comps, best, divergences, seeds, budget)
-        passes.append((ids, n, int(comps[0].sum()), divergences))
+    def recording_pass(tables, n, comps, best, divergences, seeds, spent, budget):
+        result = search_pass(tables, n, comps, best, divergences, seeds, spent, budget)
+        passes.append((n, int(comps[0].sum()), divergences))
         for x in (0.0, 1.0):
             fed = [divergences_at(u, s, x) for u, _, s, _ in tables]
-            assert search_pass(tables, state_ids, n, probs, comps, best, fed, seeds, budget)[0] == result[0]
-            passes.append((ids, n, int(comps[0].sum()), fed))
+            assert search_pass(tables, n, comps, best, fed, seeds, spent, budget)[0] == result[0]
+            passes.append((n, int(comps[0].sum()), fed))
         return result
 
     monkeypatch.setattr(qchan.oracle, "_search_pass", recording_pass)
     oracle_capacity(channel, OracleConfig(**grid), budget)
     if channel != Depolarizing(1.0):  # whose every output, and so sigma, is I / 2
         assert not all(np.isfinite(d).all() for *_, divergences in passes for d in divergences)
-    for ids, n, prob_grid, divergences in passes:
-        state, row = state_and_row_bounds([d[ids] for d in divergences], ids.shape[0], n, prob_grid)
+    for n, prob_grid, divergences in passes:
+        state, row = state_and_row_bounds(divergences, divergences[0].shape[0], n, prob_grid)
         assert np.all(np.isnan(state) | (state == np.inf) | np.isfinite(row))
         assert np.all(np.isnan(state) | (row <= state))
 
@@ -1297,9 +1302,8 @@ def test_pass_memory_does_not_grow_with_the_prefix_count(monkeypatch):
         comps = qchan.oracle._compositions(4, 4)
         tracemalloc.start()
         try:
-            _, (pruned, *_), _ = qchan.oracle._search_pass(
-                tables, ids, 4, comps / 4, comps, (value - 0.01, None, None), divergences, no_seeds(4),
-                math.inf)
+            _, (pruned, *_), _, _ = qchan.oracle._search_pass(
+                tables, 4, comps, (value - 0.01, None, None), divergences, no_seeds(4), 0, math.inf)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1316,19 +1320,19 @@ def test_pass_tables_grow_with_states_times_compositions(monkeypatch):
     calls = []
     search_pass = qchan.oracle._search_pass
 
-    def pass_of_four(tables, state_ids, n, *args):
+    def pass_of_four(tables, n, *args):
         if n == 4:
-            calls.append((tables, state_ids, n, *args))
-        return search_pass(tables, state_ids, n, *args)
+            calls.append((tables, n, *args))
+        return search_pass(tables, n, *args)
 
     monkeypatch.setattr(qchan.oracle, "_search_pass", pass_of_four)
     oracle_capacity(AmplitudeDamping(0.5), OracleConfig(**CRITERION4), 1e9)
-    (tables, state_ids, n, probs, *rest), = calls
-    m, p_count = len(state_ids), probs.shape[0]
+    (tables, n, comps, *rest), = calls
+    m, p_count = tables[0][0].shape[0], comps.shape[0]
     assert (m, p_count) == (400, 969)
     tracemalloc.start()
     try:
-        search_pass(tables, state_ids, n, probs, *rest)
+        search_pass(tables, n, comps, *rest)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1342,9 +1346,9 @@ def test_passes_tabulate_only_the_states_their_bounds_keep(monkeypatch):
     lengths, size = {}, [None]
     search_pass, pass_tables = qchan.oracle._search_pass, qchan.oracle._pass_tables
 
-    def recording_pass(tables, state_ids, n, *args):
+    def recording_pass(tables, n, *args):
         size[0] = n
-        return search_pass(tables, state_ids, n, *args)
+        return search_pass(tables, n, *args)
 
     def recording_tables(columns, weights):
         lengths.setdefault(size[0], set()).update(column.shape[0] for column in columns)
@@ -1358,18 +1362,18 @@ def test_passes_tabulate_only_the_states_their_bounds_keep(monkeypatch):
 
 def logged_sizes(monkeypatch, caplog, channel, config, budget):
     """The logged (n, rows scored, rows pruned, elements scored, seed elements
-    scored, floor) of a search; the rows each size's passes hold
-    and their composition count; and the elements actually scored, seeds
-    included, counted per size."""
+    scored, floor, states kept, grid states) of a search; the rows each size's
+    passes hold and their composition count; and the elements actually scored,
+    seeds included, counted per size."""
     rows, columns, scored = {}, {}, {}
     search_pass, chi_into = qchan.oracle._search_pass, qchan.oracle._chi_into
     size = [None]  # the n of the pass running
 
-    def counting_pass(tables, state_ids, n, probs, *args):
-        rows[n] = rows.get(n, 0) + math.comb(len(state_ids), n)
-        columns[n] = probs.shape[0]
+    def counting_pass(tables, n, comps, *args):
+        rows[n] = rows.get(n, 0) + math.comb(tables[0][0].shape[0], n)
+        columns[n] = comps.shape[0]
         size[0] = n
-        return search_pass(tables, state_ids, n, probs, *args)
+        return search_pass(tables, n, comps, *args)
 
     def counting_chi(products, weights, members, work, score):
         n = size[0]
@@ -1407,7 +1411,8 @@ def test_search_logs_scored_and_pruned_rows(monkeypatch, caplog):
     assert [n for n, *_ in four[0]] == [1, 2, 3, 4]
     assert four[0][-1][2] > 0
     for sizes, rows, columns, scored in (full, criterion4, criterion8, four):
-        for n, rows_scored, rows_pruned, elements_scored, seeded, floor in sizes:
+        for n, rows_scored, rows_pruned, elements_scored, seeded, floor, kept, states in sizes:
+            assert kept <= states
             # Sizes from 2 on seed their pass with a genuine score.
             assert (seeded > 0 and math.isfinite(floor)) == (n > 1)
             assert elements_scored + seeded == scored[n]
